@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -301,9 +300,8 @@ def _cmd_tstats(args: argparse.Namespace) -> int:
             raise CliInputError(
                 f"need at least 2 columns per group: matrix has {n_data} "
                 f"data columns, group1 takes {m1}")
-        lines = ["gene,t,p_value"]
-        df = n_data - 2
-        rows_seen = 0
+        genes: List[str] = []
+        rows: List[List[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -311,19 +309,22 @@ def _cmd_tstats(args: argparse.Namespace) -> int:
                 raise CliInputError(
                     f"{args.input} line {lineno}: expected {len(header)} "
                     f"fields, got {len(row)}")
-            rows_seen += 1
-            gene = row[0].strip() if has_id else str(rows_seen)
+            genes.append(row[0].strip() if has_id else str(len(genes) + 1))
             data_fields = row[1:] if has_id else row
             try:
-                vals = np.array([float(tok) for tok in data_fields])
+                rows.append([float(tok) for tok in data_fields])
             except ValueError as exc:
                 raise CliInputError(
                     f"{args.input} line {lineno}: non-numeric entry ({exc})")
-            t = _pooled_t(vals[:m1], vals[m1:])
-            p = student_t_two_sided_p(t, float(df))
-            lines.append(f"{gene},{t!r},{p!r}")
-    if rows_seen == 0:
+    if not rows:
         raise CliInputError(f"{args.input}: no data rows")
+    values = np.array(rows)
+    t_values = _pooled_t(values[:, :m1], values[:, m1:])
+    df = float(n_data - 2)
+    lines = ["gene,t,p_value"]
+    for gene, t in zip(genes, t_values.tolist()):
+        p = student_t_two_sided_p(t, df)
+        lines.append(f"{gene},{t!r},{p!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
         _write_text(args.out, text)
@@ -332,19 +333,23 @@ def _cmd_tstats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pooled_t(group1: np.ndarray, group2: np.ndarray) -> float:
-    """Two-sample t with pooled variance:
-    t = (mean1 - mean2) / s, s^2 = pooled SSE / (m-2) * (1/n1 + 1/n2)."""
-    n1, n2 = group1.size, group2.size
-    diff = float(np.mean(group1) - np.mean(group2))
-    sse = float(np.sum((group1 - np.mean(group1)) ** 2)
-                + np.sum((group2 - np.mean(group2)) ** 2))
+def _pooled_t(group1: np.ndarray, group2: np.ndarray) -> np.ndarray:
+    """Two-sample t with pooled variance for every row (gene) at once:
+    t = (mean1 - mean2) / s, s^2 = pooled SSE / (m-2) * (1/n1 + 1/n2).
+    Where s^2 <= 0, t is 0 for equal means and +-inf otherwise."""
+    n1, n2 = group1.shape[1], group2.shape[1]
+    mean1 = np.mean(group1, axis=1)
+    mean2 = np.mean(group2, axis=1)
+    diff = mean1 - mean2
+    sse = (np.sum((group1 - mean1[:, None]) ** 2, axis=1)
+           + np.sum((group2 - mean2[:, None]) ** 2, axis=1))
     s2 = sse / (n1 + n2 - 2) * (1.0 / n1 + 1.0 / n2)
-    if s2 <= 0.0:
-        if diff == 0.0:
-            return 0.0
-        return math.inf if diff > 0.0 else -math.inf
-    return diff / math.sqrt(s2)
+    flat = s2 <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = diff / np.sqrt(s2)
+    t[flat] = np.copysign(np.inf, diff[flat])
+    t[flat & (diff == 0.0)] = 0.0
+    return t
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,7 @@ import pytest
 from logconmix.cli import main
 from logconmix.families import Normal, sample_mixture
 from logconmix.logcon import load_fit_json
+from logconmix.special import student_t_two_sided_p
 
 
 @pytest.fixture
@@ -206,6 +207,55 @@ def test_tstats_pooled_t_oracle(tmp_path):
                                          rel=1e-14)
     assert lines[2].split(",")[1:] == ["0.0", "1.0"]
     assert lines[3].split(",")[1:] == ["inf", "0.0"]
+
+
+def _scalar_pooled_t(group1, group2):
+    """One gene's pooled-variance t, written out as a scalar formula."""
+    n1, n2 = group1.size, group2.size
+    diff = float(np.mean(group1) - np.mean(group2))
+    sse = float(np.sum((group1 - np.mean(group1)) ** 2)
+                + np.sum((group2 - np.mean(group2)) ** 2))
+    s2 = sse / (n1 + n2 - 2) * (1.0 / n1 + 1.0 / n2)
+    if s2 <= 0.0:
+        if diff == 0.0:
+            return 0.0
+        return math.inf if diff > 0.0 else -math.inf
+    return diff / math.sqrt(s2)
+
+
+def test_tstats_matches_scalar_formula_line_by_line(tmp_path):
+    rng = np.random.default_rng(4)
+    rows = rng.normal(0.0, 1.0, (40, 7))
+    rows[3] = 1.5                      # constant: equal means, zero spread
+    rows[7] = [0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 2.0]   # zero spread, t = -inf
+    rows[11] = [1.0, 3.0, 2.0, 4.0, 0.0, 2.0, 2.0]  # equal means, t = 0
+    src = tmp_path / "expr.csv"
+    src.write_text("a,b,c,d,e,f,g\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in rows),
+        encoding="utf-8")
+    out = tmp_path / "t.csv"
+    assert main(["tstats", str(src), "--group1-cols", "3",
+                 "--out", str(out)]) == 0
+    want = ["gene,t,p_value"]
+    for g, row in enumerate(rows, start=1):
+        t = _scalar_pooled_t(row[:3], row[3:])
+        want.append(f"{g},{t!r},{student_t_two_sided_p(t, 5.0)!r}")
+    assert out.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+    assert want[4].split(",")[1:] == ["0.0", "1.0"]
+    assert want[8].split(",")[1:] == ["-inf", "0.0"]
+    assert want[12].split(",")[1] == "0.0"
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("g1,1.0,2.0,0.0\n", "line 3: expected 5 fields, got 4"),
+    ("g1,1.0,x,0.0,1.0\n", "line 3: non-numeric entry"),
+])
+def test_tstats_reports_the_bad_line(tmp_path, capsys, bad_row, message):
+    src = tmp_path / "expr.csv"
+    src.write_text("gene,a,b,c,d\ng0,1.0,2.0,0.0,1.0\n" + bad_row,
+                   encoding="utf-8")
+    assert main(["tstats", str(src), "--group1-cols", "2"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_tstats_numbers_genes_without_id_column(tmp_path):

@@ -13,7 +13,8 @@ import pytest
 from logconmix.em import (EmConfig, classification_error, e_step,
                           em_result_to_dict, estimate_mu, m_step_f, m_step_p,
                           posterior_unknown, run_em)
-from logconmix.errors import ComponentCollapsedError, ZeroMixtureDensityError
+from logconmix.errors import (ComponentCollapsedError, DegenerateSampleError,
+                              ZeroMixtureDensityError)
 from logconmix.families import (Normal, ShiftedExponential, Uniform,
                                 log_pdf_known, sample_known, sample_mixture)
 
@@ -170,3 +171,5 @@ def test_run_em_rejects_empty_and_degenerate_input():
         run_em(np.array([]), Normal(0.0, 1.0))
     with pytest.raises(Exception):
         run_em(np.array([1.0]), Normal(0.0, 1.0))
+    with pytest.raises(DegenerateSampleError, match="got 3"):
+        run_em(np.array([2.0, 1.0, 3.0, 1.0, 2.0, 3.0]), Normal(0.0, 1.0))
