@@ -7,8 +7,9 @@ Three workloads, coarse to fine:
 - ``fit``: a cold-start weighted log-concave fit at several sample sizes,
 - ``em``: a full mixture EM run on a two-normal sample.
 
-Each timing is the best of ``--repeats`` runs. Run from a checkout with the
-package installed::
+Each timing is the best of ``--repeats`` runs. The package is imported from
+the ``src/`` directory of the checkout this script sits in, ahead of any
+installed copy, so it runs from a source checkout without installing::
 
     python3 benchmarks/bench_backends.py
 """
@@ -16,14 +17,18 @@ package installed::
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from logconmix import kernels
-from logconmix.em import EmConfig, run_em
-from logconmix.families import Normal, sample_mixture
-from logconmix.logcon import WeightedSample, fit_weighted_logconcave
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from logconmix import kernels  # noqa: E402
+from logconmix.em import EmConfig, run_em  # noqa: E402
+from logconmix.families import Normal, sample_mixture  # noqa: E402
+from logconmix.logcon import WeightedSample, fit_weighted_logconcave  # noqa: E402
 
 
 def best_of(fn, repeats):

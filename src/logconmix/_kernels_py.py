@@ -24,76 +24,116 @@ Stability notes, used identically in both backends:
   keeps worst-case relative error around 1e-12 across the seam.
 - the value itself follows the tighter contract: series only for
   |b - a| < 1e-5, the expm1 form otherwise.
+
+Cost: every kernel goes through ``_parts``, which pays for one exp(max(a, b)),
+one expm1 and (for the partials) one exp per segment, shared by G1, G2 and
+G3. Each series is evaluated only on the entries inside its radius, G2 and G3
+in one Horner pass, and overwrites the closed form there. The formulas and
+their order of operations are those of one-function-per-moment code, so the
+results are identical to the last bit (``tests/test_kernels.py`` keeps that
+code as the oracle).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 BACKEND_NAME = "python"
 
-_SERIES_RADIUS = 0.05  # partials switch to series inside this |b - a|
-_VALUE_SERIES_RADIUS = 1e-5
+_SERIES_RADIUS = 0.05  # G2, G3 switch to series inside this |b - a|
+_VALUE_SERIES_RADIUS = 1e-5  # G1 switches to series inside this |b - a|
 
-
-def _g1(eps):
-    """integral_0^1 e^{t eps} dt, eps <= 0 array or scalar."""
-    eps = np.asarray(eps, dtype=float)
-    small = np.abs(eps) < _VALUE_SERIES_RADIUS
-    safe = np.where(small, 1.0, eps)
-    series = 1.0 + eps * (0.5 + eps * (1.0 / 6.0 + eps * (1.0 / 24.0)))
-    return np.where(small, series, np.expm1(safe) / safe)
-
-
-def _poly(eps, coeffs):
-    """Horner evaluation of sum_k coeffs[k] eps^k."""
-    out = np.zeros_like(eps) + coeffs[-1]
-    for c in coeffs[-2::-1]:
-        out = out * eps + c
-    return out
-
-
-# series coefficients: G2_k = 1/(k! (k+2)), G3_k = 1/(k! (k+3)), through k=8
-_G2_COEF = []
-_G3_COEF = []
+# series coefficients, through k=8: row 0 is G2_k = 1/(k! (k+2)), row 1 is
+# G3_k = 1/(k! (k+3)); column k multiplies eps^k.
+_G23_COEF = np.empty((2, 9))
 _fact = 1.0
 for _k in range(9):
     if _k > 0:
         _fact *= _k
-    _G2_COEF.append(1.0 / (_fact * (_k + 2)))
-    _G3_COEF.append(1.0 / (_fact * (_k + 3)))
+    _G23_COEF[0, _k] = 1.0 / (_fact * (_k + 2))
+    _G23_COEF[1, _k] = 1.0 / (_fact * (_k + 3))
 del _fact, _k
+# Horner columns per order: G2 alone for order 2, G2 and G3 stacked for 3
+_SERIES_COLS = {order: [_G23_COEF[:order - 1, k:k + 1] for k in range(9)]
+                for order in (2, 3)}
 
 
-def _g2(eps):
-    """integral_0^1 t e^{t eps} dt."""
-    eps = np.asarray(eps, dtype=float)
-    small = np.abs(eps) < _SERIES_RADIUS
+def _g1_series(e):
+    """G1 by its series through eps^3, as a one-row tuple."""
+    return (1.0 + e * (0.5 + e * (1.0 / 6.0 + e * (1.0 / 24.0))),)
+
+
+def _g23_series(e, order):
+    """G2 (order 2), or G2 and G3 stacked (order 3), by one Horner pass."""
+    cols = _SERIES_COLS[order]
+    out = cols[8] * e + cols[7]
+    for col in cols[6::-1]:
+        out *= e
+        out += col
+    return out
+
+
+def _overwrite(outs, inside, eps, series, *args):
+    """Replace each of ``outs`` by its row of ``series(eps, *args)`` where
+    ``inside`` holds, evaluating the series on those entries only."""
+    k = np.count_nonzero(inside)
+    if k == inside.size:
+        for out, row in zip(outs, series(eps, *args)):
+            out[...] = row
+    elif k:
+        for out, row in zip(outs, series(eps[inside], *args)):
+            out[inside] = row
+
+
+def _parts(a, b, order):
+    """Shared pieces of J and its partials at ``eps = -|b - a|``.
+
+    Returns ``(ehi, g1)`` for ``order`` 1, ``(ehi, g1, g2)`` for 2 and
+    ``(ehi, g1, g2, g3)`` for 3, with ``ehi = exp(max(a, b))`` and
+    ``gk = integral_0^1 t^(k-1) e^{t eps} dt``. Each closed form is computed
+    on every entry from one ``expm1`` and one ``exp``; the series then
+    overwrite the entries inside their radius.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ehi = np.exp(np.maximum(a, b))
+    eps = np.atleast_1d(-np.abs(b - a))  # 1-d, so the series can be assigned by index
+    small = eps > -_VALUE_SERIES_RADIUS
     safe = np.where(small, 1.0, eps)
-    series = _poly(eps, _G2_COEF)
-    closed = (safe * np.exp(safe) - np.expm1(safe)) / (safe * safe)
-    return np.where(small, series, closed)
-
-
-def _g3(eps):
-    """integral_0^1 t^2 e^{t eps} dt."""
-    eps = np.asarray(eps, dtype=float)
-    small = np.abs(eps) < _SERIES_RADIUS
-    safe = np.where(small, 1.0, eps)
-    series = _poly(eps, _G3_COEF)
-    ee = np.exp(safe)
     em = np.expm1(safe)
-    closed = (safe * safe * ee - 2.0 * (safe * ee - em)) / (safe * safe * safe)
-    return np.where(small, series, closed)
+    out = [ehi, em / safe]
+    _overwrite(out[1:], small, eps, _g1_series)
+    if order >= 2:
+        # Updates run in place where that gives the same value, and the
+        # temporaries go before the series, to keep the peak memory low.
+        ee = np.exp(safe)
+        num = safe * ee
+        num -= em  # safe e^safe - expm1(safe)
+        ss = safe * safe
+        if order == 3:
+            g3 = (ss * ee - 2.0 * num) / (ss * safe)
+        num /= ss
+        out.append(num)  # g2
+        if order == 3:
+            out.append(g3)
+        del ee, em, ss, safe
+        _overwrite(out[2:], eps > -_SERIES_RADIUS, eps, _g23_series, order)
+    if np.ndim(ehi) == 0:
+        out[1:] = [g.reshape(()) for g in out[1:]]
+    return out
+
+
+def _oriented(b_is_hi, near, far):
+    """(d/da, d/db) from the partials wrt the larger and smaller argument."""
+    return np.where(b_is_hi, far, near), np.where(b_is_hi, near, far)
 
 
 def j_values(a, b):
     """Elementwise J(a, b); symmetric in its arguments."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    hi = np.maximum(a, b)
-    eps = -np.abs(b - a)
-    return np.exp(hi) * _g1(eps)
+    ehi, g1 = _parts(a, b, 1)
+    return ehi * g1
 
 
 def j_value(a: float, b: float) -> float:
@@ -102,42 +142,24 @@ def j_value(a: float, b: float) -> float:
 
 def j_first_partials(a, b):
     """Elementwise (dJ/da, dJ/db)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    hi = np.maximum(a, b)
-    eps = -np.abs(b - a)
-    ehi = np.exp(hi)
-    g1 = _g1(eps)
-    g2 = _g2(eps)
-    near = ehi * (g1 - g2)   # partial wrt the larger argument
-    far = ehi * g2           # partial wrt the smaller argument
-    b_is_hi = b >= a
-    ja = np.where(b_is_hi, far, near)
-    jb = np.where(b_is_hi, near, far)
-    return ja, jb
+    ehi, g1, g2 = _parts(a, b, 2)
+    # partials wrt the larger (near) and the smaller (far) argument
+    return _oriented(np.greater_equal(b, a), ehi * (g1 - g2), ehi * g2)
+
+
+def _value_and_partials(a, b):
+    """J and its five partials, as in :func:`j_all_partials`, from one
+    set of shared pieces."""
+    ehi, g1, g2, g3 = _parts(a, b, 3)
+    b_is_hi = np.greater_equal(b, a)
+    ja, jb = _oriented(b_is_hi, ehi * (g1 - g2), ehi * g2)
+    jaa, jbb = _oriented(b_is_hi, ehi * (g1 - 2.0 * g2 + g3), ehi * g3)
+    return ehi * g1, ja, jb, jaa, ehi * (g2 - g3), jbb
 
 
 def j_all_partials(a, b):
     """Elementwise (dJ/da, dJ/db, d2J/da2, d2J/dadb, d2J/db2)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    hi = np.maximum(a, b)
-    eps = -np.abs(b - a)
-    ehi = np.exp(hi)
-    g1 = _g1(eps)
-    g2 = _g2(eps)
-    g3 = _g3(eps)
-    near1 = ehi * (g1 - g2)
-    far1 = ehi * g2
-    near2 = ehi * (g1 - 2.0 * g2 + g3)   # second partial, larger argument
-    far2 = ehi * g3                      # second partial, smaller argument
-    cross = ehi * (g2 - g3)
-    b_is_hi = b >= a
-    ja = np.where(b_is_hi, far1, near1)
-    jb = np.where(b_is_hi, near1, far1)
-    jaa = np.where(b_is_hi, far2, near2)
-    jbb = np.where(b_is_hi, near2, far2)
-    return ja, jb, jaa, cross, jbb
+    return _value_and_partials(a, b)[1:]
 
 
 def j_partials(a: float, b: float):
@@ -168,8 +190,7 @@ def knot_grad_hess(dt, phi, weights):
     weights = np.asarray(weights, dtype=float)
     pa = phi[:-1]
     pb = phi[1:]
-    ja, jb, jaa, jab, jbb = j_all_partials(pa, pb)
-    jval = j_values(pa, pb)
+    jval, ja, jb, jaa, jab, jbb = _value_and_partials(pa, pb)
     psi = float(np.dot(weights, phi) - np.dot(dt, jval) + 1.0)
 
     grad = weights.copy()
@@ -194,36 +215,45 @@ def solve_newton_step(hess_diag, hess_off, grad):
     adiag = -np.asarray(hess_diag, dtype=float)
     aoff = -np.asarray(hess_off, dtype=float)
     delta = 0.0
-    base = 1e-12 * (1.0 + float(np.max(np.abs(adiag))))
     for _ in range(60):
         d = _ldl_tridiag_solve(adiag + delta, aoff, grad)
         if d is not None:
             return d
-        delta = base if delta == 0.0 else 2.0 * delta
+        delta = 2.0 * delta if delta else 1e-12 * (1.0 + float(np.max(np.abs(adiag))))
     raise FloatingPointError("tridiagonal Newton system could not be stabilized")
 
 
 def _ldl_tridiag_solve(adiag, aoff, rhs):
-    n = adiag.shape[0]
-    dref = np.empty(n)
-    lsub = np.empty(max(n - 1, 0))
-    dref[0] = adiag[0]
-    if not (dref[0] > 0.0 and np.isfinite(dref[0])):
+    """LDL^T solve of the tridiagonal system; None on a bad pivot or result.
+
+    The recurrences are serial, so they run on Python floats: the same IEEE
+    double operations, in the same order, as on numpy scalars.
+    """
+    diag = adiag.tolist()
+    off = aoff.tolist()
+    n = len(diag)
+    piv = diag[0]
+    if not (piv > 0.0 and math.isfinite(piv)):
         return None
+    dref = [piv]
+    lsub = []
     for i in range(n - 1):
-        lsub[i] = aoff[i] / dref[i]
-        dref[i + 1] = adiag[i + 1] - aoff[i] * lsub[i]
-        if not (dref[i + 1] > 0.0 and np.isfinite(dref[i + 1])):
+        lo = off[i] / piv
+        piv = diag[i + 1] - off[i] * lo
+        if not (piv > 0.0 and math.isfinite(piv)):
             return None
-    y = np.asarray(rhs, dtype=float).copy()
+        lsub.append(lo)
+        dref.append(piv)
+    y = np.asarray(rhs, dtype=float).tolist()
     for i in range(1, n):
         y[i] -= lsub[i - 1] * y[i - 1]
-    y /= dref
+    y = [v / d for v, d in zip(y, dref)]
     for i in range(n - 2, -1, -1):
         y[i] -= lsub[i] * y[i + 1]
-    if not np.all(np.isfinite(y)):
+    out = np.array(y)
+    if not np.isfinite(out).all():
         return None
-    return y
+    return out
 
 
 def interp_to_points(x, knot_idx, phi_knots):

@@ -197,7 +197,8 @@ def _reduced_solve(x, w, kidx, phi_k, options, gtol):
     """Newton with Armijo backtracking on the current knot set.
 
     Truncated steps activate the blocking constraint (the knot drops out).
-    Returns ``(kidx, phi_k, psi, grad_inf, stalled)``.
+    Returns ``(kidx, phi_k, psi, grad_inf, stalled, W)``, with ``W`` the
+    weights aggregated onto the returned knots.
     """
     t = x[kidx]
     dt = np.diff(t)
@@ -245,7 +246,7 @@ def _reduced_solve(x, w, kidx, phi_k, options, gtol):
             W = K.aggregate_weights(x, w, kidx)
         psi, grad, hd, he = K.knot_grad_hess(dt, phi_k, W)
     ginf = float(np.max(np.abs(grad)))
-    return kidx, phi_k, psi, ginf, stalled
+    return kidx, phi_k, psi, ginf, stalled, W
 
 
 def _kkt_state(x, w, kidx, phi_k):
@@ -292,7 +293,7 @@ def fit_weighted_logconcave(sample: WeightedSample,
     psi_prev = -math.inf
     released_last = -1
     for _outer in range(options.max_outer_iters):
-        kidx, phi_k, psi, ginf, stalled = _reduced_solve(x, w, kidx, phi_k, options, tol)
+        kidx, phi_k, psi, ginf, stalled, W = _reduced_solve(x, w, kidx, phi_k, options, tol)
         # Exact normalization: shifting phi by -log(integral) preserves
         # concavity and never lowers psi. The KKT test below runs on the
         # normalized state; if the shift disturbed stationarity beyond tol
@@ -301,7 +302,6 @@ def fit_weighted_logconcave(sample: WeightedSample,
         integral = float(np.sum(K.segment_integrals(np.diff(t), phi_k[:-1], phi_k[1:])))
         if integral > 0.0 and math.isfinite(integral):
             phi_k = phi_k - math.log(integral)
-        W = K.aggregate_weights(x, w, kidx)
         psi, grad, _, _ = K.knot_grad_hess(np.diff(t), phi_k, W)
         ginf = float(np.max(np.abs(grad)))
         phi_all, lam, act_idx = _kkt_state(x, w, kidx, phi_k)

@@ -219,6 +219,197 @@ def test_aggregate_weights_conserves_mass_and_splits_linearly(impl):
                                rtol=1e-15)
 
 
+# ---------------------------------------------------------------------------
+# Bit-exact oracle for the python backend: the earlier formulation, with one
+# G-function per moment, each evaluating its closed form and its series on
+# every entry, and the LDL^T sweep on numpy scalars. The fused kernels must
+# reproduce it to the last bit.
+
+def _ref_g1(eps):
+    eps = np.asarray(eps, dtype=float)
+    small = np.abs(eps) < 1e-5
+    safe = np.where(small, 1.0, eps)
+    series = 1.0 + eps * (0.5 + eps * (1.0 / 6.0 + eps * (1.0 / 24.0)))
+    return np.where(small, series, np.expm1(safe) / safe)
+
+
+def _ref_poly(eps, coeffs):
+    out = np.zeros_like(eps) + coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out = out * eps + c
+    return out
+
+
+_REF_G2_COEF = [1.0 / (math.factorial(k) * (k + 2)) for k in range(9)]
+_REF_G3_COEF = [1.0 / (math.factorial(k) * (k + 3)) for k in range(9)]
+
+
+def _ref_g2(eps):
+    eps = np.asarray(eps, dtype=float)
+    small = np.abs(eps) < 0.05
+    safe = np.where(small, 1.0, eps)
+    closed = (safe * np.exp(safe) - np.expm1(safe)) / (safe * safe)
+    return np.where(small, _ref_poly(eps, _REF_G2_COEF), closed)
+
+
+def _ref_g3(eps):
+    eps = np.asarray(eps, dtype=float)
+    small = np.abs(eps) < 0.05
+    safe = np.where(small, 1.0, eps)
+    ee = np.exp(safe)
+    em = np.expm1(safe)
+    closed = (safe * safe * ee - 2.0 * (safe * ee - em)) / (safe * safe * safe)
+    return np.where(small, _ref_poly(eps, _REF_G3_COEF), closed)
+
+
+def _ref_j_values(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.exp(np.maximum(a, b)) * _ref_g1(-np.abs(b - a))
+
+
+def _ref_j_all_partials(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    eps = -np.abs(b - a)
+    ehi = np.exp(np.maximum(a, b))
+    g1, g2, g3 = _ref_g1(eps), _ref_g2(eps), _ref_g3(eps)
+    near1, far1 = ehi * (g1 - g2), ehi * g2
+    near2, far2 = ehi * (g1 - 2.0 * g2 + g3), ehi * g3
+    b_is_hi = b >= a
+    return (np.where(b_is_hi, far1, near1), np.where(b_is_hi, near1, far1),
+            np.where(b_is_hi, far2, near2), ehi * (g2 - g3),
+            np.where(b_is_hi, near2, far2))
+
+
+def _ref_knot_grad_hess(dt, phi, weights):
+    ja, jb, jaa, jab, jbb = _ref_j_all_partials(phi[:-1], phi[1:])
+    jval = _ref_j_values(phi[:-1], phi[1:])
+    psi = float(np.dot(weights, phi) - np.dot(dt, jval) + 1.0)
+    grad = weights.copy()
+    grad[:-1] -= dt * ja
+    grad[1:] -= dt * jb
+    hd = np.zeros_like(phi)
+    hd[:-1] -= dt * jaa
+    hd[1:] -= dt * jbb
+    return psi, grad, hd, -dt * jab
+
+
+def _ref_ldl(adiag, aoff, rhs):
+    n = adiag.shape[0]
+    dref = np.empty(n)
+    lsub = np.empty(max(n - 1, 0))
+    dref[0] = adiag[0]
+    if not (dref[0] > 0.0 and np.isfinite(dref[0])):
+        return None
+    for i in range(n - 1):
+        lsub[i] = aoff[i] / dref[i]
+        dref[i + 1] = adiag[i + 1] - aoff[i] * lsub[i]
+        if not (dref[i + 1] > 0.0 and np.isfinite(dref[i + 1])):
+            return None
+    y = np.asarray(rhs, dtype=float).copy()
+    for i in range(1, n):
+        y[i] -= lsub[i - 1] * y[i - 1]
+    y /= dref
+    for i in range(n - 2, -1, -1):
+        y[i] -= lsub[i] * y[i + 1]
+    if not np.all(np.isfinite(y)):
+        return None
+    return y
+
+
+def _ref_solve_newton_step(hess_diag, hess_off, grad):
+    adiag = -np.asarray(hess_diag, dtype=float)
+    aoff = -np.asarray(hess_off, dtype=float)
+    delta = 0.0
+    base = 1e-12 * (1.0 + float(np.max(np.abs(adiag))))
+    for _ in range(60):
+        d = _ref_ldl(adiag + delta, aoff, grad)
+        if d is not None:
+            return d
+        delta = base if delta == 0.0 else 2.0 * delta
+    raise FloatingPointError("tridiagonal Newton system could not be stabilized")
+
+
+def _seam_pairs(rng):
+    """(a, b) pairs on both sides of both series radii, exact ties, |phi|
+    near 700, and a random spread, in both orientations."""
+    diffs = []
+    for r in (1e-5, 0.05):
+        diffs += [np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)]
+    diffs = np.array(diffs)
+    a0 = np.concatenate([np.zeros(6), -diffs, np.full(6, 700.0), np.full(6, -700.0)])
+    b0 = np.concatenate([diffs, np.zeros(6), 700.0 - diffs, -700.0 + diffs])
+    ties = np.array([0.0, -3.25, 699.5, -701.0, 1e-300])
+    ra = rng.uniform(-8.0, 6.0, 200)
+    rb = ra + rng.normal(0.0, 1.0, 200) * 10.0 ** rng.uniform(-7.0, 0.5, 200)
+    a = np.concatenate([a0, b0, ties, ra])
+    b = np.concatenate([b0, a0, ties, rb])
+    assert np.all(np.isfinite(np.exp(np.maximum(a, b))))
+    return a, b
+
+
+def test_kernels_bit_identical_to_oracle(rng):
+    a, b = _seam_pairs(rng)
+    dx = rng.uniform(0.01, 2.0, a.size)
+    np.testing.assert_array_equal(kpy.j_values(a, b), _ref_j_values(a, b))
+    full = _ref_j_all_partials(a, b)
+    for got, want in zip(kpy.j_all_partials(a, b), full):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(kpy.j_first_partials(a, b), full[:2]):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(kpy.segment_integrals(dx, a, b),
+                                  dx * _ref_j_values(a, b))
+
+
+@pytest.mark.parametrize("knots", [2, 8, 200])
+def test_grad_hess_and_newton_step_bit_identical_to_oracle(rng, knots):
+    x = np.sort(rng.uniform(-3.0, 3.0, knots))
+    phi = -0.5 * x * x - 0.9
+    phi[knots // 2:knots // 2 + 2] = phi[knots // 2]      # one flat segment
+    if knots > 2:
+        phi[1] = phi[0] + 1e-5 * (x[1] - x[0])            # near a series seam
+    w = rng.uniform(0.1, 1.0, knots)
+    w /= w.sum()
+    dt = np.diff(x)
+    got = kpy.knot_grad_hess(dt, phi, w)
+    want = _ref_knot_grad_hess(dt, phi, w)
+    assert got[0] == want[0]
+    for g, r in zip(got[1:], want[1:]):
+        np.testing.assert_array_equal(g, r)
+    np.testing.assert_array_equal(kpy.solve_newton_step(*got[2:], got[1]),
+                                  _ref_solve_newton_step(*want[2:], want[1]))
+
+
+def test_newton_step_regularized_and_failing_systems_match_oracle():
+    grad = np.array([0.3, -1.0, 0.2, 0.5])
+    hoff = np.array([-0.5, 0.0, -0.25])
+    for bad in (0.0, 1e-9):       # a zero pivot, then a negative one
+        hdiag = np.array([-2.0, bad, -1.0, -3.0])
+        assert _ref_ldl(-hdiag, -hoff, grad) is None    # needs delta
+        np.testing.assert_array_equal(kpy.solve_newton_step(hdiag, hoff, grad),
+                                      _ref_solve_newton_step(hdiag, hoff, grad))
+    nan_diag = np.array([-2.0, np.nan, -1.0, -3.0])
+    for solve in (kpy.solve_newton_step, _ref_solve_newton_step):
+        with pytest.raises(FloatingPointError):
+            solve(nan_diag, hoff, grad)
+
+
+@pytest.mark.parametrize("diff", [3e-6, 0.02, 0.7])   # G1 series, G2/G3 series, closed
+def test_scalar_and_0d_inputs_in_each_branch(diff):
+    a, b = -1.25, -1.25 + diff
+    want = [float(v) for v in _ref_j_all_partials(a, b)]
+    assert kpy.j_value(a, b) == float(_ref_j_values(a, b))
+    assert kpy.j_value(b, a) == float(_ref_j_values(b, a))
+    assert list(kpy.j_partials(a, b)) == want
+    a0, b0 = np.array(a), np.array(b)
+    assert np.shape(kpy.j_values(a0, b0)) == ()
+    assert kpy.j_values(a0, b0) == kpy.j_value(a, b)
+    assert [np.shape(v) for v in kpy.j_first_partials(a0, b0)] == [(), ()]
+    assert [float(v) for v in kpy.j_first_partials(a0, b0)] == want[:2]
+    assert np.shape(kpy.segment_integrals(2.0, a0, b0)) == ()
+
+
 @pytest.mark.skipif(not HAVE_CYTHON, reason="compiled backend not built")
 def test_backends_agree_bitwise_level(rng):
     import logconmix._kernels_cy as kcy
