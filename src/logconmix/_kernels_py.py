@@ -28,10 +28,10 @@ Stability notes, used identically in both backends:
 Cost: every kernel goes through ``_parts``, which pays for one exp(max(a, b)),
 one expm1 and (for the partials) one exp per segment, shared by G1, G2 and
 G3. Each series is evaluated only on the entries inside its radius, G2 and G3
-in one Horner pass, and overwrites the closed form there. The formulas and
-their order of operations are those of one-function-per-moment code, so the
-results are identical to the last bit (``tests/test_kernels.py`` keeps that
-code as the oracle).
+in one Horner pass, and overwrites the closed form there; a call with no entry
+inside a radius skips that series. The formulas and their order of operations
+are those of one-function-per-moment code, so the results are identical to
+the last bit (``tests/test_kernels.py`` keeps that code as the oracle).
 """
 
 from __future__ import annotations
@@ -45,46 +45,35 @@ BACKEND_NAME = "python"
 _SERIES_RADIUS = 0.05  # G2, G3 switch to series inside this |b - a|
 _VALUE_SERIES_RADIUS = 1e-5  # G1 switches to series inside this |b - a|
 
-# series coefficients, through k=8: row 0 is G2_k = 1/(k! (k+2)), row 1 is
-# G3_k = 1/(k! (k+3)); column k multiplies eps^k.
-_G23_COEF = np.empty((2, 9))
-_fact = 1.0
-for _k in range(9):
-    if _k > 0:
-        _fact *= _k
-    _G23_COEF[0, _k] = 1.0 / (_fact * (_k + 2))
-    _G23_COEF[1, _k] = 1.0 / (_fact * (_k + 3))
-del _fact, _k
-# Horner columns per order: G2 alone for order 2, G2 and G3 stacked for 3
-_SERIES_COLS = {order: [_G23_COEF[:order - 1, k:k + 1] for k in range(9)]
-                for order in (2, 3)}
-
-
-def _g1_series(e):
-    """G1 by its series through eps^3, as a one-row tuple."""
-    return (1.0 + e * (0.5 + e * (1.0 / 6.0 + e * (1.0 / 24.0))),)
+# series coefficients through eps^8: row 0 is G2_k = 1/(k! (k+2)), row 1 is
+# G3_k = 1/(k! (k+3)). Horner columns, highest power first: G2 alone for
+# order 2, G2 and G3 stacked for order 3.
+_G23_COEF = np.array([[1.0 / (math.factorial(k) * (k + j)) for k in range(9)]
+                      for j in (2, 3)])
+_HORNER_COLS = [[_G23_COEF[:rows, k:k + 1] for k in range(8, -1, -1)]
+                for rows in (1, 2)]
 
 
 def _g23_series(e, order):
-    """G2 (order 2), or G2 and G3 stacked (order 3), by one Horner pass."""
-    cols = _SERIES_COLS[order]
-    out = cols[8] * e + cols[7]
-    for col in cols[6::-1]:
+    """G2 (order 2), or G2 and G3 stacked (order 3), of the 1-d ``e`` by
+    one Horner pass; one row per function."""
+    cols = _HORNER_COLS[order - 2]
+    out = cols[0] * e + cols[1]
+    for col in cols[2:]:
         out *= e
         out += col
     return out
 
 
-def _overwrite(outs, inside, eps, series, *args):
-    """Replace each of ``outs`` by its row of ``series(eps, *args)`` where
-    ``inside`` holds, evaluating the series on those entries only."""
-    k = np.count_nonzero(inside)
-    if k == inside.size:
-        for out, row in zip(outs, series(eps, *args)):
-            out[...] = row
-    elif k:
-        for out, row in zip(outs, series(eps[inside], *args)):
-            out[inside] = row
+def _g23_closed(safe, em, order):
+    """G2 (order 2), or G2 and G3 (order 3), in closed form from ``safe``
+    and ``em = expm1(safe)``."""
+    ee = np.exp(safe)
+    num = safe * ee - em
+    ss = safe * safe
+    if order == 2:
+        return [num / ss]
+    return [num / ss, (ss * ee - 2.0 * num) / (ss * safe)]
 
 
 def _parts(a, b, order):
@@ -99,27 +88,22 @@ def _parts(a, b, order):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ehi = np.exp(np.maximum(a, b))
-    eps = np.atleast_1d(-np.abs(b - a))  # 1-d, so the series can be assigned by index
-    small = eps > -_VALUE_SERIES_RADIUS
-    safe = np.where(small, 1.0, eps)
+    eps = np.atleast_1d(-np.abs(b - a))  # an array, so entries can be assigned
+    m1 = eps > -_VALUE_SERIES_RADIUS
+    safe = np.where(m1, 1.0, eps)
     em = np.expm1(safe)
     out = [ehi, em / safe]
-    _overwrite(out[1:], small, eps, _g1_series)
+    # Most calls have no entry inside a radius (for G1 nearly all), so an
+    # empty mask skips its series.
+    if m1.any():
+        e = eps[m1]
+        out[1][m1] = 1.0 + e * (0.5 + e * (1.0 / 6.0 + e * (1.0 / 24.0)))
     if order >= 2:
-        # Updates run in place where that gives the same value, and the
-        # temporaries go before the series, to keep the peak memory low.
-        ee = np.exp(safe)
-        num = safe * ee
-        num -= em  # safe e^safe - expm1(safe)
-        ss = safe * safe
-        if order == 3:
-            g3 = (ss * ee - 2.0 * num) / (ss * safe)
-        num /= ss
-        out.append(num)  # g2
-        if order == 3:
-            out.append(g3)
-        del ee, em, ss, safe
-        _overwrite(out[2:], eps > -_SERIES_RADIUS, eps, _g23_series, order)
+        out += _g23_closed(safe, em, order)
+        m23 = eps > -_SERIES_RADIUS
+        if m23.any():
+            for g, row in zip(out[2:], _g23_series(eps[m23], order)):
+                g[m23] = row
     if np.ndim(ehi) == 0:
         out[1:] = [g.reshape(()) for g in out[1:]]
     return out

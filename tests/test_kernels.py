@@ -351,15 +351,22 @@ def _seam_pairs(rng):
 
 def test_kernels_bit_identical_to_oracle(rng):
     a, b = _seam_pairs(rng)
-    dx = rng.uniform(0.01, 2.0, a.size)
-    np.testing.assert_array_equal(kpy.j_values(a, b), _ref_j_values(a, b))
-    full = _ref_j_all_partials(a, b)
-    for got, want in zip(kpy.j_all_partials(a, b), full):
-        np.testing.assert_array_equal(got, want)
-    for got, want in zip(kpy.j_first_partials(a, b), full[:2]):
-        np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(kpy.segment_integrals(dx, a, b),
-                                  dx * _ref_j_values(a, b))
+    zeros = np.zeros((3, 3))
+    cases = [(a, b),
+             (a[:240].reshape(12, 20), b[:240].reshape(12, 20)),  # 2-d, mixed
+             (zeros, zeros + 1e-6),     # 2-d, every entry in both series
+             (zeros, zeros + 0.01),     # 2-d, every entry in the G2/G3 series
+             (zeros + 0.7, zeros)]      # 2-d, closed forms only
+    for a, b in cases:
+        dx = rng.uniform(0.01, 2.0, a.shape)
+        np.testing.assert_array_equal(kpy.j_values(a, b), _ref_j_values(a, b))
+        full = _ref_j_all_partials(a, b)
+        for got, want in zip(kpy.j_all_partials(a, b), full):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(kpy.j_first_partials(a, b), full[:2]):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(kpy.segment_integrals(dx, a, b),
+                                      dx * _ref_j_values(a, b))
 
 
 @pytest.mark.parametrize("knots", [2, 8, 200])
