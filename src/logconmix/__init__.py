@@ -28,8 +28,7 @@ from .errors import (AllReplicationsFailedError, AllWeightsKnownError,
 from .families import (Beta15, Exponential, Normal, ShiftedChiSq3,
                        ShiftedExponential, ShiftedT5, StudentT, Tabulated,
                        Uniform, load_tabulated_csv, log_pdf_known,
-                       log_pdf_unknown, sample_known, sample_mixture,
-                       sample_unknown, support_known)
+                       sample_mixture)
 from .identifiability import (IdentifiabilityClause, IdentifiabilityReport,
                               check_identifiability, report_to_dict)
 from .logcon import (FitOptions, LogConcaveFit, WeightedSample, cdf,
@@ -53,8 +52,7 @@ __all__ = [
     "ZeroMixtureDensityError",
     "Beta15", "Exponential", "Normal", "ShiftedChiSq3", "ShiftedExponential",
     "ShiftedT5", "StudentT", "Tabulated", "Uniform", "load_tabulated_csv",
-    "log_pdf_known", "log_pdf_unknown", "sample_known", "sample_mixture",
-    "sample_unknown", "support_known",
+    "log_pdf_known", "sample_mixture",
     "IdentifiabilityClause", "IdentifiabilityReport", "check_identifiability",
     "report_to_dict",
     "FitOptions", "LogConcaveFit", "WeightedSample", "cdf",

@@ -33,48 +33,44 @@ from .special import student_t_two_sided_p
 
 __all__ = ["main", "parse_f0_spec"]
 
+# --f0 family name -> (family, its parameters in order); ``table:PATH`` reads
+# a Tabulated density from a file instead of taking numbers.
+_F0_FAMILIES = {
+    "normal": (Normal, ("MU", "SIGMA")),
+    "uniform": (Uniform, ("A", "B")),
+    "exp": (Exponential, ("LAMBDA",)),
+    "t": (StudentT, ("NU",)),
+}
+_F0_USAGE = " | ".join([f"{name}:{','.join(params)}"
+                        for name, (_, params) in _F0_FAMILIES.items()]
+                       + ["table:PATH"])
+
 
 def parse_f0_spec(text: str) -> KnownComponent:
     """Parse an f0 description such as ``normal:0,2`` or ``table:f0.csv``."""
     name, sep, rest = text.partition(":")
     if not sep:
-        raise CliInputError(
-            f"f0 spec {text!r} has no ':'; expected "
-            "normal:MU,SIGMA | uniform:A,B | exp:LAMBDA | t:NU | table:PATH")
+        raise CliInputError(f"f0 spec {text!r} has no ':'; expected {_F0_USAGE}")
     name = name.strip().lower()
     if name == "table":
         if not rest:
             raise CliInputError("f0 spec 'table:' is missing a file path")
         return load_tabulated_csv(rest)
+    if name not in _F0_FAMILIES:
+        raise CliInputError(f"unknown f0 family {name!r}; expected "
+                            f"{', '.join(_F0_FAMILIES)} or table")
+    family, param_names = _F0_FAMILIES[name]
     try:
         params = [float(tok) for tok in rest.split(",")] if rest else []
     except ValueError as exc:
         raise CliInputError(f"f0 spec {text!r}: non-numeric parameter ({exc})")
+    if len(params) != len(param_names):
+        raise CliInputError(f"f0 spec {name!r} needs {','.join(param_names)}; "
+                            f"got {len(params)} values")
     try:
-        if name == "normal":
-            if len(params) != 2:
-                raise CliInputError(
-                    f"f0 spec 'normal' needs MU,SIGMA; got {len(params)} values")
-            return Normal(params[0], params[1])
-        if name == "uniform":
-            if len(params) != 2:
-                raise CliInputError(
-                    f"f0 spec 'uniform' needs A,B; got {len(params)} values")
-            return Uniform(params[0], params[1])
-        if name == "exp":
-            if len(params) != 1:
-                raise CliInputError(
-                    f"f0 spec 'exp' needs LAMBDA; got {len(params)} values")
-            return Exponential(params[0])
-        if name == "t":
-            if len(params) != 1:
-                raise CliInputError(
-                    f"f0 spec 't' needs NU; got {len(params)} values")
-            return StudentT(params[0])
+        return family(*params)
     except ValueError as exc:
         raise CliInputError(f"f0 spec {text!r}: {exc}")
-    raise CliInputError(
-        f"unknown f0 family {name!r}; expected normal, uniform, exp, t or table")
 
 
 def _parse_grid(text: str) -> Tuple[float, float, int]:
@@ -95,11 +91,7 @@ def _parse_grid(text: str) -> Tuple[float, float, int]:
 
 def _read_value_csv(path: str) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Read a `x` or `x,label` CSV; returns (values, labels-or-None)."""
-    try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise CliInputError(f"cannot open {path}: {exc}")
-    with handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -199,11 +191,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _read_weighted_csv_cli(path: str) -> Tuple[np.ndarray, np.ndarray]:
-    try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise CliInputError(f"cannot open {path}: {exc}")
-    with handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -284,11 +272,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_tstats(args: argparse.Namespace) -> int:
     m1 = args.group1_cols
-    try:
-        handle = open(args.input, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise CliInputError(f"cannot open {args.input}: {exc}")
-    with handle:
+    with open(args.input, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = [h.strip() for h in next(reader)]
@@ -368,8 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "'x,f0,f_hat,g_hat,posterior'.")
     p_fit.add_argument("input", help="input CSV path")
     p_fit.add_argument("--f0", required=True,
-                       help="known component: normal:MU,SIGMA | uniform:A,B | "
-                            "exp:LAMBDA | t:NU | table:PATH")
+                       help=f"known component: {_F0_USAGE}")
     p_fit.add_argument("--out", help="output JSON path")
     p_fit.add_argument("--grid", type=_parse_grid, default=None,
                        metavar="LO,HI,COUNT",
@@ -450,18 +433,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.subcommand == "tstats":
             return _cmd_tstats(args)
         parser.error(f"unknown subcommand {args.subcommand!r}")
-    except (CliInputError, DegenerateSampleError) as exc:
+    except (CliInputError, DegenerateSampleError, ValueError, OSError) as exc:
+        # OSError: an input file that cannot be read or an output path that
+        # cannot be written is bad input, not an estimation failure
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
-        return 2
-    except LogconmixError as exc:
-        print(f"estimation failed: {exc}", file=sys.stderr)
-        return 3
-    except FloatingPointError as exc:
+    except (LogconmixError, FloatingPointError) as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return 3
     return 0

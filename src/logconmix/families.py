@@ -9,6 +9,13 @@ The unknown component only needs to be sampled (for the simulation
 benchmarks) and evaluated (for test oracles); the estimator itself never sees
 these specs. Shifted exponential, Beta(1,5), shifted chi-square(3) and
 shifted t(5) cover the benchmark models alongside the normal family.
+
+Each family is a frozen dataclass that holds its own formulas: ``log_pdf(x)``
+on a float array (-inf outside the support), ``support`` as a (lo, hi)
+interval that may be unbounded, and ``draw(n, rng)`` from a Generator.
+Exponential and ShiftedExponential share ``_exponential_log_pdf``; StudentT
+and ShiftedT5 share ``_student_t_log_pdf``. ``log_pdf_known`` and
+``sample_mixture`` are the module-level entry points that em and simulate call.
 """
 
 from __future__ import annotations
@@ -25,22 +32,46 @@ __all__ = [
     "Normal", "Uniform", "Exponential", "StudentT", "Tabulated",
     "ShiftedExponential", "Beta15", "ShiftedChiSq3", "ShiftedT5",
     "KnownComponent", "UnknownComponent",
-    "log_pdf_known", "sample_known", "support_known",
-    "log_pdf_unknown", "sample_unknown",
-    "sample_mixture", "load_tabulated_csv",
+    "log_pdf_known", "sample_mixture", "load_tabulated_csv",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _student_t_log_pdf(x: np.ndarray, df: float) -> np.ndarray:
+    const = (math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
+             - 0.5 * math.log(df * math.pi))
+    return const - 0.5 * (df + 1.0) * np.log1p(x * x / df)
+
+
+def _on_support(inside: np.ndarray, log_f) -> np.ndarray:
+    """-inf everywhere except on the ``inside`` mask, which gets ``log_f``."""
+    out = np.full(inside.shape, -np.inf)
+    out[inside] = log_f
+    return out
+
+
+def _exponential_log_pdf(y: np.ndarray, rate: float) -> np.ndarray:
+    inside = y >= 0.0
+    return _on_support(inside, math.log(rate) - rate * y[inside])
 
 
 @dataclass(frozen=True)
 class Normal:
     mu: float = 0.0
     sigma: float = 1.0
+    support = (-math.inf, math.inf)
 
     def __post_init__(self):
         if not (self.sigma > 0.0 and math.isfinite(self.sigma) and math.isfinite(self.mu)):
             raise ValueError(f"Normal requires finite mu and sigma > 0, got {self}")
+
+    def log_pdf(self, x: np.ndarray) -> np.ndarray:
+        z = (x - self.mu) / self.sigma
+        return -0.5 * z * z - math.log(self.sigma) - _LOG_SQRT_2PI
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(self.mu, self.sigma, size=n)
 
 
 @dataclass(frozen=True)
@@ -52,24 +83,49 @@ class Uniform:
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
             raise ValueError(f"Uniform requires finite a < b, got {self}")
 
+    @property
+    def support(self) -> Tuple[float, float]:
+        return (self.a, self.b)
+
+    def log_pdf(self, x: np.ndarray) -> np.ndarray:
+        inside = (x >= self.a) & (x <= self.b)
+        return _on_support(inside, -math.log(self.b - self.a))
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(self.a, self.b, size=n)
+
 
 @dataclass(frozen=True)
 class Exponential:
     """Exponential with density rate * exp(-rate * x) on [0, inf)."""
     rate: float
+    support = (0.0, math.inf)
 
     def __post_init__(self):
         if not (self.rate > 0.0 and math.isfinite(self.rate)):
             raise ValueError(f"Exponential requires rate > 0, got {self}")
 
+    def log_pdf(self, x: np.ndarray) -> np.ndarray:
+        return _exponential_log_pdf(x, self.rate)
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.exponential(1.0 / self.rate, size=n)
+
 
 @dataclass(frozen=True)
 class StudentT:
     df: float
+    support = (-math.inf, math.inf)
 
     def __post_init__(self):
         if not (self.df > 0.0 and math.isfinite(self.df)):
             raise ValueError(f"StudentT requires df > 0, got {self}")
+
+    def log_pdf(self, x: np.ndarray) -> np.ndarray:
+        return _student_t_log_pdf(x, self.df)
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_t(self.df, size=n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +171,21 @@ class Tabulated:
         return np.interp(np.asarray(x, dtype=float), self.grid, self._cdf_grid,
                          left=0.0, right=1.0)
 
+    @property
+    def support(self) -> Tuple[float, float]:
+        return (float(self.grid[0]), float(self.grid[-1]))
+
+    def log_pdf(self, x: np.ndarray) -> np.ndarray:
+        inside = (x >= self.grid[0]) & (x <= self.grid[-1])
+        return _on_support(inside, np.interp(x[inside], self.grid, self.log_density))
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        u = rng.random(size=n)
+        cdf = self._cdf_grid
+        idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(cdf) - 2)
+        frac = (u - cdf[idx]) / (cdf[idx + 1] - cdf[idx])
+        return self.grid[idx] + frac * (self.grid[idx + 1] - self.grid[idx])
+
 
 @dataclass(frozen=True)
 class ShiftedExponential:
@@ -125,10 +196,29 @@ class ShiftedExponential:
         if not (self.rate > 0.0 and math.isfinite(self.rate) and math.isfinite(self.shift)):
             raise ValueError(f"ShiftedExponential requires rate > 0 and finite shift, got {self}")
 
+    @property
+    def support(self) -> Tuple[float, float]:
+        return (self.shift, math.inf)
+
+    def log_pdf(self, x: np.ndarray) -> np.ndarray:
+        return _exponential_log_pdf(x - self.shift, self.rate)
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.shift + rng.exponential(1.0 / self.rate, size=n)
+
 
 @dataclass(frozen=True)
 class Beta15:
     """Beta(1, 5): density 5 (1 - x)^4 on [0, 1]."""
+    support = (0.0, 1.0)
+
+    def log_pdf(self, x: np.ndarray) -> np.ndarray:
+        inside = (x >= 0.0) & (x < 1.0)
+        return _on_support(inside, math.log(5.0) + 4.0 * np.log1p(-x[inside]))
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        # inverse CDF of Beta(1, 5): F(x) = 1 - (1 - x)^5
+        return 1.0 - (1.0 - rng.random(size=n)) ** 0.2
 
 
 @dataclass(frozen=True)
@@ -139,137 +229,44 @@ class ShiftedChiSq3:
         if not math.isfinite(self.shift):
             raise ValueError(f"ShiftedChiSq3 requires finite shift, got {self}")
 
+    @property
+    def support(self) -> Tuple[float, float]:
+        return (self.shift, math.inf)
+
+    def log_pdf(self, x: np.ndarray) -> np.ndarray:
+        y = x - self.shift
+        inside = y > 0.0
+        return _on_support(
+            inside, 0.5 * np.log(y[inside]) - 0.5 * y[inside] - 0.5 * math.log(2.0 * math.pi))
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        # chi-square(3) == Gamma(shape 3/2, scale 2)
+        return self.shift + rng.gamma(1.5, 2.0, size=n)
+
 
 @dataclass(frozen=True)
 class ShiftedT5:
     shift: float = 0.0
+    support = (-math.inf, math.inf)
 
     def __post_init__(self):
         if not math.isfinite(self.shift):
             raise ValueError(f"ShiftedT5 requires finite shift, got {self}")
+
+    def log_pdf(self, x: np.ndarray) -> np.ndarray:
+        return _student_t_log_pdf(x - self.shift, 5.0)
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.shift + rng.standard_t(5.0, size=n)
 
 
 KnownComponent = Union[Normal, Uniform, Exponential, StudentT, Tabulated]
 UnknownComponent = Union[Normal, ShiftedExponential, Beta15, ShiftedChiSq3, ShiftedT5]
 
 
-def _student_t_log_pdf(x: np.ndarray, df: float) -> np.ndarray:
-    const = (math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
-             - 0.5 * math.log(df * math.pi))
-    return const - 0.5 * (df + 1.0) * np.log1p(x * x / df)
-
-
 def log_pdf_known(spec: KnownComponent, x) -> np.ndarray:
     """Log density of the known component; -inf outside its support."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(spec, Normal):
-        z = (x - spec.mu) / spec.sigma
-        return -0.5 * z * z - math.log(spec.sigma) - _LOG_SQRT_2PI
-    if isinstance(spec, Uniform):
-        out = np.full(x.shape, -np.inf)
-        inside = (x >= spec.a) & (x <= spec.b)
-        out[inside] = -math.log(spec.b - spec.a)
-        return out
-    if isinstance(spec, Exponential):
-        out = np.full(x.shape, -np.inf)
-        inside = x >= 0.0
-        out[inside] = math.log(spec.rate) - spec.rate * x[inside]
-        return out
-    if isinstance(spec, StudentT):
-        return _student_t_log_pdf(x, spec.df)
-    if isinstance(spec, Tabulated):
-        out = np.full(x.shape, -np.inf)
-        inside = (x >= spec.grid[0]) & (x <= spec.grid[-1])
-        out[inside] = np.interp(x[inside], spec.grid, spec.log_density)
-        return out
-    raise TypeError(f"unknown known-component spec: {spec!r}")
-
-
-def support_known(spec: KnownComponent) -> Tuple[float, float]:
-    """Support interval of the known component (may be unbounded)."""
-    if isinstance(spec, (Normal, StudentT)):
-        return (-np.inf, np.inf)
-    if isinstance(spec, Uniform):
-        return (spec.a, spec.b)
-    if isinstance(spec, Exponential):
-        return (0.0, np.inf)
-    if isinstance(spec, Tabulated):
-        return (float(spec.grid[0]), float(spec.grid[-1]))
-    raise TypeError(f"unknown known-component spec: {spec!r}")
-
-
-def sample_known(spec: KnownComponent, n: int, seed: RngSeed) -> np.ndarray:
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
-    rng = make_rng(seed)
-    return _draw_known(spec, n, rng)
-
-
-def _draw_known(spec: KnownComponent, n: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(spec, Normal):
-        return rng.normal(spec.mu, spec.sigma, size=n)
-    if isinstance(spec, Uniform):
-        return rng.uniform(spec.a, spec.b, size=n)
-    if isinstance(spec, Exponential):
-        return rng.exponential(1.0 / spec.rate, size=n)
-    if isinstance(spec, StudentT):
-        return rng.standard_t(spec.df, size=n)
-    if isinstance(spec, Tabulated):
-        u = rng.random(size=n)
-        cdf = spec._cdf_grid
-        idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(cdf) - 2)
-        frac = (u - cdf[idx]) / (cdf[idx + 1] - cdf[idx])
-        return spec.grid[idx] + frac * (spec.grid[idx + 1] - spec.grid[idx])
-    raise TypeError(f"unknown known-component spec: {spec!r}")
-
-
-def log_pdf_unknown(spec: UnknownComponent, x) -> np.ndarray:
-    """Log density of an unknown-component spec (used by tests and oracles)."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(spec, Normal):
-        return log_pdf_known(spec, x)
-    if isinstance(spec, ShiftedExponential):
-        out = np.full(x.shape, -np.inf)
-        y = x - spec.shift
-        inside = y >= 0.0
-        out[inside] = math.log(spec.rate) - spec.rate * y[inside]
-        return out
-    if isinstance(spec, Beta15):
-        out = np.full(x.shape, -np.inf)
-        inside = (x >= 0.0) & (x < 1.0)
-        out[inside] = math.log(5.0) + 4.0 * np.log1p(-x[inside])
-        return out
-    if isinstance(spec, ShiftedChiSq3):
-        out = np.full(x.shape, -np.inf)
-        y = x - spec.shift
-        inside = y > 0.0
-        out[inside] = 0.5 * np.log(y[inside]) - 0.5 * y[inside] - 0.5 * math.log(2.0 * math.pi)
-        return out
-    if isinstance(spec, ShiftedT5):
-        return _student_t_log_pdf(x - spec.shift, 5.0)
-    raise TypeError(f"unknown unknown-component spec: {spec!r}")
-
-
-def _draw_unknown(spec: UnknownComponent, n: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(spec, Normal):
-        return rng.normal(spec.mu, spec.sigma, size=n)
-    if isinstance(spec, ShiftedExponential):
-        return spec.shift + rng.exponential(1.0 / spec.rate, size=n)
-    if isinstance(spec, Beta15):
-        # inverse CDF of Beta(1, 5): F(x) = 1 - (1 - x)^5
-        return 1.0 - (1.0 - rng.random(size=n)) ** 0.2
-    if isinstance(spec, ShiftedChiSq3):
-        # chi-square(3) == Gamma(shape 3/2, scale 2)
-        return spec.shift + rng.gamma(1.5, 2.0, size=n)
-    if isinstance(spec, ShiftedT5):
-        return spec.shift + rng.standard_t(5.0, size=n)
-    raise TypeError(f"unknown unknown-component spec: {spec!r}")
-
-
-def sample_unknown(spec: UnknownComponent, n: int, seed: RngSeed) -> np.ndarray:
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
-    return _draw_unknown(spec, n, make_rng(seed))
+    return spec.log_pdf(np.asarray(x, dtype=float))
 
 
 def sample_mixture(f0: KnownComponent, f: UnknownComponent, p: float, n: int,
@@ -286,8 +283,8 @@ def sample_mixture(f0: KnownComponent, f: UnknownComponent, p: float, n: int,
         raise ValueError(f"need n >= 1 draws, got {n}")
     rng = make_rng(seed)
     labels = (rng.random(size=n) < (1.0 - p)).astype(np.int64)
-    from_known = _draw_known(f0, n, rng)
-    from_unknown = _draw_unknown(f, n, rng)
+    from_known = f0.draw(n, rng)
+    from_unknown = f.draw(n, rng)
     values = np.where(labels == 1, from_known, from_unknown)
     return values, labels
 

@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .families import (Exponential, KnownComponent, Normal, StudentT,
-                       Tabulated, Uniform, support_known)
+                       Tabulated, Uniform)
 from .logcon import LogConcaveFit
 
 __all__ = [
@@ -68,7 +68,7 @@ class IdentifiabilityReport:
 
 
 def _support_clause(f0: KnownComponent, fit: Optional[LogConcaveFit]) -> IdentifiabilityClause:
-    lo, hi = support_known(f0)
+    lo, hi = f0.support
     cond = ("fitted support strictly contained in supp(f0) "
             "with smaller Lebesgue measure")
     if fit is None:

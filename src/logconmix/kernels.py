@@ -12,10 +12,12 @@ import os
 
 from . import _kernels_py
 
+# Only what logcon.py calls; the scalar and partial J-kernels stay on each
+# backend module, where tests/test_kernels.py checks them directly.
 _FORWARDED = [
-    "j_value", "j_partials", "j_values", "j_first_partials", "j_all_partials",
-    "segment_integrals", "knot_objective", "knot_grad_hess", "solve_newton_step",
-    "interp_to_points", "aggregate_weights", "integral_grad_terms", "multipliers",
+    "j_values", "segment_integrals", "knot_objective", "knot_grad_hess",
+    "solve_newton_step", "interp_to_points", "aggregate_weights",
+    "integral_grad_terms", "multipliers",
 ]
 
 __all__ = _FORWARDED + ["BACKEND", "set_backend", "available_backends"]

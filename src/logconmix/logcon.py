@@ -298,11 +298,11 @@ def fit_weighted_logconcave(sample: WeightedSample,
         # concavity and never lowers psi. The KKT test below runs on the
         # normalized state; if the shift disturbed stationarity beyond tol
         # the next outer round re-tightens it (one or two Newton steps).
-        t = x[kidx]
-        integral = float(np.sum(K.segment_integrals(np.diff(t), phi_k[:-1], phi_k[1:])))
+        dt = np.diff(x[kidx])
+        integral = float(np.sum(K.segment_integrals(dt, phi_k[:-1], phi_k[1:])))
         if integral > 0.0 and math.isfinite(integral):
             phi_k = phi_k - math.log(integral)
-        psi, grad, _, _ = K.knot_grad_hess(np.diff(t), phi_k, W)
+        psi, grad, _, _ = K.knot_grad_hess(dt, phi_k, W)
         ginf = float(np.max(np.abs(grad)))
         phi_all, lam, act_idx = _kkt_state(x, w, kidx, phi_k)
         lam_min = float(lam[act_idx].min()) if act_idx.size else 0.0

@@ -94,8 +94,12 @@ def test_fit_flat_init_flag(tmp_path, labeled_csv, capsys):
     assert "p_hat = " in capsys.readouterr().out
 
 
-def test_fit_missing_file_exits_2(capsys):
+def test_fit_missing_file_exits_2(labeled_csv, capsys):
     assert main(["fit", "/nonexistent/x.csv", "--f0", "normal:0,1"]) == 2
+    assert "error:" in capsys.readouterr().err
+    # an output path that cannot be written is bad input too, not a traceback
+    assert main(["fit", labeled_csv, "--f0", "normal:0,2",
+                 "--out", "/nonexistent/dir/m.json"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -105,6 +109,7 @@ def test_fit_bad_f0_spec_exits_2(labeled_csv, capsys):
     assert "cauchy" in err
     assert main(["fit", labeled_csv, "--f0", "normal:0"]) == 2
     assert main(["fit", labeled_csv, "--f0", "normal:0,zero"]) == 2
+    assert main(["fit", labeled_csv, "--f0", "table:/nonexistent/f0.csv"]) == 2
 
 
 def test_fit_non_numeric_cell_exits_2_with_line_number(tmp_path, capsys):

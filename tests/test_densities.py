@@ -15,86 +15,81 @@ from scipy.integrate import quad
 from logconmix.families import (Beta15, Exponential, Normal, ShiftedChiSq3,
                                 ShiftedExponential, ShiftedT5, StudentT,
                                 Tabulated, Uniform, load_tabulated_csv,
-                                log_pdf_known, log_pdf_unknown, sample_known,
-                                sample_mixture, sample_unknown, support_known)
+                                sample_mixture)
 from logconmix.rng import child_seed, make_rng
 
-# (family instance, scipy frozen distribution, is_known_component)
+# (family instance, scipy frozen distribution)
 CASES = [
-    (Normal(0.0, 2.0), st.norm(0.0, 2.0), True),
-    (Normal(-1.5, 0.7), st.norm(-1.5, 0.7), True),
-    (Uniform(0.0, 1.0), st.uniform(0.0, 1.0), True),
-    (Exponential(1.0), st.expon(scale=1.0), True),
-    (Exponential(0.25), st.expon(scale=4.0), True),
-    (StudentT(5.0), st.t(5.0), True),
-    (Beta15(), st.beta(1.0, 5.0), False),
-    (ShiftedExponential(1.0, 2.0), st.expon(loc=2.0, scale=1.0), False),
-    (ShiftedExponential(0.5, 3.0), st.expon(loc=3.0, scale=2.0), False),
-    (ShiftedChiSq3(2.0), st.chi2(3.0, loc=2.0), False),
-    (ShiftedT5(3.0), st.t(5.0, loc=3.0), False),
+    (Normal(0.0, 2.0), st.norm(0.0, 2.0)),
+    (Normal(-1.5, 0.7), st.norm(-1.5, 0.7)),
+    (Uniform(0.0, 1.0), st.uniform(0.0, 1.0)),
+    (Exponential(1.0), st.expon(scale=1.0)),
+    (Exponential(0.25), st.expon(scale=4.0)),
+    (StudentT(5.0), st.t(5.0)),
+    (Beta15(), st.beta(1.0, 5.0)),
+    (ShiftedExponential(1.0, 2.0), st.expon(loc=2.0, scale=1.0)),
+    (ShiftedExponential(0.5, 3.0), st.expon(loc=3.0, scale=2.0)),
+    (ShiftedChiSq3(2.0), st.chi2(3.0, loc=2.0)),
+    (ShiftedT5(3.0), st.t(5.0, loc=3.0)),
 ]
 
 
-def _log_pdf(spec, x, known):
-    return log_pdf_known(spec, x) if known else log_pdf_unknown(spec, x)
+def _sample(spec, n, seed):
+    return spec.draw(n, make_rng(seed))
 
 
-def _sample(spec, n, seed, known):
-    return sample_known(spec, n, seed) if known else sample_unknown(spec, n, seed)
-
-
-@pytest.mark.parametrize("spec,frozen,known", CASES,
+@pytest.mark.parametrize("spec,frozen", CASES,
                          ids=[type(c[0]).__name__ + str(i)
                               for i, c in enumerate(CASES)])
-def test_log_pdf_matches_scipy(spec, frozen, known):
+def test_log_pdf_matches_scipy(spec, frozen):
     lo, hi = frozen.ppf(0.001), frozen.ppf(0.999)
     x = np.linspace(lo + 1e-9, hi - 1e-9, 50)
-    got = _log_pdf(spec, x, known)
+    got = spec.log_pdf(x)
     expected = frozen.logpdf(x)
     np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10)
 
 
-@pytest.mark.parametrize("spec,frozen,known", CASES,
+@pytest.mark.parametrize("spec,frozen", CASES,
                          ids=[type(c[0]).__name__ + str(i)
                               for i, c in enumerate(CASES)])
-def test_density_integrates_to_one(spec, frozen, known):
+def test_density_integrates_to_one(spec, frozen):
     lo, hi = frozen.support()
-    val, err = quad(lambda u: math.exp(_log_pdf(spec, np.array([u]), known)[0]),
+    val, err = quad(lambda u: math.exp(spec.log_pdf(np.array([u]))[0]),
                     lo, hi, limit=200)
     assert val == pytest.approx(1.0, abs=max(1e-8, 10 * err))
 
 
-@pytest.mark.parametrize("spec,frozen,known", CASES,
+@pytest.mark.parametrize("spec,frozen", CASES,
                          ids=[type(c[0]).__name__ + str(i)
                               for i, c in enumerate(CASES)])
-def test_sampling_distribution_ks(spec, frozen, known):
-    draws = _sample(spec, 100_000, 123, known)
+def test_sampling_distribution_ks(spec, frozen):
+    draws = _sample(spec, 100_000, 123)
     stat = st.kstest(draws, frozen.cdf)
     assert stat.pvalue > 1e-3, stat
 
 
-@pytest.mark.parametrize("spec,frozen,known", CASES,
+@pytest.mark.parametrize("spec,frozen", CASES,
                          ids=[type(c[0]).__name__ + str(i)
                               for i, c in enumerate(CASES)])
-def test_sampling_is_deterministic_per_seed(spec, frozen, known):
-    a = _sample(spec, 64, 7, known)
-    b = _sample(spec, 64, 7, known)
-    c = _sample(spec, 64, 8, known)
+def test_sampling_is_deterministic_per_seed(spec, frozen):
+    a = _sample(spec, 64, 7)
+    b = _sample(spec, 64, 7)
+    c = _sample(spec, 64, 8)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_log_pdf_is_minus_inf_outside_support():
     x = np.array([-0.5, 1.5])
-    assert np.all(log_pdf_known(Uniform(0.0, 1.0), x) == -np.inf)
-    assert log_pdf_known(Exponential(1.0), np.array([-1.0]))[0] == -np.inf
+    assert np.all(Uniform(0.0, 1.0).log_pdf(x) == -np.inf)
+    assert Exponential(1.0).log_pdf(np.array([-1.0]))[0] == -np.inf
 
 
 def test_support_metadata():
-    assert support_known(Normal(0.0, 1.0)) == (-math.inf, math.inf)
-    assert support_known(StudentT(5.0)) == (-math.inf, math.inf)
-    assert support_known(Uniform(0.25, 0.75)) == (0.25, 0.75)
-    assert support_known(Exponential(2.0)) == (0.0, math.inf)
+    assert Normal(0.0, 1.0).support == (-math.inf, math.inf)
+    assert StudentT(5.0).support == (-math.inf, math.inf)
+    assert Uniform(0.25, 0.75).support == (0.25, 0.75)
+    assert Exponential(2.0).support == (0.0, math.inf)
 
 
 def test_mixture_sampling_labels_and_components():
@@ -133,9 +128,9 @@ def test_validation_rejects_bad_parameters():
 def test_tabulated_uniform_density():
     tab = Tabulated(np.linspace(0.0, 1.0, 11), np.zeros(11))
     x = np.array([0.05, 0.5, 0.95])
-    np.testing.assert_allclose(log_pdf_known(tab, x), 0.0, atol=1e-12)
-    assert log_pdf_known(tab, np.array([1.5]))[0] == -np.inf
-    assert support_known(tab) == (0.0, 1.0)
+    np.testing.assert_allclose(tab.log_pdf(x), 0.0, atol=1e-12)
+    assert tab.log_pdf(np.array([1.5]))[0] == -np.inf
+    assert tab.support == (0.0, 1.0)
 
 
 def test_tabulated_rejects_unnormalized_tables():
@@ -152,7 +147,7 @@ def test_tabulated_interpolates_log_density():
     total = float(np.trapezoid(np.exp(raw), grid))
     logd = raw - math.log(total)
     tab = Tabulated(grid, logd)
-    got = log_pdf_known(tab, np.array([0.5, 1.5]))
+    got = tab.log_pdf(np.array([0.5, 1.5]))
     np.testing.assert_allclose(got, np.interp([0.5, 1.5], grid, logd),
                                atol=1e-12)
 
@@ -166,10 +161,10 @@ def test_tabulated_csv_round_trip(tmp_path):
     lines += [f"{float(g)!r},{float(v)!r}" for g, v in zip(grid, logd)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     tab = load_tabulated_csv(str(path))
-    assert support_known(tab) == (-1.0, 3.0)
-    inside = log_pdf_known(tab, np.array([-1.0, 0.0, 1.0]))
+    assert tab.support == (-1.0, 3.0)
+    inside = tab.log_pdf(np.array([-1.0, 0.0, 1.0]))
     np.testing.assert_allclose(inside, logd[[0, 5, 10]], atol=1e-12)
-    draws = sample_known(tab, 50_000, 21)
+    draws = _sample(tab, 50_000, 21)
     assert draws.min() >= -1.0 and draws.max() <= 3.0
     # sampled distribution matches the table's own trapezoid CDF
     stat = st.kstest(draws, tab.cdf)

@@ -16,7 +16,8 @@ from logconmix.em import (EmConfig, classification_error, e_step,
 from logconmix.errors import (ComponentCollapsedError, DegenerateSampleError,
                               ZeroMixtureDensityError)
 from logconmix.families import (Normal, ShiftedExponential, Uniform,
-                                log_pdf_known, sample_known, sample_mixture)
+                                log_pdf_known, sample_mixture)
+from logconmix.rng import make_rng
 
 
 def test_e_step_hand_value():
@@ -104,7 +105,7 @@ def test_run_em_flat_init_still_monotone():
 def test_run_em_all_known_exit():
     # a vanishing initial unknown mass collapses immediately: everything is
     # attributed to f0 and the result is flagged
-    x = sample_known(Normal(0.0, 2.0), 200, 1)
+    x = Normal(0.0, 2.0).draw(200, make_rng(1))
     result = run_em(x, Normal(0.0, 2.0), EmConfig(init="flat", p_init=1e-7))
     assert result.degenerate == "AllKnown"
     assert result.p_hat == 0.0

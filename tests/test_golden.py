@@ -17,9 +17,8 @@ import pytest
 
 from logconmix.families import (Beta15, Exponential, Normal, ShiftedChiSq3,
                                 ShiftedExponential, ShiftedT5, StudentT,
-                                Tabulated, Uniform, log_pdf_known,
-                                log_pdf_unknown, sample_known, sample_mixture,
-                                sample_unknown)
+                                Tabulated, Uniform, sample_mixture)
+from logconmix.rng import make_rng
 from logconmix.simulate import model_catalog
 
 
@@ -29,18 +28,17 @@ def _tabulated() -> Tabulated:
     return Tabulated(grid, raw - math.log(float(np.trapezoid(np.exp(raw), grid))))
 
 
-# (family instance, is_known_component)
 FAMILIES = {
-    "normal": (Normal(0.0, 2.0), True),
-    "normal_unknown": (Normal(3.0, 1.0), False),
-    "uniform": (Uniform(0.0, 1.0), True),
-    "exponential": (Exponential(0.25), True),
-    "student_t": (StudentT(5.0), True),
-    "tabulated": (_tabulated(), True),
-    "shifted_exponential": (ShiftedExponential(0.5, 3.0), False),
-    "beta15": (Beta15(), False),
-    "shifted_chisq3": (ShiftedChiSq3(2.0), False),
-    "shifted_t5": (ShiftedT5(3.0), False),
+    "normal": Normal(0.0, 2.0),
+    "normal_unknown": Normal(3.0, 1.0),
+    "uniform": Uniform(0.0, 1.0),
+    "exponential": Exponential(0.25),
+    "student_t": StudentT(5.0),
+    "tabulated": _tabulated(),
+    "shifted_exponential": ShiftedExponential(0.5, 3.0),
+    "beta15": Beta15(),
+    "shifted_chisq3": ShiftedChiSq3(2.0),
+    "shifted_t5": ShiftedT5(3.0),
 }
 
 # A grid that crosses every support edge above, plus each edge exactly.
@@ -52,14 +50,6 @@ def _digest(arr) -> str:
     a = np.asarray(arr)
     a = a.astype(a.dtype.newbyteorder("<"), copy=False)
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-
-
-def _log_pdf(spec, x, known):
-    return log_pdf_known(spec, x) if known else log_pdf_unknown(spec, x)
-
-
-def _draw(spec, n, seed, known):
-    return sample_known(spec, n, seed) if known else sample_unknown(spec, n, seed)
 
 
 LOG_PDF_DIGESTS = {
@@ -126,15 +116,13 @@ MIXTURE_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_log_pdf_digest(name):
-    spec, known = FAMILIES[name]
-    assert _digest(_log_pdf(spec, GRID, known)) == LOG_PDF_DIGESTS[name]
+    assert _digest(FAMILIES[name].log_pdf(GRID)) == LOG_PDF_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_draw_digest(name):
-    spec, known = FAMILIES[name]
-    seed = 1000 + sorted(FAMILIES).index(name)
-    assert _digest(_draw(spec, 257, seed, known)) == DRAW_DIGESTS[name]
+    rng = make_rng(1000 + sorted(FAMILIES).index(name))
+    assert _digest(FAMILIES[name].draw(257, rng)) == DRAW_DIGESTS[name]
 
 
 @pytest.mark.parametrize("model_id", sorted(model_catalog()))
