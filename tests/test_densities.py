@@ -90,6 +90,8 @@ def test_support_metadata():
     assert StudentT(5.0).support == (-math.inf, math.inf)
     assert Uniform(0.25, 0.75).support == (0.25, 0.75)
     assert Exponential(2.0).support == (0.0, math.inf)
+    for spec, frozen in CASES:
+        assert spec.support == tuple(frozen.support()), spec
 
 
 def test_mixture_sampling_labels_and_components():
