@@ -15,19 +15,19 @@ round-trip decimals, so a fixed invocation produces identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._readcsv import read_csv
 from .em import EmConfig, classification_error, em_result_to_dict, run_em
 from .errors import (CliInputError, DegenerateSampleError, LogconmixError)
 from .families import (Exponential, KnownComponent, Normal, StudentT,
                        Uniform, load_tabulated_csv, log_pdf_known)
-from .logcon import (FitOptions, WeightedSample, eval_log_density,
-                     fit_to_dict, fit_weighted_logconcave)
+from .logcon import (FitOptions, eval_log_density, fit_weighted_logconcave,
+                     load_weighted_csv, save_fit_json)
 from .simulate import ScenarioSpec, ScenarioSummary, run_scenario, summary_table
 from .special import student_t_two_sided_p
 
@@ -44,6 +44,8 @@ _F0_FAMILIES = {
 _F0_USAGE = " | ".join([f"{name}:{','.join(params)}"
                         for name, (_, params) in _F0_FAMILIES.items()]
                        + ["table:PATH"])
+# a tstats matrix whose first header field is this names its genes in that column
+_GENE_ID = "gene"
 
 
 def parse_f0_spec(text: str) -> KnownComponent:
@@ -91,42 +93,18 @@ def _parse_grid(text: str) -> Tuple[float, float, int]:
 
 def _read_value_csv(path: str) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Read a `x` or `x,label` CSV; returns (values, labels-or-None)."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CliInputError(f"{path}: empty file; expected header 'x'")
-        header = [h.strip() for h in header]
-        if header not in (["x"], ["x", "label"]):
-            raise CliInputError(
-                f"{path} line 1: header must be 'x' or 'x,label', "
-                f"got {','.join(header)!r}")
-        labeled = len(header) == 2
-        xs: List[float] = []
-        labels: List[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+    rows = read_csv(path, headers=(("x",), ("x", "label")))
+    labeled = len(next(rows)) == 2
+    xs: List[float] = []
+    labels: List[float] = []
+    for lineno, row in rows:
+        xs.append(row[0])
+        if labeled:
+            if row[1] not in (0.0, 1.0):
                 raise CliInputError(
-                    f"{path} line {lineno}: expected {len(header)} fields, "
-                    f"got {len(row)}")
-            try:
-                xs.append(float(row[0]))
-            except ValueError:
-                raise CliInputError(
-                    f"{path} line {lineno}: field 'x' is not numeric: "
-                    f"{row[0]!r}")
-            if labeled:
-                tok = row[1].strip()
-                if tok not in ("0", "1"):
-                    raise CliInputError(
-                        f"{path} line {lineno}: field 'label' must be 0 or 1, "
-                        f"got {tok!r}")
-                labels.append(float(tok))
-    if not xs:
-        raise CliInputError(f"{path}: no data rows")
+                    f"{path} line {lineno}: field 'label' must be 0 or 1, "
+                    f"got {row[1]!r}")
+            labels.append(row[1])
     values = np.asarray(xs, dtype=float)
     return values, (np.asarray(labels, dtype=float) if labeled else None)
 
@@ -190,44 +168,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_weighted_csv_cli(path: str) -> Tuple[np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CliInputError(f"{path}: empty file; expected header 'x,weight'")
-        if [h.strip() for h in header] != ["x", "weight"]:
-            raise CliInputError(
-                f"{path} line 1: header must be 'x,weight', "
-                f"got {','.join(header)!r}")
-        xs: List[float] = []
-        ws: List[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CliInputError(
-                    f"{path} line {lineno}: expected 2 fields, got {len(row)}")
-            for field, name, dest in ((row[0], "x", xs), (row[1], "weight", ws)):
-                try:
-                    dest.append(float(field))
-                except ValueError:
-                    raise CliInputError(
-                        f"{path} line {lineno}: field {name!r} is not "
-                        f"numeric: {field!r}")
-    if not xs:
-        raise CliInputError(f"{path}: no data rows")
-    return np.asarray(xs, dtype=float), np.asarray(ws, dtype=float)
-
-
 def _cmd_logcx(args: argparse.Namespace) -> int:
-    x, w = _read_weighted_csv_cli(args.input)
-    sample = WeightedSample.from_observations(x, w)
-    fit = fit_weighted_logconcave(sample,
+    fit = fit_weighted_logconcave(load_weighted_csv(args.input),
                                   options=FitOptions(tol_kkt=args.tol_kkt))
     if args.out:
-        _write_json(args.out, fit_to_dict(fit))
+        save_fit_json(fit, args.out)
     if args.grid_out:
         lo, hi, count = args.grid if args.grid is not None else (
             fit.support[0], fit.support[1], 201)
@@ -272,37 +217,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_tstats(args: argparse.Namespace) -> int:
     m1 = args.group1_cols
-    with open(args.input, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise CliInputError(f"{args.input}: empty file; expected a header")
-        has_id = bool(header) and header[0].lower() == "gene"
-        n_data = len(header) - (1 if has_id else 0)
-        if m1 < 2 or n_data - m1 < 2:
-            raise CliInputError(
-                f"need at least 2 columns per group: matrix has {n_data} "
-                f"data columns, group1 takes {m1}")
-        genes: List[str] = []
-        rows: List[List[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CliInputError(
-                    f"{args.input} line {lineno}: expected {len(header)} "
-                    f"fields, got {len(row)}")
-            genes.append(row[0].strip() if has_id else str(len(genes) + 1))
-            data_fields = row[1:] if has_id else row
-            try:
-                rows.append([float(tok) for tok in data_fields])
-            except ValueError as exc:
-                raise CliInputError(
-                    f"{args.input} line {lineno}: non-numeric entry ({exc})")
-    if not rows:
-        raise CliInputError(f"{args.input}: no data rows")
-    values = np.array(rows)
+    rows = read_csv(args.input, key=_GENE_ID)
+    header = next(rows)
+    has_id = bool(header) and header[0].lower() == _GENE_ID
+    n_data = len(header) - (1 if has_id else 0)
+    if m1 < 2 or n_data - m1 < 2:
+        raise CliInputError(
+            f"need at least 2 columns per group: matrix has {n_data} "
+            f"data columns, group1 takes {m1}")
+    genes: List[str] = []
+    matrix: List[List[float]] = []
+    for _, row in rows:
+        genes.append(row[0] if has_id else str(len(genes) + 1))
+        matrix.append(row[1:] if has_id else row)
+    values = np.array(matrix)
     t_values = _pooled_t(values[:, :m1], values[:, m1:])
     df = float(n_data - 2)
     lines = ["gene,t,p_value"]

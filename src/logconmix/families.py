@@ -26,6 +26,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from ._readcsv import read_csv
 from .rng import RngSeed, make_rng
 
 __all__ = [
@@ -291,25 +292,9 @@ def sample_mixture(f0: KnownComponent, f: UnknownComponent, p: float, n: int,
 
 def load_tabulated_csv(path) -> Tabulated:
     """Read a tabulated density from CSV with header ``x,log_density``."""
-    import csv
-
-    xs = []
-    logs = []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["x", "log_density"]:
-            raise ValueError(f"{path}: expected header 'x,log_density', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                xs.append(float(row[0]))
-                logs.append(float(row[1]))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric field in {row[:2]}") from None
-    if len(xs) < 2:
-        raise ValueError(f"{path}: need at least 2 grid rows, got {len(xs)}")
-    return Tabulated(np.asarray(xs), np.asarray(logs))
+    rows = read_csv(path, headers=(("x", "log_density"),))
+    next(rows)  # the header, which read_csv has checked
+    grid, log_density = np.array([row for _, row in rows]).T.copy()
+    if grid.size < 2:
+        raise ValueError(f"{path}: need at least 2 grid rows, got {grid.size}")
+    return Tabulated(grid, log_density)

@@ -26,7 +26,6 @@ all multipliers are within ``tol_kkt``.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels as K
+from ._readcsv import read_csv
 from .errors import DegenerateSampleError
 
 __all__ = [
@@ -406,7 +406,8 @@ def fit_from_dict(doc: dict) -> LogConcaveFit:
 
 
 def save_fit_json(fit: LogConcaveFit, path) -> None:
-    with open(path, "w") as fh:
+    """Write ``fit`` as indented JSON, UTF-8 with LF line endings."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(fit_to_dict(fit), fh, indent=2)
         fh.write("\n")
 
@@ -418,23 +419,7 @@ def load_fit_json(path) -> LogConcaveFit:
 
 def load_weighted_csv(path) -> WeightedSample:
     """Read a weighted sample from CSV with header ``x,weight``."""
-    xs = []
-    ws = []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["x", "weight"]:
-            raise ValueError(f"{path}: expected header 'x,weight', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                xs.append(float(row[0]))
-                ws.append(float(row[1]))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric field in {row[:2]}") from None
-    if not xs:
-        raise ValueError(f"{path}: no data rows")
-    return WeightedSample.from_observations(np.asarray(xs), np.asarray(ws))
+    rows = read_csv(path, headers=(("x", "weight"),))
+    next(rows)  # the header, which read_csv has checked
+    x, w = np.array([row for _, row in rows]).T
+    return WeightedSample.from_observations(x, w)

@@ -77,10 +77,17 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
+def _check_t_args(t: float, df: float) -> None:
+    # a NaN would otherwise run the continued fraction to its iteration cap
+    if not df > 0.0:
+        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    if math.isnan(t):
+        raise ValueError("t statistic is NaN")
+
+
 def student_t_cdf(t: float, df: float) -> float:
     """P(T <= t) for T ~ Student-t with ``df`` degrees of freedom."""
-    if df <= 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    _check_t_args(t, df)
     if t == 0.0:
         return 0.5
     if math.isinf(t):
@@ -92,8 +99,7 @@ def student_t_cdf(t: float, df: float) -> float:
 
 def student_t_two_sided_p(t: float, df: float) -> float:
     """Two-sided tail probability 2 * P(T >= |t|), without cancellation."""
-    if df <= 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    _check_t_args(t, df)
     if math.isinf(t):
         return 0.0
     if t == 0.0:

@@ -254,6 +254,8 @@ def test_tstats_matches_scalar_formula_line_by_line(tmp_path):
 @pytest.mark.parametrize("bad_row, message", [
     ("g1,1.0,2.0,0.0\n", "line 3: expected 5 fields, got 4"),
     ("g1,1.0,x,0.0,1.0\n", "line 3: non-numeric entry"),
+    ("g1,nan,2.0,0.0,1.0\n", "line 3: non-finite entry 'nan'"),
+    ("g1,1.0,2.0,inf,1.0\n", "line 3: non-finite entry 'inf'"),
 ])
 def test_tstats_reports_the_bad_line(tmp_path, capsys, bad_row, message):
     src = tmp_path / "expr.csv"

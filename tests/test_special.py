@@ -93,3 +93,12 @@ def test_two_sided_p_matches_scipy_sf():
 def test_two_sided_p_decreasing_in_magnitude():
     ps = [student_t_two_sided_p(t, 6.0) for t in (0.0, 0.5, 1.0, 2.0, 4.0)]
     assert all(a > b for a, b in zip(ps, ps[1:]))
+
+
+@pytest.mark.parametrize("function", [student_t_cdf, student_t_two_sided_p])
+def test_t_functions_reject_nan_and_nonpositive_df(function):
+    with pytest.raises(ValueError, match="NaN"):
+        function(math.nan, 4.0)
+    for df in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            function(1.0, df)
