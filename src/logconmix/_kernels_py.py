@@ -240,6 +240,11 @@ def _ldl_tridiag_solve(adiag, aoff, rhs):
     return out
 
 
+# The four per-point kernels below are not called by logcon, which does this
+# work on its point grid (``logcon._KnotSet`` and ``logcon._kkt_state``);
+# they are that code's test oracle (tests/test_workspace.py).
+
+
 def interp_to_points(x, knot_idx, phi_knots):
     """Evaluate the piecewise-linear phi (knots at x[knot_idx]) at every x."""
     x = np.asarray(x, dtype=float)

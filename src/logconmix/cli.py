@@ -231,11 +231,10 @@ def _cmd_tstats(args: argparse.Namespace) -> int:
         genes.append(row[0] if has_id else str(len(genes) + 1))
         matrix.append(row[1:] if has_id else row)
     values = np.array(matrix)
-    t_values = _pooled_t(values[:, :m1], values[:, m1:])
-    df = float(n_data - 2)
+    t_values = _pooled_t(values, m1)
+    p_values = student_t_two_sided_p(t_values, float(n_data - 2))
     lines = ["gene,t,p_value"]
-    for gene, t in zip(genes, t_values.tolist()):
-        p = student_t_two_sided_p(t, df)
+    for gene, t, p in zip(genes, t_values.tolist(), p_values.tolist()):
         lines.append(f"{gene},{t!r},{p!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -245,11 +244,21 @@ def _cmd_tstats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pooled_t(group1: np.ndarray, group2: np.ndarray) -> np.ndarray:
-    """Two-sample t with pooled variance for every row (gene) at once:
+def _pooled_t(values: np.ndarray, n1: int) -> np.ndarray:
+    """Two-sample t with pooled variance for every row (gene) at once, the
+    first ``n1`` columns of ``values`` being group 1:
     t = (mean1 - mean2) / s, s^2 = pooled SSE / (m-2) * (1/n1 + 1/n2).
-    Where s^2 <= 0, t is 0 for equal means and +-inf otherwise."""
-    n1, n2 = group1.shape[1], group2.shape[1]
+    Where s^2 <= 0, t is 0 for equal means and +-inf otherwise.
+
+    ``values`` is first scaled in place, each row by the power of two that
+    brings its largest |value| into [0.5, 1), so finite entries near the
+    float limit cannot overflow the sums. The scaling is exact and t is
+    scale-free, so a row that overflows in neither form gives the same t to
+    the last bit."""
+    top = np.maximum(values.max(axis=1), -values.min(axis=1))
+    np.ldexp(values, -np.frexp(top)[1][:, None], out=values)
+    group1, group2 = values[:, :n1], values[:, n1:]
+    n2 = group2.shape[1]
     mean1 = np.mean(group1, axis=1)
     mean2 = np.mean(group2, axis=1)
     diff = mean1 - mean2

@@ -38,6 +38,24 @@ pass's trace and the combined iteration count. ``init='flat'`` instead
 uses the classical single-pass start omega0 = 1 - p_init everywhere, which
 makes f^(0) the unweighted log-concave MLE of the full sample.
 
+Cost per iteration. ``run_em`` sorts the sample once and builds one
+workspace: the distinct points, as the grid that every M-step fits on, and
+each observation's tie group. An iteration then makes a fixed number of
+elementwise passes over the n points (m <= n distinct ones), plus O(R) work
+per Newton step on the R knots:
+- the E-step and the mixing weight: about 10 passes, with no transcendental
+  function;
+- the M-step's weights: one bincount over the tie groups (only when there
+  are ties), then about 7 passes to normalize and floor them;
+- the fit: per knot set, about 12 passes to find each point's segment (by
+  ``np.repeat`` of the knot indices, without a search) and its interpolation
+  shares, reused while the knots stay; per aggregation onto the knots, one
+  bincount over 2m entries; and per multiplier check (once per outer round,
+  usually once per M-step), about 30 passes with one ``exp``, whose values
+  e^phi are the next E-step's f;
+- the log-likelihood: about 7 passes with one ``log``.
+No pass sorts or binary-searches the points.
+
 Degenerate exits: when the posterior mass of one component collapses below
 ``min_component_mass`` per observation, the result is pinned to the
 surviving boundary model (p=0 when everything is attributed to f0, p=1
@@ -57,8 +75,9 @@ from .errors import (AllWeightsKnownError, ComponentCollapsedError,
 from .families import KnownComponent, log_pdf_known
 from .identifiability import (IdentifiabilityReport, check_identifiability,
                               report_to_dict)
-from .logcon import (FitOptions, LogConcaveFit, WeightedSample,
-                     eval_log_density, fit_to_dict, fit_weighted_logconcave)
+from .logcon import (FitOptions, LogConcaveFit, WeightedSample, _floored,
+                     _Grid, eval_log_density, fit_to_dict,
+                     fit_weighted_logconcave)
 
 __all__ = [
     "EmConfig", "EmResult", "e_step", "m_step_p", "m_step_f", "run_em",
@@ -125,13 +144,14 @@ def e_step(p: float, f0_values: np.ndarray, f_values: np.ndarray) -> np.ndarray:
     num = (1.0 - p) * f0v
     den = num + p * fv
     zero = den <= 0.0
-    if np.any(zero):
-        dead = zero & ~((f0v == 0.0) & (fv > 0.0))
-        if np.any(dead):
-            i = int(np.flatnonzero(dead)[0])
-            raise ZeroMixtureDensityError(
-                f"mixture density is zero at observation index {i}: "
-                f"f0={f0v[i]:g}, f={fv[i]:g}, p={p:g}")
+    if not zero.any():
+        return num / den
+    dead = zero & ~((f0v == 0.0) & (fv > 0.0))
+    if np.any(dead):
+        i = int(np.flatnonzero(dead)[0])
+        raise ZeroMixtureDensityError(
+            f"mixture density is zero at observation index {i}: "
+            f"f0={f0v[i]:g}, f={fv[i]:g}, p={p:g}")
     omega = np.zeros_like(den)
     ok = ~zero
     omega[ok] = num[ok] / den[ok]
@@ -155,17 +175,21 @@ def m_step_f(points: Sequence[float], omega: np.ndarray,
     Weights are proportional to 1 - omega. Raises
     :class:`ComponentCollapsedError` when the total unknown-component mass
     is below ``min_component_mass`` per observation, which would make the
-    weighted sample meaningless.
+    weighted sample meaningless. Inside :func:`run_em`, ``points`` is the
+    run's workspace, which builds the same weighted sample without a sort
+    or a tie merge.
     """
-    x = np.asarray(points, dtype=float)
-    om = np.asarray(omega, dtype=float)
-    residual = 1.0 - om
+    residual = 1.0 - np.asarray(omega, dtype=float)
     total = float(np.sum(residual))
-    if total < min_component_mass * x.size:
+    n = residual.size
+    if total < min_component_mass * n:
         raise ComponentCollapsedError(
             f"unknown-component mass {total:g} is below "
-            f"{min_component_mass:g} per observation ({x.size} observations)")
-    sample = WeightedSample.from_observations(x, residual)
+            f"{min_component_mass:g} per observation ({n} observations)")
+    if isinstance(points, _Workspace):
+        sample = points.sample(residual)
+    else:
+        sample = WeightedSample.from_observations(points, residual)
     return fit_weighted_logconcave(sample, options=options, init=init)
 
 
@@ -240,6 +264,30 @@ def _pilot_omega(f0_values: np.ndarray, kde_values: np.ndarray,
     return np.where(omega >= _PILOT_ROUND_UP, 1.0, omega)
 
 
+class _Workspace:
+    """What the M-steps of one :func:`run_em` share, built once per run:
+    the sorted sample ``points``, its distinct points as a logcon grid, and
+    each observation's tie group (None when there are no ties)."""
+
+    def __init__(self, points: np.ndarray):
+        keep = np.concatenate(([True], np.diff(points) > 0.0))
+        self.points = points
+        self.group = None if keep.all() else np.cumsum(keep) - 1
+        self.grid = _Grid(points if self.group is None else points[keep])
+
+    def sample(self, residual: np.ndarray) -> WeightedSample:
+        """The sample that ``from_observations(points, residual)`` builds:
+        one bincount merges the ties, summing in ``np.add.at``'s order."""
+        w = residual if self.group is None else np.bincount(self.group, weights=residual)
+        return WeightedSample._on_grid(self.grid, _floored(w))
+
+    def f_values(self, fit: LogConcaveFit) -> np.ndarray:
+        """f = e^phi at every observation; the fit of the latest M-step
+        hands over the values its multiplier check computed."""
+        values = self.grid.exp_phi(fit)
+        return values if self.group is None else values[self.group]
+
+
 @dataclass
 class _EmState:
     p: float
@@ -252,7 +300,7 @@ class _EmState:
     degenerate: Optional[str]
 
 
-def _em_pass(x: np.ndarray, f0_values: np.ndarray, omega0: np.ndarray,
+def _em_pass(ws: _Workspace, f0_values: np.ndarray, omega0: np.ndarray,
              cfg: EmConfig, clamp_iters: int = 0) -> _EmState:
     """One full EM run from starting responsibilities omega0.
 
@@ -263,22 +311,22 @@ def _em_pass(x: np.ndarray, f0_values: np.ndarray, omega0: np.ndarray,
     so the likelihood trace stays nondecreasing through the release. The
     convergence test is suspended while clamped.
     """
-    n = x.size
+    n = ws.points.size
     try:
-        fit = m_step_f(x, omega0, options=cfg.fit_options,
+        fit = m_step_f(ws, omega0, options=cfg.fit_options,
                        min_component_mass=cfg.min_component_mass)
     except ComponentCollapsedError:
         # Everything was attributed to f0 at the start; report the boundary
         # model. The fit slot still needs a density, so use the pooled MLE.
-        fit = fit_weighted_logconcave(WeightedSample.from_observations(x),
+        fit = fit_weighted_logconcave(WeightedSample.from_observations(ws.points),
                                       options=cfg.fit_options)
-        f_values = np.exp(eval_log_density(fit, x))
+        f_values = ws.f_values(fit)
         trace = [_loglik(0.0, f0_values, f_values)]
         return _EmState(p=0.0, omega=np.ones(n), fit=fit, f_values=f_values,
                         trace=trace, iterations=0, converged=True,
                         degenerate="AllKnown")
     p = m_step_p(omega0)
-    f_values = np.exp(eval_log_density(fit, x))
+    f_values = ws.f_values(fit)
     omega = np.asarray(omega0, dtype=float)
     loglik = _loglik(p, f0_values, f_values)
     trace = [loglik]
@@ -299,18 +347,18 @@ def _em_pass(x: np.ndarray, f0_values: np.ndarray, omega0: np.ndarray,
         if n - unknown_mass < cfg.min_component_mass * n:
             degenerate = "AllUnknown"
             omega = np.zeros_like(omega)
-            fit = m_step_f(x, omega, options=cfg.fit_options,
+            fit = m_step_f(ws, omega, options=cfg.fit_options,
                            min_component_mass=cfg.min_component_mass,
                            init=fit)
-            f_values = np.exp(eval_log_density(fit, x))
+            f_values = ws.f_values(fit)
             p = 1.0
             converged = True
             break
         if iterations > clamp_iters:
             p = m_step_p(omega)
-        fit = m_step_f(x, omega, options=cfg.fit_options,
+        fit = m_step_f(ws, omega, options=cfg.fit_options,
                        min_component_mass=cfg.min_component_mass, init=fit)
-        f_values = np.exp(eval_log_density(fit, x))
+        f_values = ws.f_values(fit)
         new_loglik = _loglik(p, f0_values, f_values)
         trace.append(new_loglik)
         done = abs(new_loglik - loglik) <= cfg.tol_loglik * (1.0 + abs(loglik))
@@ -333,9 +381,9 @@ def run_em(points: Sequence[float], f0: KnownComponent,
     even if the inner solver stops early. See the module docstring for the
     two initialization strategies.
 
-    EM runs on the sample sorted once up front, so that every M-step's
-    ``WeightedSample.from_observations`` sorts presorted data; ``omega`` is
-    returned in the input order.
+    EM runs on the sample sorted once up front, with one workspace for all
+    M-steps (see the module docstring); ``omega`` is returned in the input
+    order.
     """
     cfg = config if config is not None else EmConfig()
     points = np.asarray(points, dtype=float).ravel()
@@ -349,20 +397,21 @@ def run_em(points: Sequence[float], f0: KnownComponent,
             f"need at least 4 distinct observations, got {distinct}")
 
     f0_values = np.exp(log_pdf_known(f0, x))
+    ws = _Workspace(x)
 
     if cfg.init == "flat":
         omega0 = np.full(x.shape, 1.0 - cfg.p_init)
-        state = _em_pass(x, f0_values, omega0, cfg)
+        state = _em_pass(ws, f0_values, omega0, cfg)
         iterations = state.iterations
     else:
         kde_values = _gaussian_kde_at_points(x)
-        first = _em_pass(x, f0_values,
+        first = _em_pass(ws, f0_values,
                          _pilot_omega(f0_values, kde_values, 1.0), cfg)
         iterations = first.iterations
         state = first
         if first.degenerate is None:
             omega1 = _pilot_omega(f0_values, kde_values, 1.0 - first.p)
-            state = _em_pass(x, f0_values, omega1, cfg,
+            state = _em_pass(ws, f0_values, omega1, cfg,
                              clamp_iters=_PILOT_CLAMP_ITERS)
             iterations += state.iterations
 

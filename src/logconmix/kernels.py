@@ -12,8 +12,12 @@ import os
 
 from . import _kernels_py
 
-# Only what logcon.py calls; the scalar and partial J-kernels stay on each
-# backend module, where tests/test_kernels.py checks them directly.
+# What logcon.py calls, and the four per-point kernels that it no longer
+# calls (interp_to_points, aggregate_weights, integral_grad_terms and
+# multipliers): logcon does that work on its point grid, and these stay as
+# its test oracle and for the benchmark tracer, which wraps them by name. The
+# scalar and partial J-kernels stay on each backend module, where
+# tests/test_kernels.py checks them directly.
 _FORWARDED = [
     "j_values", "segment_integrals", "knot_objective", "knot_grad_hess",
     "solve_newton_step", "interp_to_points", "aggregate_weights",

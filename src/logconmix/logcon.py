@@ -18,14 +18,28 @@ Active constraints (c_i = 0) make x_i a non-knot whose value is linear
 interpolation between knots; the reduced problem over knot values is smooth
 and strictly concave and is solved by a damped Newton iteration. Steps are
 truncated at the first knot whose concavity would flip, which activates that
-constraint; at reduced stationarity the constraint multipliers (recovered in
-closed form from the full gradient, see ``kernels.multipliers``) decide which
+constraint; at reduced stationarity the constraint multipliers decide which
 single constraint to release. The method stops when the reduced gradient and
 all multipliers are within ``tol_kkt``.
+
+The multiplier of the constraint at a point x is the derivative of psi along
+the hinge direction (x - t)_+ (Duembgen, Huesler & Rufibach 2007),
+
+    lambda(x) = sum_{x_i < x} w_i (x - x_i) - integral_{x_1}^{x} (x - t) e^phi(t) dt.
+
+On the knot segment [t_j, t_{j+1}] that holds x, with d = x - t_j, slope s_j
+and z = s_j d, the integral is Q_j + d F_j + (e^phi(x) - e^phi_j (1 + z)) / s_j^2,
+where F_j and Q_j are the integrals of e^phi and (t_j - t) e^phi up to t_j.
+So every multiplier costs one exp per point (a series replaces the closed
+form for small |z|), and that e^phi at the points is also what an EM E-step
+needs. Per-point work runs on a ``_Grid``: the segment of each point comes
+from the knot indices by ``np.repeat``, and the latest knot set's per-point
+data is reused until the knots change.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -45,6 +59,22 @@ __all__ = [
 ]
 
 WEIGHT_FLOOR_SCALE = 1e-10  # per-point floor is WEIGHT_FLOOR_SCALE / m
+# _hinge_tail's series in z replaces its closed form for |z| below this
+_TAIL_SERIES_RADIUS = 0.1
+# its coefficients 1/(k+2)! for k = 0..7, highest power first for Horner;
+# the first term left out is below 3e-15 relative inside the radius
+_TAIL_COEF = [1.0 / math.factorial(k + 2) for k in range(7, -1, -1)]
+
+
+def _floored(wts):
+    """Weights normalized to sum 1, each lifted to the floor
+    WEIGHT_FLOOR_SCALE / m, then normalized again."""
+    total = float(wts.sum())
+    if total <= 0.0:
+        raise ValueError("total weight must be positive")
+    wts = wts / total
+    clipped = np.maximum(wts, WEIGHT_FLOOR_SCALE / wts.size)
+    return clipped / clipped.sum()
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,25 +131,26 @@ class WeightedSample:
         order = np.argsort(pts, kind="stable")
         pts = pts[order]
         wts = wts[order]
-        # merge exact ties, summing their weights
+        # merge exact ties, summing their weights in order
         keep = np.concatenate(([True], np.diff(pts) > 0.0))
         if not keep.all():
-            group = np.cumsum(keep) - 1
-            merged_w = np.zeros(int(group[-1]) + 1)
-            np.add.at(merged_w, group, wts)
+            wts = np.bincount(np.cumsum(keep) - 1, weights=wts)
             pts = pts[keep]
-            wts = merged_w
         if pts.size < 2:
             raise DegenerateSampleError(
                 f"need at least 2 distinct points, got {pts.size}")
-        total = float(wts.sum())
-        if total <= 0.0:
-            raise ValueError("total weight must be positive")
-        wts = wts / total
-        floor = WEIGHT_FLOOR_SCALE / pts.size
-        clipped = np.maximum(wts, floor)
-        wts = clipped / clipped.sum()
-        return cls(points=pts, weights=wts)
+        return cls(points=pts, weights=_floored(wts))
+
+    @classmethod
+    def _on_grid(cls, grid, weights) -> "WeightedSample":
+        """The sample of ``grid``'s points with ``weights``, which must
+        already hold the invariants (``_floored`` output of the right
+        length); nothing is checked again, and fits of it reuse ``grid``."""
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "points", grid.points)
+        object.__setattr__(sample, "weights", weights)
+        object.__setattr__(sample, "_grid", grid)
+        return sample
 
 
 @dataclass(frozen=True)
@@ -171,6 +202,113 @@ class LogConcaveFit:
         return float(self.knots[0]), float(self.knots[-1])
 
 
+class _KnotSet:
+    """Per-point data of one knot set on a grid of points x: each point's
+    segment ``seg``, its offset ``d`` from the segment's left knot, its
+    share ``frac`` of the right knot, and, when first asked for, the
+    ``active`` points (interior non-knots, where the concavity constraint
+    is active)."""
+
+    def __init__(self, x, kidx):
+        self.kidx = kidx
+        t = x[kidx]
+        self.dt = np.diff(t)
+        r = kidx.size
+        # Knots are points, so segment j holds the points from knot j up to
+        # knot j+1 without a search; the last point closes the last segment.
+        seg = np.append(np.repeat(np.arange(r - 1), np.diff(kidx)), r - 2)
+        self.d = x - t[seg]
+        frac = self.d / self.dt[seg]
+        self._pairs = np.concatenate((seg, seg + 1))
+        self._shares = np.concatenate((1.0 - frac, frac))
+        self.seg = self._pairs[:x.size]
+        self.frac = self._shares[x.size:]
+
+    @functools.cached_property
+    def active(self):
+        mask = np.ones(self.seg.size, dtype=bool)
+        mask[self.kidx] = False
+        return np.flatnonzero(mask)
+
+    def aggregate(self, w):
+        """Point weights collapsed onto the knots by interpolation shares.
+        One bincount sums in ``np.add.at``'s order, so this equals
+        ``kernels.aggregate_weights`` bit for bit."""
+        shared = np.concatenate((w, w))
+        shared *= self._shares
+        return np.bincount(self._pairs, weights=shared, minlength=self.kidx.size)
+
+    def phi_at(self, phi_k):
+        """phi at every point, with the slope s of each segment and
+        z = s[seg] * d; np.interp's arithmetic, so phi equals
+        ``eval_log_density`` bit for bit."""
+        s = np.diff(phi_k) / self.dt
+        z = s[self.seg] * self.d
+        phi = z + phi_k[self.seg]
+        phi[-1] = phi_k[-1]
+        return phi, s, z
+
+    def lerp(self, phi_k, k):
+        """phi at point k as ``kernels.interp_to_points`` computes it, so
+        that a released knot starts at the same value as before the grid
+        code and the fits stay bit-identical."""
+        j = self.seg[k]
+        return phi_k[j] + self.frac[k] * (phi_k[j + 1] - phi_k[j])
+
+
+class _Grid:
+    """Sorted distinct points that several fits share, with what they
+    reuse: the spacings, the latest knot set's per-point data, and e^phi at
+    the points of the latest fit."""
+
+    def __init__(self, points):
+        self.points = points
+        self.dx = np.diff(points)
+        self._knots = None
+        self._density = (None, None)
+
+    def knot_set(self, kidx) -> _KnotSet:
+        if self._knots is None or not np.array_equal(self._knots.kidx, kidx):
+            self._knots = None  # freed before its successor is built
+            self._knots = _KnotSet(self.points, kidx)
+        return self._knots
+
+    def remember(self, fit, exp_phi) -> None:
+        self._density = (fit, exp_phi)
+
+    def exp_phi(self, fit) -> np.ndarray:
+        """e^phi of ``fit`` at the points; its knots must be points."""
+        known, values = self._density
+        if known is fit:
+            return values
+        kidx = np.searchsorted(self.points, fit.knots)
+        if np.any(kidx >= self.points.size) or not np.array_equal(
+                self.points[kidx], fit.knots):
+            raise ValueError("fit knots must be grid points")
+        return np.exp(self.knot_set(kidx).phi_at(fit.phi)[0])
+
+
+def _hinge_tail(e_left, inv_s2, d, z, e_right):
+    """integral_0^d (d - u) e^(phi_j + s u) du, elementwise, from
+    e_left = e^phi_j, inv_s2 = 1/s^2, z = s d and e_right = e^(phi_j + z):
+    (e_right - e_left (1 + z)) / s^2, or e_left d^2 sum_k z^k / (k+2)! for
+    |z| below the series radius, where the closed form cancels."""
+    out = 1.0 + z
+    out *= e_left
+    np.subtract(e_right, out, out=out)
+    out *= inv_s2
+    near = np.abs(z) < _TAIL_SERIES_RADIUS
+    if near.any():
+        zn = z[near]
+        series = _TAIL_COEF[0] * zn + _TAIL_COEF[1]
+        for c in _TAIL_COEF[2:]:
+            series *= zn
+            series += c
+        dn = d[near]
+        out[near] = e_left[near] * (dn * dn) * series
+    return out
+
+
 def _max_feasible_step(dt, phi_k, direction):
     """Largest alpha keeping knot slopes nonincreasing; (inf, None) if free."""
     if phi_k.size < 3:
@@ -193,16 +331,21 @@ def _max_feasible_step(dt, phi_k, direction):
     return alpha, j + 1  # +1: constraint j sits at interior knot j+1
 
 
-def _reduced_solve(x, w, kidx, phi_k, options, gtol):
+def _knot_weights(grid, kidx, w):
+    """Knot spacings and the weights aggregated onto the knots; the caller
+    keeps no reference to the knot set, so a successor can replace it."""
+    ks = grid.knot_set(kidx)
+    return ks.dt, ks.aggregate(w)
+
+
+def _reduced_solve(grid, w, kidx, phi_k, options, gtol):
     """Newton with Armijo backtracking on the current knot set.
 
     Truncated steps activate the blocking constraint (the knot drops out).
     Returns ``(kidx, phi_k, psi, grad_inf, stalled, W)``, with ``W`` the
     weights aggregated onto the returned knots.
     """
-    t = x[kidx]
-    dt = np.diff(t)
-    W = K.aggregate_weights(x, w, kidx)
+    dt, W = _knot_weights(grid, kidx, w)
     psi, grad, hd, he = K.knot_grad_hess(dt, phi_k, W)
     stalled = False
     for _ in range(options.max_newton_iters):
@@ -219,9 +362,7 @@ def _reduced_solve(x, w, kidx, phi_k, options, gtol):
             # immediately blocked: activate without moving
             kidx = np.delete(kidx, j_block)
             phi_k = np.delete(phi_k, j_block)
-            t = x[kidx]
-            dt = np.diff(t)
-            W = K.aggregate_weights(x, w, kidx)
+            dt, W = _knot_weights(grid, kidx, w)
             psi, grad, hd, he = K.knot_grad_hess(dt, phi_k, W)
             continue
         alpha0 = min(1.0, alpha_bar)
@@ -241,23 +382,40 @@ def _reduced_solve(x, w, kidx, phi_k, options, gtol):
             # boundary hit: interior knot j_block turns into an active constraint
             kidx = np.delete(kidx, j_block)
             phi_k = np.delete(phi_k, j_block)
-            t = x[kidx]
-            dt = np.diff(t)
-            W = K.aggregate_weights(x, w, kidx)
+            dt, W = _knot_weights(grid, kidx, w)
         psi, grad, hd, he = K.knot_grad_hess(dt, phi_k, W)
     ginf = float(np.max(np.abs(grad)))
     return kidx, phi_k, psi, ginf, stalled, W
 
 
-def _kkt_state(x, w, kidx, phi_k):
-    """Full-grid gradient, multipliers at active interior points, and phi_all."""
-    phi_all = K.interp_to_points(x, kidx, phi_k)
-    grad_full = w - K.integral_grad_terms(x, phi_all)
-    lam = K.multipliers(x, grad_full)
-    active = np.ones(x.size, dtype=bool)
-    active[kidx] = False
-    act_idx = np.nonzero(active[1:-1])[0] + 1
-    return phi_all, lam, act_idx
+def _kkt_state(grid, w, ks, phi_k):
+    """e^phi at every point, and the multipliers at the active points in
+    the closed form of the module docstring."""
+    phi, s, z = ks.phi_at(phi_k)
+    exp_phi = np.exp(phi, out=phi)
+    e_k = np.exp(phi_k)
+    s2 = s * s
+    inv_s2 = np.divide(1.0, s2, out=np.zeros_like(s2), where=s2 > 0.0)
+    # F and Q at each knot: the integrals of e^phi and of (t_j - t) e^phi
+    # from the first point up to it
+    mass = K.segment_integrals(ks.dt, phi_k[:-1], phi_k[1:])
+    tail = _hinge_tail(e_k[:-1], inv_s2, ks.dt, s * ks.dt, e_k[1:])
+    F = np.concatenate(([0.0], np.cumsum(mass)))
+    Q = np.concatenate(([0.0], np.cumsum(ks.dt * F[:-1] + tail)))
+    seg = ks.seg
+    inside = F[seg]
+    inside *= ks.d
+    inside += Q[seg]
+    inside += _hinge_tail(e_k[seg], inv_s2[seg], ks.d, z, exp_phi)
+    # lam = sum over x_i < x of w_i (x - x_i), accumulated gap by gap, minus
+    # the integral
+    lam = np.empty_like(inside)
+    lam[0] = 0.0
+    below = np.cumsum(w[:-1])
+    below *= grid.dx
+    np.cumsum(below, out=lam[1:])
+    lam -= inside
+    return exp_phi, lam[ks.active]
 
 
 def fit_weighted_logconcave(sample: WeightedSample,
@@ -271,7 +429,10 @@ def fit_weighted_logconcave(sample: WeightedSample,
     constraint active.
     """
     options = options or FitOptions()
-    x = sample.points
+    grid = getattr(sample, "_grid", None)
+    if grid is None:
+        grid = _Grid(sample.points)
+    x = grid.points
     w = sample.weights
     m = x.size
 
@@ -292,31 +453,35 @@ def fit_weighted_logconcave(sample: WeightedSample,
     kkt = math.inf
     psi_prev = -math.inf
     released_last = -1
+    exp_phi = None  # e^phi at the points, while it matches (kidx, phi_k)
     for _outer in range(options.max_outer_iters):
-        kidx, phi_k, psi, ginf, stalled, W = _reduced_solve(x, w, kidx, phi_k, options, tol)
+        kidx, phi_k, psi, ginf, stalled, W = _reduced_solve(grid, w, kidx, phi_k, options, tol)
         # Exact normalization: shifting phi by -log(integral) preserves
         # concavity and never lowers psi. The KKT test below runs on the
         # normalized state; if the shift disturbed stationarity beyond tol
         # the next outer round re-tightens it (one or two Newton steps).
-        dt = np.diff(x[kidx])
-        integral = float(np.sum(K.segment_integrals(dt, phi_k[:-1], phi_k[1:])))
+        ks = grid.knot_set(kidx)
+        integral = float(np.sum(K.segment_integrals(ks.dt, phi_k[:-1], phi_k[1:])))
         if integral > 0.0 and math.isfinite(integral):
             phi_k = phi_k - math.log(integral)
-        psi, grad, _, _ = K.knot_grad_hess(dt, phi_k, W)
+        psi, grad, _, _ = K.knot_grad_hess(ks.dt, phi_k, W)
         ginf = float(np.max(np.abs(grad)))
-        phi_all, lam, act_idx = _kkt_state(x, w, kidx, phi_k)
-        lam_min = float(lam[act_idx].min()) if act_idx.size else 0.0
+        exp_phi, lam = _kkt_state(grid, w, ks, phi_k)
+        lam_min = float(lam.min()) if lam.size else 0.0
         kkt = max(ginf, max(0.0, -lam_min))
         if ginf <= tol and lam_min >= -tol:
             converged = True
             break
         if ginf <= tol and lam_min < -tol:
-            k_rel = int(act_idx[int(np.argmin(lam[act_idx]))])
+            k_rel = int(ks.active[int(np.argmin(lam))])
             if k_rel == released_last and psi <= psi_prev + 1e-15 * (1.0 + abs(psi_prev)):
                 break  # released, re-activated, no progress: numerically done
             pos = int(np.searchsorted(kidx, k_rel))
+            phi_new = ks.lerp(phi_k, k_rel)
             kidx = np.insert(kidx, pos, k_rel)
-            phi_k = np.insert(phi_k, pos, phi_all[k_rel])
+            phi_k = np.insert(phi_k, pos, phi_new)
+            # free this knot set's per-point arrays before the next one
+            exp_phi = ks = lam = None
             released_last = k_rel
             psi_prev = psi
             continue
@@ -324,8 +489,11 @@ def fit_weighted_logconcave(sample: WeightedSample,
             break  # Armijo cannot improve further: machine-precision limit
         # otherwise the Newton cap was hit mid-solve; keep iterating
 
-    return LogConcaveFit(knots=x[kidx], phi=phi_k, objective=psi,
-                         kkt_residual=kkt, converged=converged)
+    fit = LogConcaveFit(knots=x[kidx], phi=phi_k, objective=psi,
+                        kkt_residual=kkt, converged=converged)
+    if exp_phi is not None:
+        grid.remember(fit, exp_phi)
+    return fit
 
 
 def eval_log_density(fit: LogConcaveFit, x) -> np.ndarray:
@@ -377,7 +545,7 @@ def objective(sample: WeightedSample, knots, phi) -> float:
         raise ValueError("knots must include both sample endpoints")
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi values must be finite")
-    lin = float(np.dot(K.aggregate_weights(x, sample.weights, np.asarray(kidx, dtype=np.intp)), phi))
+    lin = float(np.dot(_KnotSet(x, kidx).aggregate(sample.weights), phi))
     integral = float(np.sum(K.segment_integrals(np.diff(knots), phi[:-1], phi[1:])))
     return lin - integral + 1.0
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,40 @@ def test_tstats_matches_scalar_formula_line_by_line(tmp_path):
     assert want[4].split(",")[1:] == ["0.0", "1.0"]
     assert want[8].split(",")[1:] == ["-inf", "0.0"]
     assert want[12].split(",")[1] == "0.0"
+
+
+def test_tstats_rows_near_the_float_limit(tmp_path):
+    # scaled by a power of two first, these rows no longer overflow the sums:
+    # equal huge entries give zero spread and t = +-inf; opposite ones give
+    # a tiny t with p = 1, with no overflow warning
+    src = tmp_path / "expr.csv"
+    src.write_text("gene,a,b,c,d\n"
+                   "g0,1e308,1e308,1.0,2.0\n"
+                   "g1,1e308,-1e308,1.0,2.0\n"
+                   "g2,-1e308,-1e308,1.0,2.0\n", encoding="utf-8")
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["tstats", str(src), "--group1-cols", "2",
+                     "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == (
+        "gene,t,p_value\ng0,inf,0.0\ng1,-1.5e-308,1.0\ng2,-inf,0.0\n")
+
+
+def test_tstats_t_is_unchanged_by_power_of_two_scaling(tmp_path):
+    rng = np.random.default_rng(9)
+    rows = rng.normal(0.0, 1.0, (30, 6))
+    texts = []
+    for power in (0, 100, -100, 300, -300):
+        src = tmp_path / f"expr{power}.csv"
+        src.write_text("a,b,c,d,e,f\n" + "".join(
+            ",".join(repr(float(v)) for v in np.ldexp(row, power)) + "\n"
+            for row in rows), encoding="utf-8")
+        out = tmp_path / f"t{power}.csv"
+        assert main(["tstats", str(src), "--group1-cols", "3",
+                     "--out", str(out)]) == 0
+        texts.append(out.read_text(encoding="utf-8"))
+    assert all(text == texts[0] for text in texts)
 
 
 @pytest.mark.parametrize("bad_row, message", [
