@@ -1,6 +1,7 @@
 """The one CSV layout that every input file of the package shares.
 
-A file is UTF-8 text with one header row, then data rows of numbers:
+A file is UTF-8 text (a leading byte-order mark is skipped) with one header
+row, then data rows of numbers:
 
 - the header's fields are stripped and matched case-insensitively against
   the headers the caller accepts;
@@ -10,31 +11,40 @@ A file is UTF-8 text with one header row, then data rows of numbers:
 
 A file that breaks a rule raises ``ValueError`` naming the file and, for a
 data row, its line.
+
+numpy's C tokenizer reads the data rows, quoted fields included, in one
+streamed pass. Only a file it rejects or whose array breaks a rule goes
+through a ``csv`` and ``float`` row loop, which names the line and column of
+the first bad entry and accepts the rest: whitespace-only rows, blank ids,
+``1_000`` and non-ASCII digits.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from typing import Iterator, Optional, Sequence
+import warnings
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = ["read_csv"]
 
 
 def read_csv(path, headers: Optional[Sequence[Sequence[str]]] = None,
-             key: Optional[str] = None) -> Iterator:
-    """Yield the stripped header fields of ``path``, then ``(line number,
-    values)`` for each data row, converting each row as it is read.
+             key: Optional[str] = None) -> Tuple[list, Optional[list], np.ndarray]:
+    """Return ``(header, ids, values)``: the stripped header fields of
+    ``path``, its id column (or None) and its data rows as one 2-D float64
+    array.
 
     ``headers`` lists the accepted headers as lower-case tuples; ``None``
     accepts any header. When the first header field equals ``key`` in any
-    case, that column holds identifiers: each row's first value is its
-    stripped text instead of a number.
+    case, that column holds identifiers: ``ids`` lists each row's stripped
+    text, and ``values`` holds the other columns.
     """
     expected = " or ".join(repr(",".join(h)) for h in headers or ())
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        header = next(csv.reader(handle), None)
         if header is None:
             raise ValueError(f"{path}: empty file"
                              + (f"; expected header {expected}" if headers else ""))
@@ -42,30 +52,50 @@ def read_csv(path, headers: Optional[Sequence[Sequence[str]]] = None,
         if headers is not None and tuple(h.lower() for h in header) not in headers:
             raise ValueError(f"{path} line 1: header must be {expected}, "
                              f"got {','.join(header)!r}")
-        yield header
         text = int(bool(header) and header[0].lower() == key)
-        found = False
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path} line {lineno}: expected {len(header)} "
-                                 f"fields, got {len(row)}")
-            try:
-                values = list(map(float, row[text:]))
-                # a float sum is finite whenever every term is; only a sum
-                # that overflows on finite terms needs the term-by-term test
-                finite = (math.isfinite(sum(values))
-                          or all(map(math.isfinite, values)))
-            except ValueError:
-                finite = False
-            if not finite:
-                raise ValueError(f"{path} line {lineno}: "
-                                 f"{_bad_entry(header, row, text)}")
-            yield lineno, ([row[0].strip()] + values if text else values)
-            found = True
-    if not found:
+        # an id field is kept as text and read as 0.0, which the returned
+        # slice drops; skipping it with usecols would let extra fields pass
+        ids: List[str] = []
+        keep_id = {0: lambda tok: ids.append(tok.strip()) or 0.0} if text else None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows
+                values = np.loadtxt(handle, delimiter=",", comments=None,
+                                    quotechar='"', ndmin=2, converters=keep_id)
+        except ValueError:
+            values = np.empty((0, 0))
+    # a blank id may be a whitespace-only row, which the row loop skips
+    if (values.shape[0] and values.shape[1] == len(header)
+            and np.isfinite(values).all() and all(ids)):
+        return header, (ids if text else None), values[:, text:]
+    ids, rows = [], []
+    for lineno, row in _records(path):
+        if len(row) != len(header):
+            raise ValueError(f"{path} line {lineno}: expected {len(header)} "
+                             f"fields, got {len(row)}")
+        try:
+            numbers = list(map(float, row[text:]))
+            finite = all(map(math.isfinite, numbers))
+        except ValueError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{path} line {lineno}: "
+                             f"{_bad_entry(header, row, text)}")
+        ids.append(row[0].strip())
+        rows.append(numbers)
+    if not rows:
         raise ValueError(f"{path}: no data rows")
+    return header, (ids if text else None), np.array(rows)
+
+
+def _records(path) -> Iterator[Tuple[int, List[str]]]:
+    """``(line number, fields)`` of each non-blank row after the header."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if row and (len(row) > 1 or row[0].strip()):
+                yield lineno, row
 
 
 def _bad_entry(header, row, start) -> str:

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._readcsv import read_csv
+from ._readcsv import _records, read_csv
 from .em import EmConfig, classification_error, em_result_to_dict, run_em
 from .errors import (CliInputError, DegenerateSampleError, LogconmixError)
 from .families import (Exponential, KnownComponent, Normal, StudentT,
@@ -93,20 +93,16 @@ def _parse_grid(text: str) -> Tuple[float, float, int]:
 
 def _read_value_csv(path: str) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Read a `x` or `x,label` CSV; returns (values, labels-or-None)."""
-    rows = read_csv(path, headers=(("x",), ("x", "label")))
-    labeled = len(next(rows)) == 2
-    xs: List[float] = []
-    labels: List[float] = []
-    for lineno, row in rows:
-        xs.append(row[0])
-        if labeled:
-            if row[1] not in (0.0, 1.0):
-                raise CliInputError(
-                    f"{path} line {lineno}: field 'label' must be 0 or 1, "
-                    f"got {row[1]!r}")
-            labels.append(row[1])
-    values = np.asarray(xs, dtype=float)
-    return values, (np.asarray(labels, dtype=float) if labeled else None)
+    _, _, values = read_csv(path, headers=(("x",), ("x", "label")))
+    if values.shape[1] == 1:
+        return values[:, 0], None
+    labels = values[:, 1]
+    bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))
+    if bad.size:
+        lineno = [line for line, _ in _records(path)][bad[0]]
+        raise CliInputError(f"{path} line {lineno}: field 'label' must be "
+                            f"0 or 1, got {float(labels[bad[0]])!r}")
+    return values[:, 0], labels
 
 
 def _write_text(path: str, text: str) -> None:
@@ -217,20 +213,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_tstats(args: argparse.Namespace) -> int:
     m1 = args.group1_cols
-    rows = read_csv(args.input, key=_GENE_ID)
-    header = next(rows)
-    has_id = bool(header) and header[0].lower() == _GENE_ID
-    n_data = len(header) - (1 if has_id else 0)
+    _, genes, values = read_csv(args.input, key=_GENE_ID)
+    n_data = values.shape[1]
     if m1 < 2 or n_data - m1 < 2:
         raise CliInputError(
             f"need at least 2 columns per group: matrix has {n_data} "
             f"data columns, group1 takes {m1}")
-    genes: List[str] = []
-    matrix: List[List[float]] = []
-    for _, row in rows:
-        genes.append(row[0] if has_id else str(len(genes) + 1))
-        matrix.append(row[1:] if has_id else row)
-    values = np.array(matrix)
+    if genes is None:
+        genes = [str(g) for g in range(1, values.shape[0] + 1)]
     t_values = _pooled_t(values, m1)
     p_values = student_t_two_sided_p(t_values, float(n_data - 2))
     lines = ["gene,t,p_value"]

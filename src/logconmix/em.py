@@ -43,8 +43,8 @@ workspace: the distinct points, as the grid that every M-step fits on, and
 each observation's tie group. An iteration then makes a fixed number of
 elementwise passes over the n points (m <= n distinct ones), plus O(R) work
 per Newton step on the R knots:
-- the E-step and the mixing weight: about 10 passes, with no transcendental
-  function;
+- the E-step and the mixing weight: about 8 passes, with no transcendental
+  function, as p is the unknown mass already summed for the degenerate tests;
 - the M-step's weights: one bincount over the tie groups (only when there
   are ties), then about 7 passes to normalize and floor them;
 - the fit: per knot set, about 12 passes to find each point's segment (by
@@ -355,7 +355,7 @@ def _em_pass(ws: _Workspace, f0_values: np.ndarray, omega0: np.ndarray,
             converged = True
             break
         if iterations > clamp_iters:
-            p = m_step_p(omega)
+            p = unknown_mass / n  # m_step_p(omega): np.mean is this sum / n
         fit = m_step_f(ws, omega, options=cfg.fit_options,
                        min_component_mass=cfg.min_component_mass, init=fit)
         f_values = ws.f_values(fit)

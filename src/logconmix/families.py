@@ -292,9 +292,8 @@ def sample_mixture(f0: KnownComponent, f: UnknownComponent, p: float, n: int,
 
 def load_tabulated_csv(path) -> Tabulated:
     """Read a tabulated density from CSV with header ``x,log_density``."""
-    rows = read_csv(path, headers=(("x", "log_density"),))
-    next(rows)  # the header, which read_csv has checked
-    grid, log_density = np.array([row for _, row in rows]).T.copy()
+    _, _, values = read_csv(path, headers=(("x", "log_density"),))
+    grid, log_density = values.T.copy()
     if grid.size < 2:
         raise ValueError(f"{path}: need at least 2 grid rows, got {grid.size}")
     return Tabulated(grid, log_density)

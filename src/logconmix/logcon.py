@@ -587,7 +587,6 @@ def load_fit_json(path) -> LogConcaveFit:
 
 def load_weighted_csv(path) -> WeightedSample:
     """Read a weighted sample from CSV with header ``x,weight``."""
-    rows = read_csv(path, headers=(("x", "weight"),))
-    next(rows)  # the header, which read_csv has checked
-    x, w = np.array([row for _, row in rows]).T
+    _, _, values = read_csv(path, headers=(("x", "weight"),))
+    x, w = values.T
     return WeightedSample.from_observations(x, w)

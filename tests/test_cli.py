@@ -4,6 +4,7 @@ and byte-level determinism."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import warnings
@@ -126,6 +127,15 @@ def test_fit_bad_label_exits_2(tmp_path, capsys):
     path.write_text("x,label\n1.0,0\n2.0,5\n", encoding="utf-8")
     assert main(["fit", str(path), "--f0", "normal:0,1"]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_fit_reports_a_bad_entry_before_an_earlier_bad_label(tmp_path, capsys):
+    # the file is read whole before its labels are checked, so a fault the
+    # reader names wins over a bad label on an earlier line
+    path = tmp_path / "bad.csv"
+    path.write_text("x,label\n1.0,0\n2.0,5\noops,1\n", encoding="utf-8")
+    assert main(["fit", str(path), "--f0", "normal:0,1"]) == 2
+    assert "line 4: non-numeric entry 'oops' in column 'x'" in capsys.readouterr().err
 
 
 def test_grid_requires_grid_out(labeled_csv, capsys):
@@ -318,6 +328,14 @@ def test_tstats_group_too_small_exits_2(tmp_path, capsys):
     assert "at least 2" in capsys.readouterr().err
 
 
+def test_tstats_reports_a_bad_row_before_too_few_columns(tmp_path, capsys):
+    # the matrix is read whole before its width is checked against the groups
+    src = tmp_path / "expr.csv"
+    src.write_text("gene,a,b,c\ng0,1.0,2.0,0.0\ng1,1.0,x,0.0\n", encoding="utf-8")
+    assert main(["tstats", str(src), "--group1-cols", "2"]) == 2
+    assert "line 3: non-numeric entry 'x' in column 'b'" in capsys.readouterr().err
+
+
 def test_tstats_feeds_fit(tmp_path, capsys):
     # the emitted p-value column round-trips into cmd_fit with a uniform null
     rng = np.random.default_rng(7)
@@ -336,6 +354,33 @@ def test_tstats_feeds_fit(tmp_path, capsys):
                      + "\n", encoding="utf-8")
     assert main(["fit", str(pvals), "--f0", "uniform:0,1"]) == 0
     capsys.readouterr()
+
+
+def test_tstats_and_fit_output_bytes_are_pinned(tmp_path, capsys):
+    # 500 genes x 20 samples, a fifth of them shifted in group 1; the
+    # digests were taken from the row-by-row reader, so any change in how a
+    # matrix is parsed or a t, p or fit is computed shows up here
+    rng = np.random.default_rng(2024)
+    x = rng.normal(0.0, 1.0, (500, 20))
+    x[:100, :10] += rng.uniform(0.5, 3.0, 100)[:, None]
+    src = tmp_path / "expr.csv"
+    src.write_text("gene," + ",".join(f"s{j}" for j in range(20)) + "\n"
+                   + "".join(f"g{g}," + ",".join(repr(float(v)) for v in row)
+                             + "\n" for g, row in enumerate(x)),
+                   encoding="utf-8")
+    tcsv, pvals, mix = tmp_path / "t.csv", tmp_path / "p.csv", tmp_path / "f.json"
+    assert main(["tstats", str(src), "--group1-cols", "10",
+                 "--out", str(tcsv)]) == 0
+    lines = tcsv.read_text(encoding="utf-8").splitlines()[1:]
+    pvals.write_text("x\n" + "".join(ln.split(",")[2] + "\n" for ln in lines),
+                     encoding="utf-8")
+    assert main(["fit", str(pvals), "--f0", "uniform:0,1",
+                 "--out", str(mix)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(tcsv.read_bytes()).hexdigest() == (
+        "f864da4d6045fd91c6b9c641d8b6e33706ecf29dfb17f619224d089ab19d5993")
+    assert hashlib.sha256(mix.read_bytes()).hexdigest() == (
+        "e20f8dc355c4a1d45aa6a564176c6504a3fb4ab0a1721391b3871e36c952ae04")
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from logconmix import _readcsv
 from logconmix.cli import main
 from logconmix.families import load_tabulated_csv
 from logconmix.logcon import load_weighted_csv
@@ -82,6 +83,7 @@ CASES = {
     "header in another case, padded": (
         "{H}\n" + "\n".join(ROWS) + "\n", None),
     "CRLF line endings": ("{h}\r\n" + "\r\n".join(ROWS) + "\r\n", None),
+    "UTF-8 BOM": ("\ufeff{h}\n" + "\n".join(ROWS) + "\n", None),
     "empty file": ("", ": empty file"),
     "wrong header": ("x,y\n" + "\n".join(ROWS) + "\n", " line 1: header must be"),
     "header only": ("{h}\n", ": no data rows"),
@@ -128,9 +130,29 @@ def test_tstats_keeps_gene_ids_as_text(tmp_path):
     assert out.read_text(encoding="utf-8").split("\n")[1].startswith("nan,")
 
 
+def test_tstats_reads_gene_ids_after_a_bom(tmp_path):
+    src = tmp_path / "expr.csv"
+    src.write_bytes(b"\xef\xbb\xbfgene,a,b,c,d\ng1,1.0,2.0,0.0,1.0\n")
+    out = tmp_path / "t.csv"
+    assert main(["tstats", str(src), "--group1-cols", "2",
+                 "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").split("\n")[1].startswith("g1,")
+
+
 def test_finite_entries_whose_sum_overflows_are_accepted(tmp_path):
     path = tmp_path / "w.csv"
     # 1e308 + 8e307 overflows although both entries are finite
     path.write_text("x,weight\n1e308,8e307\n0,1\n", encoding="utf-8")
     sample = load_weighted_csv(str(path))
     assert sample.points.tolist() == [0.0, 1e308]
+
+
+def test_quoted_ids_take_one_pass(tmp_path, monkeypatch):
+    # R's write.csv quotes the header and every id; such a matrix must not
+    # be parsed a second time by the row loop
+    path = tmp_path / "expr.csv"
+    path.write_text('"gene","a","b"\n"g,1",1.5,2\n"g""2",3,4\n', encoding="utf-8")
+    monkeypatch.setattr(_readcsv, "_records", None)
+    header, ids, values = _readcsv.read_csv(path, key="gene")
+    assert (header, ids, values.tolist()) == (
+        ["gene", "a", "b"], ["g,1", 'g"2'], [[1.5, 2.0], [3.0, 4.0]])
