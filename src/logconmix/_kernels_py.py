@@ -25,13 +25,14 @@ Stability notes, used identically in both backends:
 - the value itself follows the tighter contract: series only for
   |b - a| < 1e-5, the expm1 form otherwise.
 
-Cost: every kernel goes through ``_parts``, which pays for one exp(max(a, b)),
-one expm1 and (for the partials) one exp per segment, shared by G1, G2 and
-G3. Each series is evaluated only on the entries inside its radius, G2 and G3
-in one Horner pass, and overwrites the closed form there; a call with no entry
-inside a radius skips that series. The formulas and their order of operations
-are those of one-function-per-moment code, so the results are identical to
-the last bit (``tests/test_kernels.py`` keeps that code as the oracle).
+Cost: with a handful of knots a call costs its numpy calls (~0.5 us each),
+not its arithmetic. Every kernel goes through ``_parts``, which pays for one
+exp(max(a, b)), one expm1 and (for the partials) one exp per segment, and
+stacks J and its partials as rows of one array, so that scaling, orienting
+and weighting them takes one call for all rows: ``knot_grad_hess`` makes 44
+numpy calls (61 with one array per quantity). The formulas and their order of
+operations are those of one-function-per-moment code, so the results are
+identical to the last bit (``tests/test_kernels.py`` keeps it as the oracle).
 """
 
 from __future__ import annotations
@@ -45,79 +46,89 @@ BACKEND_NAME = "python"
 _SERIES_RADIUS = 0.05  # G2, G3 switch to series inside this |b - a|
 _VALUE_SERIES_RADIUS = 1e-5  # G1 switches to series inside this |b - a|
 
-# series coefficients through eps^8: row 0 is G2_k = 1/(k! (k+2)), row 1 is
-# G3_k = 1/(k! (k+3)). Horner columns, highest power first: G2 alone for
-# order 2, G2 and G3 stacked for order 3.
-_G23_COEF = np.array([[1.0 / (math.factorial(k) * (k + j)) for k in range(9)]
-                      for j in (2, 3)])
-_HORNER_COLS = [[_G23_COEF[:rows, k:k + 1] for k in range(8, -1, -1)]
-                for rows in (1, 2)]
-
-
-def _g23_series(e, order):
-    """G2 (order 2), or G2 and G3 stacked (order 3), of the 1-d ``e`` by
-    one Horner pass; one row per function."""
-    cols = _HORNER_COLS[order - 2]
-    out = cols[0] * e + cols[1]
-    for col in cols[2:]:
-        out *= e
-        out += col
-    return out
-
-
-def _g23_closed(safe, em, order):
-    """G2 (order 2), or G2 and G3 (order 3), in closed form from ``safe``
-    and ``em = expm1(safe)``."""
-    ee = np.exp(safe)
-    num = safe * ee - em
-    ss = safe * safe
-    if order == 2:
-        return [num / ss]
-    return [num / ss, (ss * ee - 2.0 * num) / (ss * safe)]
+# series coefficients through eps^8, one row per power, highest first for
+# Horner's rule: column 0 is G2_k = 1/(k! (k+2)), column 1 G3_k = 1/(k! (k+3))
+_G23_COEF = np.array([[1.0 / (math.factorial(k) * (k + j)) for j in (2, 3)]
+                      for k in range(8, -1, -1)])
 
 
 def _parts(a, b, order):
-    """Shared pieces of J and its partials at ``eps = -|b - a|``.
+    """J and its partials up to ``order``, stacked along a new first axis:
+    rows (J,) for ``order`` 1, (J, dJ/da, dJ/db) for 2, and (J, dJ/da, dJ/db,
+    d2J/da2, d2J/db2, d2J/dadb) for 3, each of the broadcast shape of a, b.
 
-    Returns ``(ehi, g1)`` for ``order`` 1, ``(ehi, g1, g2)`` for 2 and
-    ``(ehi, g1, g2, g3)`` for 3, with ``ehi = exp(max(a, b))`` and
-    ``gk = integral_0^1 t^(k-1) e^{t eps} dt``. Each closed form is computed
-    on every entry from one ``expm1`` and one ``exp``; the series then
-    overwrite the entries inside their radius.
+    With ehi = exp(max(a, b)) and ``gk = integral_0^1 t^(k-1) e^{t eps} dt``
+    at ``eps = -|b - a|``: J = ehi g1, the partials wrt the smaller argument
+    are ehi g2 and ehi g3, those wrt the larger ehi (g1 - g2) and
+    ehi (g1 - 2 g2 + g3), and d2J/dadb = ehi (g2 - g3). The series overwrite
+    the closed forms inside their radius; a call with none there skips them.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    ehi = np.exp(np.maximum(a, b))
-    eps = np.atleast_1d(-np.abs(b - a))  # an array, so entries can be assigned
-    m1 = eps > -_VALUE_SERIES_RADIUS
-    safe = np.where(m1, 1.0, eps)
-    em = np.expm1(safe)
-    out = [ehi, em / safe]
+    shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
+    if not shape:
+        a, b = a.reshape(1), b.reshape(1)  # 0-d inputs run as one entry
+    hi = np.maximum(a, b)
+    eps = np.minimum(a, b)
+    eps -= hi  # -|b - a| to the bit, up to the sign of a zero
     # Most calls have no entry inside a radius (for G1 nearly all), so an
-    # empty mask skips its series.
-    if m1.any():
-        e = eps[m1]
-        out[1][m1] = 1.0 + e * (0.5 + e * (1.0 / 6.0 + e * (1.0 / 24.0)))
-    if order >= 2:
-        out += _g23_closed(safe, em, order)
-        m23 = eps > -_SERIES_RADIUS
-        if m23.any():
-            for g, row in zip(out[2:], _g23_series(eps[m23], order)):
-                g[m23] = row
-    if np.ndim(ehi) == 0:
-        out[1:] = [g.reshape(()) for g in out[1:]]
-    return out
-
-
-def _oriented(b_is_hi, near, far):
-    """(d/da, d/db) from the partials wrt the larger and smaller argument."""
-    return np.where(b_is_hi, far, near), np.where(b_is_hi, near, far)
+    # empty mask skips its series; G1's radius lies inside that of G2, G3.
+    near = eps > -(_SERIES_RADIUS if order > 1 else _VALUE_SERIES_RADIUS)
+    e23 = e1 = None
+    if np.count_nonzero(near):
+        if order > 1:
+            m23, e23, near = near, eps[near], eps > -_VALUE_SERIES_RADIUS
+        if np.count_nonzero(near):
+            m1, e1 = near, eps[near]
+            eps[m1] = 1.0
+    safe = eps  # 1.0 where G1 takes its series
+    ehi = np.exp(hi)
+    em = np.expm1(safe)
+    # rows: g1; then g2, g1 - g2; then g3, g1 - 2 g2 + g3, g2 - g3
+    h = np.empty(((1, 3, 6)[order - 1],) + hi.shape)
+    np.divide(em, safe, h[0])
+    if order > 1:
+        ee = np.exp(safe)
+        num = safe * ee
+        num -= em
+        ss = safe * safe
+        np.divide(num, ss, h[1])
+    if order > 2:
+        ss_ee = ss * ee
+        ss_ee -= 2.0 * num
+        ss *= safe
+        np.divide(ss_ee, ss, h[3])
+    if e1 is not None:
+        h[0][m1] = 1.0 + e1 * (0.5 + e1 * (1.0 / 6.0 + e1 * (1.0 / 24.0)))
+    if e23 is not None:
+        # one Horner pass, flat (the G2 terms, then G3's) so no step broadcasts
+        ee = np.concatenate((e23, e23))
+        coef = _G23_COEF.repeat(e23.size, axis=1)
+        g23 = coef[0] * ee
+        g23 += coef[1]
+        for col in coef[2:]:
+            g23 *= ee
+            g23 += col
+        for row, g in zip((1, 3)[:order - 1], g23.reshape(2, e23.size)):
+            h[row][m23] = g
+    if order > 1:
+        np.subtract(h[0], h[1], h[2])
+    if order > 2:
+        np.subtract(h[1], h[3], h[5])
+        np.multiply(h[1], 2.0, h[4])
+        np.subtract(h[0], h[4], h[4])
+        h[4] += h[3]
+    h *= ehi
+    if order > 1:
+        # each (smaller, larger) pair becomes (d/da, d/db): swapped where a > b
+        pairs = h[1:2 * order - 1].reshape((order - 1, 2) + hi.shape)
+        np.copyto(pairs, pairs[:, ::-1], where=b < a)
+    return h.reshape(h.shape[:1] + shape)
 
 
 def j_values(a, b):
     """Elementwise J(a, b); symmetric in its arguments."""
-    ehi, g1 = _parts(a, b, 1)
-    return ehi * g1
+    return _parts(a, b, 1)[0]
 
 
 def j_value(a: float, b: float) -> float:
@@ -126,24 +137,14 @@ def j_value(a: float, b: float) -> float:
 
 def j_first_partials(a, b):
     """Elementwise (dJ/da, dJ/db)."""
-    ehi, g1, g2 = _parts(a, b, 2)
-    # partials wrt the larger (near) and the smaller (far) argument
-    return _oriented(np.greater_equal(b, a), ehi * (g1 - g2), ehi * g2)
-
-
-def _value_and_partials(a, b):
-    """J and its five partials, as in :func:`j_all_partials`, from one
-    set of shared pieces."""
-    ehi, g1, g2, g3 = _parts(a, b, 3)
-    b_is_hi = np.greater_equal(b, a)
-    ja, jb = _oriented(b_is_hi, ehi * (g1 - g2), ehi * g2)
-    jaa, jbb = _oriented(b_is_hi, ehi * (g1 - 2.0 * g2 + g3), ehi * g3)
-    return ehi * g1, ja, jb, jaa, ehi * (g2 - g3), jbb
+    rows = _parts(a, b, 2)
+    return rows[1], rows[2]
 
 
 def j_all_partials(a, b):
     """Elementwise (dJ/da, dJ/db, d2J/da2, d2J/dadb, d2J/db2)."""
-    return _value_and_partials(a, b)[1:]
+    rows = _parts(a, b, 3)
+    return rows[1], rows[2], rows[3], rows[5], rows[4]
 
 
 def j_partials(a: float, b: float):
@@ -158,7 +159,7 @@ def segment_integrals(dx, pa, pb):
 
 def knot_objective(dt, phi, weights) -> float:
     """psi = sum(W phi) - integral(e^phi) + 1 on the knot grid."""
-    integral = float(np.sum(segment_integrals(dt, phi[:-1], phi[1:])))
+    integral = float(segment_integrals(dt, phi[:-1], phi[1:]).sum())
     return float(np.dot(weights, phi)) - integral + 1.0
 
 
@@ -172,20 +173,17 @@ def knot_grad_hess(dt, phi, weights):
     dt = np.asarray(dt, dtype=float)
     phi = np.asarray(phi, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    pa = phi[:-1]
-    pb = phi[1:]
-    jval, ja, jb, jaa, jab, jbb = _value_and_partials(pa, pb)
-    psi = float(np.dot(weights, phi) - np.dot(dt, jval) + 1.0)
-
+    rows = _parts(phi[:-1], phi[1:], 3)
+    psi = float(weights.dot(phi)) - float(dt.dot(rows[0])) + 1.0
+    terms = rows[1:]
+    terms *= dt  # dt times (Ja, Jb, Jaa, Jbb, Jab)
     grad = weights.copy()
-    grad[:-1] -= dt * ja
-    grad[1:] -= dt * jb
-
-    hd = np.zeros_like(phi)
-    hd[:-1] -= dt * jaa
-    hd[1:] -= dt * jbb
-    he = -dt * jab
-    return psi, grad, hd, he
+    grad[:-1] -= terms[0]
+    grad[1:] -= terms[1]
+    hd = np.zeros(phi.size)
+    hd[:-1] -= terms[2]
+    hd[1:] -= terms[3]
+    return psi, grad, hd, -terms[4]
 
 
 def solve_newton_step(hess_diag, hess_off, grad):
@@ -196,25 +194,26 @@ def solve_newton_step(hess_diag, hess_off, grad):
     a segment's density mass underflows), the diagonal is regularized by
     delta = 1e-12 * (1 + max|diag|), doubling until the sweep succeeds.
     """
-    adiag = -np.asarray(hess_diag, dtype=float)
-    aoff = -np.asarray(hess_off, dtype=float)
+    adiag = (-np.asarray(hess_diag, dtype=float)).tolist()
+    aoff = (-np.asarray(hess_off, dtype=float)).tolist()
+    rhs = np.asarray(grad, dtype=float).tolist()
     delta = 0.0
     for _ in range(60):
-        d = _ldl_tridiag_solve(adiag + delta, aoff, grad)
+        d = _ldl_tridiag_solve([v + delta for v in adiag] if delta else adiag,
+                               aoff, rhs)
         if d is not None:
             return d
         delta = 2.0 * delta if delta else 1e-12 * (1.0 + float(np.max(np.abs(adiag))))
     raise FloatingPointError("tridiagonal Newton system could not be stabilized")
 
 
-def _ldl_tridiag_solve(adiag, aoff, rhs):
-    """LDL^T solve of the tridiagonal system; None on a bad pivot or result.
+def _ldl_tridiag_solve(diag, off, rhs):
+    """LDL^T solve of the tridiagonal system, given as lists; None on a bad
+    pivot or result.
 
     The recurrences are serial, so they run on Python floats: the same IEEE
     double operations, in the same order, as on numpy scalars.
     """
-    diag = adiag.tolist()
-    off = aoff.tolist()
     n = len(diag)
     piv = diag[0]
     if not (piv > 0.0 and math.isfinite(piv)):
@@ -228,14 +227,14 @@ def _ldl_tridiag_solve(adiag, aoff, rhs):
             return None
         lsub.append(lo)
         dref.append(piv)
-    y = np.asarray(rhs, dtype=float).tolist()
+    y = list(rhs)
     for i in range(1, n):
         y[i] -= lsub[i - 1] * y[i - 1]
     y = [v / d for v, d in zip(y, dref)]
     for i in range(n - 2, -1, -1):
         y[i] -= lsub[i] * y[i + 1]
     out = np.array(y)
-    if not np.isfinite(out).all():
+    if np.count_nonzero(np.isfinite(out)) < n:
         return None
     return out
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -84,6 +85,8 @@ def _parse_grid(text: str) -> Tuple[float, float, int]:
         count = int(parts[2])
     except ValueError as exc:
         raise CliInputError(f"grid spec {text!r}: {exc}")
+    if not math.isfinite(hi - lo):
+        raise CliInputError(f"grid spec {text!r}: LO, HI and HI - LO must be finite")
     if not (lo < hi):
         raise CliInputError(f"grid spec {text!r}: LO must be < HI")
     if count < 2:

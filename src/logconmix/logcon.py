@@ -190,9 +190,9 @@ class LogConcaveFit:
         ph = np.asarray(self.phi, dtype=float)
         if kn.ndim != 1 or ph.ndim != 1 or kn.size != ph.size or kn.size < 2:
             raise ValueError("knots and phi must be 1-D arrays of equal length >= 2")
-        if not np.all(np.diff(kn) > 0.0):
+        if not (kn[1:] > kn[:-1]).all():
             raise ValueError("knots must be strictly ascending")
-        if not np.all(np.isfinite(ph)):
+        if not np.isfinite(ph).all():
             raise ValueError("phi values must be finite")
         object.__setattr__(self, "knots", kn)
         object.__setattr__(self, "phi", ph)
@@ -212,11 +212,13 @@ class _KnotSet:
     def __init__(self, x, kidx):
         self.kidx = kidx
         t = x[kidx]
-        self.dt = np.diff(t)
-        r = kidx.size
+        self.dt = t[1:] - t[:-1]
+        self.inv_dt = 1.0 / self.dt
         # Knots are points, so segment j holds the points from knot j up to
         # knot j+1 without a search; the last point closes the last segment.
-        seg = np.append(np.repeat(np.arange(r - 1), np.diff(kidx)), r - 2)
+        counts = kidx[1:] - kidx[:-1]
+        counts[-1] += 1
+        seg = np.repeat(np.arange(kidx.size - 1), counts)
         self.d = x - t[seg]
         frac = self.d / self.dt[seg]
         self._pairs = np.concatenate((seg, seg + 1))
@@ -242,7 +244,7 @@ class _KnotSet:
         """phi at every point, with the slope s of each segment and
         z = s[seg] * d; np.interp's arithmetic, so phi equals
         ``eval_log_density`` bit for bit."""
-        s = np.diff(phi_k) / self.dt
+        s = (phi_k[1:] - phi_k[:-1]) / self.dt
         z = s[self.seg] * self.d
         phi = z + phi_k[self.seg]
         phi[-1] = phi_k[-1]
@@ -263,15 +265,22 @@ class _Grid:
 
     def __init__(self, points):
         self.points = points
-        self.dx = np.diff(points)
+        self.dx = points[1:] - points[:-1]
         self._knots = None
         self._density = (None, None)
+        self._warm = None
 
     def knot_set(self, kidx) -> _KnotSet:
-        if self._knots is None or not np.array_equal(self._knots.kidx, kidx):
+        if self._knots is None or not _same_bits(self._knots.kidx, kidx):
             self._knots = None  # freed before its successor is built
             self._knots = _KnotSet(self.points, kidx)
         return self._knots
+
+    def repeat_of(self, w, options, init) -> bool:
+        """Whether a warm fit from ``init`` would replay the last one here."""
+        last = self._warm  # (options, weights, fit), or None
+        return (last is not None and last[2] is init and last[0] == options
+                and _same_bits(last[1], w))
 
     def remember(self, fit, exp_phi) -> None:
         self._density = (fit, exp_phi)
@@ -288,6 +297,11 @@ class _Grid:
         return np.exp(self.knot_set(kidx).phi_at(fit.phi)[0])
 
 
+def _same_bits(a, b) -> bool:
+    """Whether arrays of one dtype hold the same bits."""
+    return a is b or (a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
 def _hinge_tail(e_left, inv_s2, d, z, e_right):
     """integral_0^d (d - u) e^(phi_j + s u) du, elementwise, from
     e_left = e^phi_j, inv_s2 = 1/s^2, z = s d and e_right = e^(phi_j + z):
@@ -298,7 +312,7 @@ def _hinge_tail(e_left, inv_s2, d, z, e_right):
     np.subtract(e_right, out, out=out)
     out *= inv_s2
     near = np.abs(z) < _TAIL_SERIES_RADIUS
-    if near.any():
+    if np.count_nonzero(near):
         zn = z[near]
         series = _TAIL_COEF[0] * zn + _TAIL_COEF[1]
         for c in _TAIL_COEF[2:]:
@@ -309,22 +323,21 @@ def _hinge_tail(e_left, inv_s2, d, z, e_right):
     return out
 
 
-def _max_feasible_step(dt, phi_k, direction):
+def _max_feasible_step(inv_dt, phi_k, direction):
     """Largest alpha keeping knot slopes nonincreasing; (inf, None) if free."""
     if phi_k.size < 3:
         return math.inf, None
-    inv = 1.0 / dt
     def curv(v):
-        s = np.diff(v) * inv
+        s = (v[1:] - v[:-1]) * inv_dt
         return s[:-1] - s[1:]
-    c_now = np.maximum(curv(phi_k), 0.0)   # clamp roundoff-negative slack
     c_dir = curv(direction)
     blocking = c_dir < -1e-300
-    if not np.any(blocking):
+    if not np.count_nonzero(blocking):
         return math.inf, None
-    ratios = np.full(c_now.shape, math.inf)
-    ratios[blocking] = c_now[blocking] / -c_dir[blocking]
-    j = int(np.argmin(ratios))
+    c_now = np.maximum(curv(phi_k), 0.0)   # clamp roundoff-negative slack
+    ratios = np.full(c_now.size, math.inf)
+    np.divide(c_now, np.negative(c_dir, out=c_dir), ratios, where=blocking)
+    j = int(ratios.argmin())
     alpha = float(ratios[j])
     if not math.isfinite(alpha):
         return math.inf, None
@@ -332,60 +345,50 @@ def _max_feasible_step(dt, phi_k, direction):
 
 
 def _knot_weights(grid, kidx, w):
-    """Knot spacings and the weights aggregated onto the knots; the caller
+    """Knot spacings, their reciprocals and the knot weights; the caller
     keeps no reference to the knot set, so a successor can replace it."""
     ks = grid.knot_set(kidx)
-    return ks.dt, ks.aggregate(w)
+    return ks.dt, ks.inv_dt, ks.aggregate(w)
 
 
 def _reduced_solve(grid, w, kidx, phi_k, options, gtol):
     """Newton with Armijo backtracking on the current knot set.
 
     Truncated steps activate the blocking constraint (the knot drops out).
-    Returns ``(kidx, phi_k, psi, grad_inf, stalled, W)``, with ``W`` the
-    weights aggregated onto the returned knots.
+    Returns ``(kidx, phi_k, stalled, W)``, with ``W`` the weights
+    aggregated onto the returned knots.
     """
-    dt, W = _knot_weights(grid, kidx, w)
+    dt, inv_dt, W = _knot_weights(grid, kidx, w)
     psi, grad, hd, he = K.knot_grad_hess(dt, phi_k, W)
     stalled = False
     for _ in range(options.max_newton_iters):
-        ginf = float(np.max(np.abs(grad)))
-        if ginf <= gtol:
+        if float(np.abs(grad).max()) <= gtol:
             break
         step = K.solve_newton_step(hd, he, grad)
-        slope = float(np.dot(grad, step))
+        slope = float(grad.dot(step))
         if not math.isfinite(slope) or slope <= 0.0:
             step = grad.copy()               # ascent fallback; H was unusable
-            slope = float(np.dot(grad, grad))
-        alpha_bar, j_block = _max_feasible_step(dt, phi_k, step)
-        if alpha_bar <= 1e-300:
-            # immediately blocked: activate without moving
-            kidx = np.delete(kidx, j_block)
-            phi_k = np.delete(phi_k, j_block)
-            dt, W = _knot_weights(grid, kidx, w)
-            psi, grad, hd, he = K.knot_grad_hess(dt, phi_k, W)
-            continue
-        alpha0 = min(1.0, alpha_bar)
-        alpha = alpha0
-        accepted = False
-        while alpha > 1e-16:
-            cand = phi_k + alpha * step
-            if K.knot_objective(dt, cand, W) >= psi + options.armijo_c * alpha * slope:
-                accepted = True
+            slope = float(grad.dot(grad))
+        alpha_bar, j_block = _max_feasible_step(inv_dt, phi_k, step)
+        alpha = min(1.0, alpha_bar)
+        if alpha_bar > 1e-300:  # else blocked at once: activate without moving
+            while alpha > 1e-16:
+                cand = step * alpha
+                cand += phi_k
+                if K.knot_objective(dt, cand, W) >= psi + options.armijo_c * alpha * slope:
+                    break
+                alpha *= 0.5
+            else:
+                stalled = True
                 break
-            alpha *= 0.5
-        if not accepted:
-            stalled = True
-            break
-        phi_k = cand
+            phi_k = cand
         if alpha == alpha_bar:
             # boundary hit: interior knot j_block turns into an active constraint
             kidx = np.delete(kidx, j_block)
             phi_k = np.delete(phi_k, j_block)
-            dt, W = _knot_weights(grid, kidx, w)
+            dt, inv_dt, W = _knot_weights(grid, kidx, w)
         psi, grad, hd, he = K.knot_grad_hess(dt, phi_k, W)
-    ginf = float(np.max(np.abs(grad)))
-    return kidx, phi_k, psi, ginf, stalled, W
+    return kidx, phi_k, stalled, W
 
 
 def _kkt_state(grid, w, ks, phi_k):
@@ -395,13 +398,13 @@ def _kkt_state(grid, w, ks, phi_k):
     exp_phi = np.exp(phi, out=phi)
     e_k = np.exp(phi_k)
     s2 = s * s
-    inv_s2 = np.divide(1.0, s2, out=np.zeros_like(s2), where=s2 > 0.0)
+    inv_s2 = np.divide(1.0, s2, out=np.zeros(s.size), where=s2 > 0.0)
     # F and Q at each knot: the integrals of e^phi and of (t_j - t) e^phi
     # from the first point up to it
     mass = K.segment_integrals(ks.dt, phi_k[:-1], phi_k[1:])
     tail = _hinge_tail(e_k[:-1], inv_s2, ks.dt, s * ks.dt, e_k[1:])
-    F = np.concatenate(([0.0], np.cumsum(mass)))
-    Q = np.concatenate(([0.0], np.cumsum(ks.dt * F[:-1] + tail)))
+    F = np.concatenate(([0.0], mass.cumsum()))
+    Q = np.concatenate(([0.0], (ks.dt * F[:-1] + tail).cumsum()))
     seg = ks.seg
     inside = F[seg]
     inside *= ks.d
@@ -409,11 +412,11 @@ def _kkt_state(grid, w, ks, phi_k):
     inside += _hinge_tail(e_k[seg], inv_s2[seg], ks.d, z, exp_phi)
     # lam = sum over x_i < x of w_i (x - x_i), accumulated gap by gap, minus
     # the integral
-    lam = np.empty_like(inside)
+    lam = np.empty(inside.size)
     lam[0] = 0.0
-    below = np.cumsum(w[:-1])
+    below = w[:-1].cumsum()
     below *= grid.dx
-    np.cumsum(below, out=lam[1:])
+    below.cumsum(out=lam[1:])
     lam -= inside
     return exp_phi, lam[ks.active]
 
@@ -437,16 +440,17 @@ def fit_weighted_logconcave(sample: WeightedSample,
     m = x.size
 
     if init is not None:
-        kidx = np.searchsorted(x, init.knots)
-        if (np.any(kidx >= m) or not np.array_equal(x[kidx], init.knots)
-                or kidx[0] != 0 or kidx[-1] != m - 1):
+        if grid.repeat_of(w, options, init):
+            return init
+        kidx = x.searchsorted(init.knots)
+        if (kidx[0] != 0 or kidx[-1] != m - 1
+                or np.count_nonzero(x[kidx] != init.knots)):
             raise ValueError("warm start knots must be sample points, endpoints included")
         phi_k = init.phi.copy()
     else:
         kidx = np.array([0, m - 1], dtype=np.intp)
         phi_k = np.full(2, -math.log(x[-1] - x[0]))
 
-    kidx = np.asarray(kidx, dtype=np.intp)
     tol = options.tol_kkt
     converged = False
     psi = -math.inf
@@ -455,17 +459,17 @@ def fit_weighted_logconcave(sample: WeightedSample,
     released_last = -1
     exp_phi = None  # e^phi at the points, while it matches (kidx, phi_k)
     for _outer in range(options.max_outer_iters):
-        kidx, phi_k, psi, ginf, stalled, W = _reduced_solve(grid, w, kidx, phi_k, options, tol)
+        kidx, phi_k, stalled, W = _reduced_solve(grid, w, kidx, phi_k, options, tol)
         # Exact normalization: shifting phi by -log(integral) preserves
         # concavity and never lowers psi. The KKT test below runs on the
         # normalized state; if the shift disturbed stationarity beyond tol
         # the next outer round re-tightens it (one or two Newton steps).
         ks = grid.knot_set(kidx)
-        integral = float(np.sum(K.segment_integrals(ks.dt, phi_k[:-1], phi_k[1:])))
+        integral = float(K.segment_integrals(ks.dt, phi_k[:-1], phi_k[1:]).sum())
         if integral > 0.0 and math.isfinite(integral):
             phi_k = phi_k - math.log(integral)
         psi, grad, _, _ = K.knot_grad_hess(ks.dt, phi_k, W)
-        ginf = float(np.max(np.abs(grad)))
+        ginf = float(np.abs(grad).max())
         exp_phi, lam = _kkt_state(grid, w, ks, phi_k)
         lam_min = float(lam.min()) if lam.size else 0.0
         kkt = max(ginf, max(0.0, -lam_min))
@@ -473,13 +477,13 @@ def fit_weighted_logconcave(sample: WeightedSample,
             converged = True
             break
         if ginf <= tol and lam_min < -tol:
-            k_rel = int(ks.active[int(np.argmin(lam))])
+            k_rel = int(ks.active[lam.argmin()])
             if k_rel == released_last and psi <= psi_prev + 1e-15 * (1.0 + abs(psi_prev)):
                 break  # released, re-activated, no progress: numerically done
-            pos = int(np.searchsorted(kidx, k_rel))
+            pos = int(kidx.searchsorted(k_rel))
             phi_new = ks.lerp(phi_k, k_rel)
-            kidx = np.insert(kidx, pos, k_rel)
-            phi_k = np.insert(phi_k, pos, phi_new)
+            kidx = np.concatenate((kidx[:pos], [k_rel], kidx[pos:]))
+            phi_k = np.concatenate((phi_k[:pos], [phi_new], phi_k[pos:]))
             # free this knot set's per-point arrays before the next one
             exp_phi = ks = lam = None
             released_last = k_rel
@@ -493,12 +497,24 @@ def fit_weighted_logconcave(sample: WeightedSample,
                         kkt_residual=kkt, converged=converged)
     if exp_phi is not None:
         grid.remember(fit, exp_phi)
+    if init is not None:  # a warm fit that returned its start can be repeated
+        fixed = _same_bits(fit.knots, init.knots) and _same_bits(fit.phi, init.phi)
+        grid._warm = (options, w, fit) if fixed else None
     return fit
 
 
-def eval_log_density(fit: LogConcaveFit, x) -> np.ndarray:
-    """phi(x): linear between knots, -inf outside the support."""
+def _points(x) -> np.ndarray:
+    """``x`` as a float array of at least one dimension; NaN raises."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
+    nan = np.flatnonzero(np.isnan(xv))
+    if nan.size:
+        raise ValueError(f"x is NaN at index {nan[0]}")
+    return xv
+
+
+def eval_log_density(fit: LogConcaveFit, x) -> np.ndarray:
+    """phi(x): linear between knots, -inf outside the support; NaN raises."""
+    xv = _points(x)
     out = np.interp(xv, fit.knots, fit.phi)
     out = np.where((xv < fit.knots[0]) | (xv > fit.knots[-1]), -np.inf, out)
     if np.ndim(x) == 0:
@@ -507,8 +523,8 @@ def eval_log_density(fit: LogConcaveFit, x) -> np.ndarray:
 
 
 def cdf(fit: LogConcaveFit, x) -> np.ndarray:
-    """Integral of exp(phi) from the left support edge to x (exact per segment)."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    """Integral of exp(phi) from the left support edge to x (exact per segment); NaN raises."""
+    xv = _points(x)
     t = fit.knots
     ph = fit.phi
     seg_mass = K.segment_integrals(np.diff(t), ph[:-1], ph[1:])

@@ -144,6 +144,23 @@ def test_grid_requires_grid_out(labeled_csv, capsys):
     assert "--grid-out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["0,inf,4", "nan,1,3", "-inf,0,3", "inf,inf,3",
+                                  "-1e308,1e308,3"])
+@pytest.mark.parametrize("command", ["fit", "logcx"])
+def test_grid_needs_finite_endpoints_and_span(tmp_path, capsys, command, spec):
+    src = tmp_path / "in.csv"
+    if command == "fit":
+        src.write_text("x\n0.1\n0.5\n0.9\n1.3\n2.0\n", encoding="utf-8")
+        args = ["fit", str(src), "--f0", "normal:0,1"]
+    else:
+        src.write_text("x,weight\n0.1,1\n0.5,1\n0.9,2\n", encoding="utf-8")
+        args = ["logcx", str(src)]
+    grid = tmp_path / "grid.csv"
+    assert main(args + [f"--grid={spec}", "--grid-out", str(grid)]) == 2
+    assert "LO, HI and HI - LO must be finite" in capsys.readouterr().err
+    assert not grid.exists()
+
+
 def test_logcx_two_point_uniform(tmp_path, capsys):
     src = tmp_path / "w.csv"
     src.write_text("x,weight\n0.0,0.5\n2.0,0.5\n", encoding="utf-8")

@@ -174,3 +174,15 @@ def test_run_em_rejects_empty_and_degenerate_input():
         run_em(np.array([1.0]), Normal(0.0, 1.0))
     with pytest.raises(DegenerateSampleError, match="got 3"):
         run_em(np.array([2.0, 1.0, 3.0, 1.0, 2.0, 3.0]), Normal(0.0, 1.0))
+
+
+def test_posterior_unknown_names_the_first_nan():
+    f0 = Normal(0.0, 2.0)
+    values, _ = sample_mixture(f0, Normal(3.0, 1.0), 0.4, 300, 4)
+    result = run_em(values, f0)
+    with pytest.raises(ValueError, match="NaN at index 0"):
+        posterior_unknown(result, [math.nan, 1.0], f0)
+    with pytest.raises(ValueError, match="NaN at index 2"):
+        posterior_unknown(result, [1.0, 2.0, math.nan, math.nan], f0)
+    with pytest.raises(ValueError, match="NaN at index 0"):
+        posterior_unknown(result, math.nan, f0)

@@ -131,3 +131,34 @@ def test_sample_mixture_digest(model_id):
     values, labels = sample_mixture(spec.known, spec.unknown, 0.3, 257,
                                     2000 + model_id)
     assert (_digest(values), _digest(labels)) == MIXTURE_DIGESTS[model_id]
+
+
+# run_em on catalog models 1-6 x p in {0.1, 0.9} at n = 200, the i-th cell
+# drawn from child_seed(EM_SEED, i), on the python kernels. One digest over
+# every run's p_hat, omega, fit knots and phi, likelihood trace and iteration
+# count pins the whole EM path, solver included, to the bit.
+EM_SEED = 20190326
+EM_DIGEST = "fe6b2cc4a27fbf3c953dd514575ece84ed25f9a5995828647fa1878cec0d6aab"
+
+
+def test_run_em_on_the_catalog_is_pinned_bitwise():
+    from logconmix import kernels
+    from logconmix.em import run_em
+    from logconmix.rng import child_seed
+
+    active = kernels.BACKEND
+    kernels.set_backend("python")
+    digest = hashlib.sha256()
+    try:
+        cells = [(m, p) for m in range(1, 7) for p in (0.1, 0.9)]
+        for i, (model, p) in enumerate(cells):
+            spec = model_catalog()[model]
+            values, _ = sample_mixture(spec.known, spec.unknown, p, 200,
+                                       child_seed(EM_SEED, i))
+            r = run_em(values, spec.known)
+            for arr in (np.float64(r.p_hat), r.omega, r.fit.knots, r.fit.phi,
+                        r.loglik_trace, np.int64(r.iterations)):
+                digest.update(_digest(arr).encode())
+    finally:
+        kernels.set_backend(active)
+    assert digest.hexdigest() == EM_DIGEST

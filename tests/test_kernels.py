@@ -295,6 +295,11 @@ def _ref_knot_grad_hess(dt, phi, weights):
     return psi, grad, hd, -dt * jab
 
 
+def _ref_knot_objective(dt, phi, weights):
+    integral = float(np.sum(dt * _ref_j_values(phi[:-1], phi[1:])))
+    return float(np.dot(weights, phi)) - integral + 1.0
+
+
 def _ref_ldl(adiag, aoff, rhs):
     n = adiag.shape[0]
     dref = np.empty(n)
@@ -367,6 +372,17 @@ def test_kernels_bit_identical_to_oracle(rng):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(kpy.segment_integrals(dx, a, b),
                                       dx * _ref_j_values(a, b))
+    # 1-d knot values whose neighbours are the pairs above and the gaps
+    # between them, so every seam and tie shows up in knot_objective too;
+    # without the pairs near 700, no few segments outweigh the rest
+    a, b = cases[0]
+    phi = np.column_stack((a, b))[np.abs(a) < 100.0].ravel()
+    for _ in range(20):   # a summation order that differs shows in some draws
+        dt = rng.uniform(0.01, 2.0, phi.size - 1)
+        w = rng.uniform(0.0, 1.0, phi.size)
+        np.testing.assert_array_equal(kpy.segment_integrals(dt, phi[:-1], phi[1:]),
+                                      dt * _ref_j_values(phi[:-1], phi[1:]))
+        assert kpy.knot_objective(dt, phi, w) == _ref_knot_objective(dt, phi, w)
 
 
 @pytest.mark.parametrize("knots", [2, 8, 200])

@@ -153,6 +153,18 @@ def test_cdf_properties():
     assert np.all(np.diff(vals) >= -1e-12)
 
 
+def test_nan_points_raise_and_infinities_keep_their_meaning():
+    fit = fit_weighted_logconcave(WeightedSample.from_observations(
+        np.linspace(-1.0, 1.0, 21) ** 3))
+    for fn in (cdf, eval_log_density):
+        with pytest.raises(ValueError, match="NaN at index 0"):
+            fn(fit, math.nan)
+        with pytest.raises(ValueError, match="NaN at index 1"):
+            fn(fit, [0.0, math.nan, math.nan])
+    assert list(cdf(fit, [-math.inf, math.inf])) == [0.0, 1.0]
+    assert list(eval_log_density(fit, [-math.inf, math.inf])) == [-math.inf, -math.inf]
+
+
 def test_eval_log_density_interpolates_and_vanishes_outside():
     fit = fit_weighted_logconcave(
         WeightedSample(np.array([0.0, 2.0]), np.array([0.5, 0.5])))
