@@ -14,7 +14,7 @@ Modules:
 - ``identifiability`` sufficient-condition diagnostics for the decomposition
 - ``simulate``        Monte-Carlo benchmark harness
 - ``special``         Student-t tail probabilities (incomplete beta)
-- ``kernels``         numerical kernels with compiled/pure-Python backends
+- ``kernels``         the five numerical kernels, compiled (C) or pure numpy
 - ``cli``             command-line front end (``logconmix`` entry point)
 """
 

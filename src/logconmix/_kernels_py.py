@@ -1,8 +1,11 @@
 """Pure-numpy kernels for the weighted log-concave solver.
 
-This module is the reference implementation; ``_kernels_cy`` mirrors it in
-Cython. Everything here works on float64 arrays and is free of Python-level
-branching per element.
+This module is the reference implementation of the five kernels that
+``logcon`` calls (``j_values``, ``segment_integrals``, ``knot_objective``,
+``knot_grad_hess`` and ``solve_newton_step``); the C extension built from
+``_kernels_c.c`` implements the same five with the same formulas. Everything
+here works on float64 arrays and is free of Python-level branching per
+element.
 
 Central object: the exponential-segment integral
 
@@ -40,8 +43,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-BACKEND_NAME = "python"
 
 _SERIES_RADIUS = 0.05  # G2, G3 switch to series inside this |b - a|
 _VALUE_SERIES_RADIUS = 1e-5  # G1 switches to series inside this |b - a|
@@ -129,27 +130,6 @@ def _parts(a, b, order):
 def j_values(a, b):
     """Elementwise J(a, b); symmetric in its arguments."""
     return _parts(a, b, 1)[0]
-
-
-def j_value(a: float, b: float) -> float:
-    return float(j_values(a, b))
-
-
-def j_first_partials(a, b):
-    """Elementwise (dJ/da, dJ/db)."""
-    rows = _parts(a, b, 2)
-    return rows[1], rows[2]
-
-
-def j_all_partials(a, b):
-    """Elementwise (dJ/da, dJ/db, d2J/da2, d2J/dadb, d2J/db2)."""
-    rows = _parts(a, b, 3)
-    return rows[1], rows[2], rows[3], rows[5], rows[4]
-
-
-def j_partials(a: float, b: float):
-    ja, jb, jaa, jab, jbb = j_all_partials(a, b)
-    return float(ja), float(jb), float(jaa), float(jab), float(jbb)
 
 
 def segment_integrals(dx, pa, pb):
@@ -274,7 +254,7 @@ def integral_grad_terms(x, phi_all):
     x = np.asarray(x, dtype=float)
     phi_all = np.asarray(phi_all, dtype=float)
     dx = np.diff(x)
-    ja, jb = j_first_partials(phi_all[:-1], phi_all[1:])
+    _, ja, jb = _parts(phi_all[:-1], phi_all[1:], 2)
     terms = np.zeros_like(phi_all)
     terms[:-1] += dx * ja
     terms[1:] += dx * jb

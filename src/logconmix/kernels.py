@@ -1,9 +1,12 @@
 """Kernel backend selection.
 
-The compiled Cython kernels are used when the extension imported cleanly; the
-pure-numpy module is the fallback. `LOGCONMIX_BACKEND=python` (or `cython`)
-forces a choice, and tests/benchmarks can switch at runtime with
-:func:`set_backend`.
+``logcon`` calls five kernels: ``j_values``, ``segment_integrals``,
+``knot_objective``, ``knot_grad_hess`` and ``solve_newton_step``. The
+``"compiled"`` backend takes them from ``_kernels_c``, the C extension that
+``setup.py`` builds from ``_kernels_c.c``, and is selected when that module
+imports; the ``"python"`` backend takes them from the pure-numpy
+``_kernels_py``, their reference. ``LOGCONMIX_BACKEND=python|compiled|auto``
+forces a choice at import, and :func:`set_backend` switches at runtime.
 """
 
 from __future__ import annotations
@@ -12,29 +15,27 @@ import os
 
 from . import _kernels_py
 
-# What logcon.py calls, and the four per-point kernels that it no longer
-# calls (interp_to_points, aggregate_weights, integral_grad_terms and
-# multipliers): logcon does that work on its point grid, and these stay as
-# its test oracle and for the benchmark tracer, which wraps them by name. The
-# scalar and partial J-kernels stay on each backend module, where
-# tests/test_kernels.py checks them directly.
-_FORWARDED = [
-    "j_values", "segment_integrals", "knot_objective", "knot_grad_hess",
-    "solve_newton_step", "interp_to_points", "aggregate_weights",
-    "integral_grad_terms", "multipliers",
-]
+# The four per-point kernels that logcon no longer calls: it does that work
+# on its point grid. They stay, from _kernels_py on every backend, as that
+# code's test oracle and for the benchmark tracer, which wraps them by name.
+from ._kernels_py import (aggregate_weights, integral_grad_terms,  # noqa: F401
+                          interp_to_points, multipliers)
 
-__all__ = _FORWARDED + ["BACKEND", "set_backend", "available_backends"]
+_CONTRACT = ["j_values", "segment_integrals", "knot_objective",
+             "knot_grad_hess", "solve_newton_step"]
 
-_impl = _kernels_py
+__all__ = _CONTRACT + ["interp_to_points", "aggregate_weights",
+                       "integral_grad_terms", "multipliers",
+                       "BACKEND", "set_backend", "available_backends"]
+
 BACKEND = "python"
 
 
 def available_backends() -> list:
     out = ["python"]
     try:
-        from . import _kernels_cy  # noqa: F401
-        out.append("cython")
+        from . import _kernels_c  # noqa: F401
+        out.append("compiled")
     except ImportError:
         pass
     return out
@@ -42,28 +43,27 @@ def available_backends() -> list:
 
 def set_backend(name: str) -> str:
     """Select the kernel implementation; returns the active backend name."""
-    global _impl, BACKEND
+    global BACKEND
     if name == "python":
-        _impl = _kernels_py
-    elif name == "cython":
-        from . import _kernels_cy
-        _impl = _kernels_cy
+        impl = _kernels_py
+    elif name == "compiled":
+        from . import _kernels_c as impl
     else:
-        raise ValueError(f"unknown kernel backend {name!r}; use 'python' or 'cython'")
+        raise ValueError(f"unknown kernel backend {name!r}; use 'python' or 'compiled'")
     BACKEND = name
-    for fn in _FORWARDED:
-        globals()[fn] = getattr(_impl, fn)
+    for fn in _CONTRACT:
+        globals()[fn] = getattr(impl, fn)
     return BACKEND
 
 
 _requested = os.environ.get("LOGCONMIX_BACKEND", "").strip().lower()
 if _requested in ("", "auto"):
     try:
-        set_backend("cython")
+        set_backend("compiled")
     except ImportError:
         set_backend("python")
-elif _requested in ("python", "cython"):
+elif _requested in ("python", "compiled"):
     set_backend(_requested)
 else:
     raise ValueError(
-        f"LOGCONMIX_BACKEND={_requested!r} not understood; use 'python', 'cython', or 'auto'")
+        f"LOGCONMIX_BACKEND={_requested!r} not understood; use 'python', 'compiled', or 'auto'")

@@ -10,11 +10,20 @@ can solve the same problem the package's active-set Newton method solves.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def independent_objective(points, weights, phi) -> float:
@@ -108,3 +117,54 @@ def random_small_sample(rng, m):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+@pytest.fixture
+def python_backend():
+    """Run the test on the python kernels, whose bits the pinned digests
+    hold; the backend that was active comes back afterwards."""
+    from logconmix import kernels
+
+    active = kernels.BACKEND
+    kernels.set_backend("python")
+    yield
+    kernels.set_backend(active)
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory):
+    """The compiled kernels module, ``logconmix._kernels_c``.
+
+    A module that already imports (one built in place) is used as it is.
+    Otherwise ``setup.py build_ext`` builds it from ``_kernels_c.c`` into a
+    temporary build directory, never into ``src/``, and it is loaded under
+    its package name, so ``kernels.set_backend("compiled")`` finds it too.
+    Skips only when there is no C compiler or no ``Python.h``.
+    """
+    import logconmix
+
+    try:
+        from logconmix import _kernels_c
+        return _kernels_c
+    except ImportError:
+        pass
+    cc = (sysconfig.get_config_var("CC") or "gcc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled kernels")
+    if not Path(sysconfig.get_paths()["include"], "Python.h").exists():
+        pytest.skip("Python.h is missing, so the compiled kernels cannot be built")
+    tmp = tmp_path_factory.mktemp("kernels_c")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(tmp / "lib"),
+         "--build-temp", str(tmp / "temp")],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    built = [p for suffix in importlib.machinery.EXTENSION_SUFFIXES
+             for p in (tmp / "lib" / "logconmix").glob("_kernels_c" + suffix)]
+    if not built:
+        pytest.fail("building the compiled kernels failed:\n" + proc.stdout + proc.stderr)
+    spec = importlib.util.spec_from_file_location("logconmix._kernels_c", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules["logconmix._kernels_c"] = module
+    logconmix._kernels_c = module
+    return module

@@ -373,10 +373,11 @@ def test_tstats_feeds_fit(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_tstats_and_fit_output_bytes_are_pinned(tmp_path, capsys):
+def test_tstats_and_fit_output_bytes_are_pinned(tmp_path, capsys, python_backend):
     # 500 genes x 20 samples, a fifth of them shifted in group 1; the
     # digests were taken from the row-by-row reader, so any change in how a
-    # matrix is parsed or a t, p or fit is computed shows up here
+    # matrix is parsed or a t, p or fit is computed shows up here; the fit
+    # digest holds the python kernels' bits
     rng = np.random.default_rng(2024)
     x = rng.normal(0.0, 1.0, (500, 20))
     x[:100, :10] += rng.uniform(0.5, 3.0, 100)[:, None]

@@ -141,24 +141,18 @@ EM_SEED = 20190326
 EM_DIGEST = "fe6b2cc4a27fbf3c953dd514575ece84ed25f9a5995828647fa1878cec0d6aab"
 
 
-def test_run_em_on_the_catalog_is_pinned_bitwise():
-    from logconmix import kernels
+def test_run_em_on_the_catalog_is_pinned_bitwise(python_backend):
     from logconmix.em import run_em
     from logconmix.rng import child_seed
 
-    active = kernels.BACKEND
-    kernels.set_backend("python")
     digest = hashlib.sha256()
-    try:
-        cells = [(m, p) for m in range(1, 7) for p in (0.1, 0.9)]
-        for i, (model, p) in enumerate(cells):
-            spec = model_catalog()[model]
-            values, _ = sample_mixture(spec.known, spec.unknown, p, 200,
-                                       child_seed(EM_SEED, i))
-            r = run_em(values, spec.known)
-            for arr in (np.float64(r.p_hat), r.omega, r.fit.knots, r.fit.phi,
-                        r.loglik_trace, np.int64(r.iterations)):
-                digest.update(_digest(arr).encode())
-    finally:
-        kernels.set_backend(active)
+    cells = [(m, p) for m in range(1, 7) for p in (0.1, 0.9)]
+    for i, (model, p) in enumerate(cells):
+        spec = model_catalog()[model]
+        values, _ = sample_mixture(spec.known, spec.unknown, p, 200,
+                                   child_seed(EM_SEED, i))
+        r = run_em(values, spec.known)
+        for arr in (np.float64(r.p_hat), r.omega, r.fit.knots, r.fit.phi,
+                    r.loglik_trace, np.int64(r.iterations)):
+            digest.update(_digest(arr).encode())
     assert digest.hexdigest() == EM_DIGEST
