@@ -324,7 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="replications (default 50; 200 with "
                             "--full-profile)")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help="worker processes, capped at the CPUs this "
+                            "process may use")
     p_sim.add_argument("--out", help="output CSV path (default: stdout)")
     p_sim.add_argument("--full-profile", action="store_true",
                        help="run the full grid: models 1-6 x p in "

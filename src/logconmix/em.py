@@ -38,9 +38,9 @@ pass's trace and the combined iteration count. ``init='flat'`` instead
 uses the classical single-pass start omega0 = 1 - p_init everywhere, which
 makes f^(0) the unweighted log-concave MLE of the full sample.
 
-Cost per iteration. ``run_em`` sorts the sample once and builds one
-workspace: the distinct points, as the grid that every M-step fits on, and
-each observation's tie group. An iteration then makes a fixed number of
+Cost per iteration. ``run_em`` sorts the sample once and builds one logcon
+grid from it: the distinct points, on which every M-step fits, and each
+observation's tie group. An iteration then makes a fixed number of
 elementwise passes over the n points (m <= n distinct ones), plus O(R) work
 per Newton step on the R knots:
 - the E-step and the mixing weight: about 8 passes, with no transcendental
@@ -52,11 +52,11 @@ per Newton step on the R knots:
   shares, reused while the knots stay; per aggregation onto the knots, one
   bincount over 2m entries; and per multiplier check (once per outer round,
   usually once per M-step), about 30 passes with one ``exp``, whose values
-  e^phi are the next E-step's f. A fit that would repeat the last one bit for
-  bit returns at once (13% of M-steps on the simulation catalog, most of them
-  in the clamped warm-up);
+  e^phi are the next E-step's f;
 - the log-likelihood: about 7 passes with one ``log``.
-No pass sorts or binary-searches the points.
+No pass sorts or binary-searches the points. A clamped iteration whose fit
+returns its start bit for bit is an exact fixed point, so the clamped
+iterations left are recorded without being run (see ``_em_pass``).
 
 Degenerate exits: when the posterior mass of one component collapses below
 ``min_component_mass`` per observation, the result is pinned to the
@@ -77,8 +77,8 @@ from .errors import (AllWeightsKnownError, ComponentCollapsedError,
 from .families import KnownComponent, log_pdf_known
 from .identifiability import (IdentifiabilityReport, check_identifiability,
                               report_to_dict)
-from .logcon import (FitOptions, LogConcaveFit, WeightedSample, _floored,
-                     _Grid, eval_log_density, fit_to_dict,
+from .logcon import (FitOptions, LogConcaveFit, WeightedSample, _Grid,
+                     _same_bits, eval_log_density, fit_to_dict,
                      fit_weighted_logconcave)
 
 __all__ = [
@@ -178,8 +178,8 @@ def m_step_f(points: Sequence[float], omega: np.ndarray,
     :class:`ComponentCollapsedError` when the total unknown-component mass
     is below ``min_component_mass`` per observation, which would make the
     weighted sample meaningless. Inside :func:`run_em`, ``points`` is the
-    run's workspace, which builds the same weighted sample without a sort
-    or a tie merge.
+    run's grid of sorted observations, which builds the same weighted
+    sample without a sort.
     """
     residual = 1.0 - np.asarray(omega, dtype=float)
     total = float(residual.sum())
@@ -188,7 +188,7 @@ def m_step_f(points: Sequence[float], omega: np.ndarray,
         raise ComponentCollapsedError(
             f"unknown-component mass {total:g} is below "
             f"{min_component_mass:g} per observation ({n} observations)")
-    if isinstance(points, _Workspace):
+    if isinstance(points, _Grid):
         sample = points.sample(residual)
     else:
         sample = WeightedSample.from_observations(points, residual)
@@ -266,30 +266,6 @@ def _pilot_omega(f0_values: np.ndarray, kde_values: np.ndarray,
     return np.where(omega >= _PILOT_ROUND_UP, 1.0, omega)
 
 
-class _Workspace:
-    """What the M-steps of one :func:`run_em` share, built once per run:
-    the sorted sample ``points``, its distinct points as a logcon grid, and
-    each observation's tie group (None when there are no ties)."""
-
-    def __init__(self, points: np.ndarray):
-        keep = np.concatenate(([True], np.diff(points) > 0.0))
-        self.points = points
-        self.group = None if keep.all() else np.cumsum(keep) - 1
-        self.grid = _Grid(points if self.group is None else points[keep])
-
-    def sample(self, residual: np.ndarray) -> WeightedSample:
-        """The sample that ``from_observations(points, residual)`` builds:
-        one bincount merges the ties, summing in ``np.add.at``'s order."""
-        w = residual if self.group is None else np.bincount(self.group, weights=residual)
-        return WeightedSample._on_grid(self.grid, _floored(w))
-
-    def f_values(self, fit: LogConcaveFit) -> np.ndarray:
-        """f = e^phi at every observation; the fit of the latest M-step
-        hands over the values its multiplier check computed."""
-        values = self.grid.exp_phi(fit)
-        return values if self.group is None else values[self.group]
-
-
 @dataclass
 class _EmState:
     p: float
@@ -302,7 +278,12 @@ class _EmState:
     degenerate: Optional[str]
 
 
-def _em_pass(ws: _Workspace, f0_values: np.ndarray, omega0: np.ndarray,
+def _returned_its_start(fit: LogConcaveFit, start: LogConcaveFit) -> bool:
+    """Whether a warm fit kept the knots and phi of its start bit for bit."""
+    return _same_bits(fit.knots, start.knots) and _same_bits(fit.phi, start.phi)
+
+
+def _em_pass(grid: _Grid, f0_values: np.ndarray, omega0: np.ndarray,
              cfg: EmConfig, clamp_iters: int = 0) -> _EmState:
     """One full EM run from starting responsibilities omega0.
 
@@ -312,23 +293,29 @@ def _em_pass(ws: _Workspace, f0_values: np.ndarray, omega0: np.ndarray,
     (p, f) moves jointly; each clamped iteration is an EM step in f alone,
     so the likelihood trace stays nondecreasing through the release. The
     convergence test is suspended while clamped.
+
+    A clamped fit that returns its start bit for bit is an exact fixed
+    point: with p held, every clamped iteration left would repeat its
+    E-step, fit and log-likelihood. Those iterations are counted and their
+    trace entries appended without running them, up to ``max_iters``, and
+    the pass goes on to the release.
     """
-    n = ws.points.size
+    n = f0_values.size
     try:
-        fit = m_step_f(ws, omega0, options=cfg.fit_options,
+        fit = m_step_f(grid, omega0, options=cfg.fit_options,
                        min_component_mass=cfg.min_component_mass)
     except ComponentCollapsedError:
         # Everything was attributed to f0 at the start; report the boundary
         # model. The fit slot still needs a density, so use the pooled MLE.
-        fit = fit_weighted_logconcave(WeightedSample.from_observations(ws.points),
+        fit = fit_weighted_logconcave(grid.sample(np.full(n, 1.0 / n)),
                                       options=cfg.fit_options)
-        f_values = ws.f_values(fit)
+        f_values = grid.f_values(fit)
         trace = [_loglik(0.0, f0_values, f_values)]
         return _EmState(p=0.0, omega=np.ones(n), fit=fit, f_values=f_values,
                         trace=trace, iterations=0, converged=True,
                         degenerate="AllKnown")
     p = m_step_p(omega0)
-    f_values = ws.f_values(fit)
+    f_values = grid.f_values(fit)
     omega = np.asarray(omega0, dtype=float)
     loglik = _loglik(p, f0_values, f_values)
     trace = [loglik]
@@ -336,7 +323,7 @@ def _em_pass(ws: _Workspace, f0_values: np.ndarray, omega0: np.ndarray,
     degenerate: Optional[str] = None
     iterations = 0
 
-    for _ in range(cfg.max_iters):
+    while iterations < cfg.max_iters:
         iterations += 1
         omega = e_step(p, f0_values, f_values)
         unknown_mass = float((1.0 - omega).sum())
@@ -349,25 +336,31 @@ def _em_pass(ws: _Workspace, f0_values: np.ndarray, omega0: np.ndarray,
         if n - unknown_mass < cfg.min_component_mass * n:
             degenerate = "AllUnknown"
             omega = np.zeros_like(omega)
-            fit = m_step_f(ws, omega, options=cfg.fit_options,
+            fit = m_step_f(grid, omega, options=cfg.fit_options,
                            min_component_mass=cfg.min_component_mass,
                            init=fit)
-            f_values = ws.f_values(fit)
+            f_values = grid.f_values(fit)
             p = 1.0
             converged = True
             break
         if iterations > clamp_iters:
             p = unknown_mass / n  # m_step_p(omega): np.mean is this sum / n
-        fit = m_step_f(ws, omega, options=cfg.fit_options,
+        start = fit
+        fit = m_step_f(grid, omega, options=cfg.fit_options,
                        min_component_mass=cfg.min_component_mass, init=fit)
-        f_values = ws.f_values(fit)
+        f_values = grid.f_values(fit)
         new_loglik = _loglik(p, f0_values, f_values)
         trace.append(new_loglik)
         done = abs(new_loglik - loglik) <= cfg.tol_loglik * (1.0 + abs(loglik))
         loglik = new_loglik
-        if done and iterations > clamp_iters:
-            converged = True
-            break
+        if iterations > clamp_iters:
+            if done:
+                converged = True
+                break
+        elif _returned_its_start(fit, start):
+            repeats = min(clamp_iters, cfg.max_iters) - iterations
+            trace.extend([loglik] * repeats)
+            iterations += repeats
 
     return _EmState(p=p, omega=omega, fit=fit, f_values=f_values, trace=trace,
                     iterations=iterations, converged=converged,
@@ -383,9 +376,11 @@ def run_em(points: Sequence[float], f0: KnownComponent,
     even if the inner solver stops early. See the module docstring for the
     two initialization strategies.
 
-    EM runs on the sample sorted once up front, with one workspace for all
-    M-steps (see the module docstring); ``omega`` is returned in the input
-    order.
+    EM runs on the sample sorted once up front, with one logcon grid of the
+    sorted observations for all M-steps (see the module docstring);
+    ``omega`` is returned in the input order. Clamped iterations that would
+    repeat an exact fixed point count in ``iterations`` and ``loglik_trace``
+    as if they had run (see ``_em_pass``).
     """
     cfg = config if config is not None else EmConfig()
     points = np.asarray(points, dtype=float).ravel()
@@ -393,27 +388,26 @@ def run_em(points: Sequence[float], f0: KnownComponent,
         raise ValueError("observations must be finite")
     order = np.argsort(points, kind="stable")
     x = points[order]
-    distinct = int(x.size > 0) + int(np.count_nonzero(np.diff(x)))
-    if distinct < 4:
+    grid = _Grid(x)
+    if grid.points.size < 4:
         raise DegenerateSampleError(
-            f"need at least 4 distinct observations, got {distinct}")
+            f"need at least 4 distinct observations, got {grid.points.size}")
 
     f0_values = np.exp(log_pdf_known(f0, x))
-    ws = _Workspace(x)
 
     if cfg.init == "flat":
         omega0 = np.full(x.shape, 1.0 - cfg.p_init)
-        state = _em_pass(ws, f0_values, omega0, cfg)
+        state = _em_pass(grid, f0_values, omega0, cfg)
         iterations = state.iterations
     else:
         kde_values = _gaussian_kde_at_points(x)
-        first = _em_pass(ws, f0_values,
+        first = _em_pass(grid, f0_values,
                          _pilot_omega(f0_values, kde_values, 1.0), cfg)
         iterations = first.iterations
         state = first
         if first.degenerate is None:
             omega1 = _pilot_omega(f0_values, kde_values, 1.0 - first.p)
-            state = _em_pass(ws, f0_values, omega1, cfg,
+            state = _em_pass(grid, f0_values, omega1, cfg,
                              clamp_iters=_PILOT_CLAMP_ITERS)
             iterations += state.iterations
 

@@ -5,13 +5,11 @@
 ``"compiled"`` backend takes them from ``_kernels_c``, the C extension that
 ``setup.py`` builds from ``_kernels_c.c``, and is selected when that module
 imports; the ``"python"`` backend takes them from the pure-numpy
-``_kernels_py``, their reference. ``LOGCONMIX_BACKEND=python|compiled|auto``
-forces a choice at import, and :func:`set_backend` switches at runtime.
+``_kernels_py``, their reference, and is selected otherwise.
+:func:`set_backend` switches at runtime.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import _kernels_py
 
@@ -56,14 +54,7 @@ def set_backend(name: str) -> str:
     return BACKEND
 
 
-_requested = os.environ.get("LOGCONMIX_BACKEND", "").strip().lower()
-if _requested in ("", "auto"):
-    try:
-        set_backend("compiled")
-    except ImportError:
-        set_backend("python")
-elif _requested in ("python", "compiled"):
-    set_backend(_requested)
-else:
-    raise ValueError(
-        f"LOGCONMIX_BACKEND={_requested!r} not understood; use 'python', 'compiled', or 'auto'")
+try:
+    set_backend("compiled")
+except ImportError:
+    set_backend("python")

@@ -32,9 +32,10 @@ and z = s_j d, the integral is Q_j + d F_j + (e^phi(x) - e^phi_j (1 + z)) / s_j^
 where F_j and Q_j are the integrals of e^phi and (t_j - t) e^phi up to t_j.
 So every multiplier costs one exp per point (a series replaces the closed
 form for small |z|), and that e^phi at the points is also what an EM E-step
-needs. Per-point work runs on a ``_Grid``: the segment of each point comes
-from the knot indices by ``np.repeat``, and the latest knot set's per-point
-data is reused until the knots change.
+needs. Per-point work runs on the sample's ``_Grid``, which holds the
+sorted observations: the segment of each point comes from the knot indices
+by ``np.repeat``, the latest knot set's per-point data is reused until the
+knots change, and e^phi of the latest fit is kept for the observations.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,33 +65,33 @@ _TAIL_SERIES_RADIUS = 0.1
 # its coefficients 1/(k+2)! for k = 0..7, highest power first for Horner;
 # the first term left out is below 3e-15 relative inside the radius
 _TAIL_COEF = [1.0 / math.factorial(k + 2) for k in range(7, -1, -1)]
-
-
-def _floored(wts):
-    """Weights normalized to sum 1, each lifted to the floor
-    WEIGHT_FLOOR_SCALE / m, then normalized again."""
-    total = float(wts.sum())
-    if total <= 0.0:
-        raise ValueError("total weight must be positive")
-    wts = wts / total
-    clipped = np.maximum(wts, WEIGHT_FLOOR_SCALE / wts.size)
-    return clipped / clipped.sum()
+# the active-set solver's caps on outer rounds and on Newton steps per
+# round, and the Armijo sufficient-increase constant of its line search
+_MAX_OUTER_ITERS = 200
+_MAX_NEWTON_ITERS = 50
+_ARMIJO_C = 0.25
 
 
 @dataclass(frozen=True, eq=False)
 class WeightedSample:
-    """Strictly ascending points with positive weights summing to one.
+    """Strictly ascending points with positive weights summing to one, and
+    the grid that fits of them run on.
 
-    Build with :meth:`from_observations`, which sorts, merges tied points
-    (adding their weights), lifts any weight below the floor 1e-10/m up to
-    it (vanishing responsibilities would otherwise drop points from the
-    fitted support entirely), and renormalizes.
+    Build with :meth:`from_observations`, which sorts the observations and
+    hands them to a grid; its ``sample`` merges tied points (adding their
+    weights), lifts any weight below the floor 1e-10/m up to it (vanishing
+    responsibilities would otherwise drop points from the fitted support
+    entirely), and renormalizes. A sample built directly is checked and gets
+    a grid of its own.
     """
 
     points: np.ndarray
     weights: np.ndarray
+    _grid: Optional["_Grid"] = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self._grid is not None:
+            return  # from _Grid.sample, which holds the invariants
         pts = np.asarray(self.points, dtype=float)
         wts = np.asarray(self.weights, dtype=float)
         if pts.ndim != 1 or wts.ndim != 1 or pts.size != wts.size:
@@ -108,6 +109,7 @@ class WeightedSample:
             raise ValueError(f"weights must sum to 1, got {wts.sum()!r}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
+        object.__setattr__(self, "_grid", _Grid(pts))
 
     @property
     def size(self) -> int:
@@ -129,44 +131,16 @@ class WeightedSample:
             if not np.all(np.isfinite(wts)) or np.any(wts < 0.0):
                 raise ValueError("weights must be finite and non-negative")
         order = np.argsort(pts, kind="stable")
-        pts = pts[order]
-        wts = wts[order]
-        # merge exact ties, summing their weights in order
-        keep = np.concatenate(([True], np.diff(pts) > 0.0))
-        if not keep.all():
-            wts = np.bincount(np.cumsum(keep) - 1, weights=wts)
-            pts = pts[keep]
-        if pts.size < 2:
-            raise DegenerateSampleError(
-                f"need at least 2 distinct points, got {pts.size}")
-        return cls(points=pts, weights=_floored(wts))
-
-    @classmethod
-    def _on_grid(cls, grid, weights) -> "WeightedSample":
-        """The sample of ``grid``'s points with ``weights``, which must
-        already hold the invariants (``_floored`` output of the right
-        length); nothing is checked again, and fits of it reuse ``grid``."""
-        sample = object.__new__(cls)
-        object.__setattr__(sample, "points", grid.points)
-        object.__setattr__(sample, "weights", weights)
-        object.__setattr__(sample, "_grid", grid)
-        return sample
+        return _Grid(pts[order]).sample(wts[order])
 
 
 @dataclass(frozen=True)
 class FitOptions:
     tol_kkt: float = 1e-8
-    max_outer_iters: int = 200
-    max_newton_iters: int = 50
-    armijo_c: float = 0.25
 
     def __post_init__(self):
         if not (0.0 < self.tol_kkt < 1.0):
             raise ValueError(f"tol_kkt must be in (0, 1), got {self.tol_kkt}")
-        if self.max_outer_iters < 1 or self.max_newton_iters < 1:
-            raise ValueError("iteration caps must be >= 1")
-        if not (0.0 < self.armijo_c < 1.0):
-            raise ValueError(f"armijo_c must be in (0, 1), got {self.armijo_c}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,16 +233,33 @@ class _KnotSet:
 
 
 class _Grid:
-    """Sorted distinct points that several fits share, with what they
-    reuse: the spacings, the latest knot set's per-point data, and e^phi at
-    the points of the latest fit."""
+    """Sorted observations that several fits share: their distinct values
+    ``points``, on which every fit runs, each observation's tie group
+    ``group`` (None when there are no ties), the spacings, the latest knot
+    set's per-point data, and e^phi at the points of the latest fit."""
 
-    def __init__(self, points):
-        self.points = points
-        self.dx = points[1:] - points[:-1]
+    def __init__(self, observations):
+        keep = np.concatenate(([True], np.diff(observations) > 0.0))
+        self.group = None if keep.all() else np.cumsum(keep) - 1
+        self.points = observations if self.group is None else observations[keep]
+        self.dx = self.points[1:] - self.points[:-1]
         self._knots = None
         self._density = (None, None)
-        self._warm = None
+
+    def sample(self, weights) -> WeightedSample:
+        """The weighted sample of the points, one weight per observation:
+        one bincount merges the ties, summing in ``np.add.at``'s order, and
+        the merged weights are normalized, lifted to the floor
+        WEIGHT_FLOOR_SCALE / m and normalized again."""
+        m = self.points.size
+        if m < 2:
+            raise DegenerateSampleError(f"need at least 2 distinct points, got {m}")
+        w = weights if self.group is None else np.bincount(self.group, weights=weights)
+        total = float(w.sum())
+        if total <= 0.0:
+            raise ValueError("total weight must be positive")
+        clipped = np.maximum(w / total, WEIGHT_FLOOR_SCALE / m)
+        return WeightedSample(self.points, clipped / clipped.sum(), self)
 
     def knot_set(self, kidx) -> _KnotSet:
         if self._knots is None or not _same_bits(self._knots.kidx, kidx):
@@ -276,25 +267,18 @@ class _Grid:
             self._knots = _KnotSet(self.points, kidx)
         return self._knots
 
-    def repeat_of(self, w, options, init) -> bool:
-        """Whether a warm fit from ``init`` would replay the last one here."""
-        last = self._warm  # (options, weights, fit), or None
-        return (last is not None and last[2] is init and last[0] == options
-                and _same_bits(last[1], w))
-
-    def remember(self, fit, exp_phi) -> None:
-        self._density = (fit, exp_phi)
-
-    def exp_phi(self, fit) -> np.ndarray:
-        """e^phi of ``fit`` at the points; its knots must be points."""
+    def f_values(self, fit) -> np.ndarray:
+        """f = e^phi of ``fit`` at every observation; its knots must be
+        points. The latest fit here hands over the values its multiplier
+        check computed."""
         known, values = self._density
-        if known is fit:
-            return values
-        kidx = np.searchsorted(self.points, fit.knots)
-        if np.any(kidx >= self.points.size) or not np.array_equal(
-                self.points[kidx], fit.knots):
-            raise ValueError("fit knots must be grid points")
-        return np.exp(self.knot_set(kidx).phi_at(fit.phi)[0])
+        if known is not fit:
+            kidx = np.searchsorted(self.points, fit.knots)
+            if np.any(kidx >= self.points.size) or not np.array_equal(
+                    self.points[kidx], fit.knots):
+                raise ValueError("fit knots must be grid points")
+            values = np.exp(self.knot_set(kidx).phi_at(fit.phi)[0])
+        return values if self.group is None else values[self.group]
 
 
 def _same_bits(a, b) -> bool:
@@ -351,7 +335,7 @@ def _knot_weights(grid, kidx, w):
     return ks.dt, ks.inv_dt, ks.aggregate(w)
 
 
-def _reduced_solve(grid, w, kidx, phi_k, options, gtol):
+def _reduced_solve(grid, w, kidx, phi_k, gtol):
     """Newton with Armijo backtracking on the current knot set.
 
     Truncated steps activate the blocking constraint (the knot drops out).
@@ -361,7 +345,7 @@ def _reduced_solve(grid, w, kidx, phi_k, options, gtol):
     dt, inv_dt, W = _knot_weights(grid, kidx, w)
     psi, grad, hd, he = K.knot_grad_hess(dt, phi_k, W)
     stalled = False
-    for _ in range(options.max_newton_iters):
+    for _ in range(_MAX_NEWTON_ITERS):
         if float(np.abs(grad).max()) <= gtol:
             break
         step = K.solve_newton_step(hd, he, grad)
@@ -375,7 +359,7 @@ def _reduced_solve(grid, w, kidx, phi_k, options, gtol):
             while alpha > 1e-16:
                 cand = step * alpha
                 cand += phi_k
-                if K.knot_objective(dt, cand, W) >= psi + options.armijo_c * alpha * slope:
+                if K.knot_objective(dt, cand, W) >= psi + _ARMIJO_C * alpha * slope:
                     break
                 alpha *= 0.5
             else:
@@ -432,16 +416,12 @@ def fit_weighted_logconcave(sample: WeightedSample,
     constraint active.
     """
     options = options or FitOptions()
-    grid = getattr(sample, "_grid", None)
-    if grid is None:
-        grid = _Grid(sample.points)
+    grid = sample._grid
     x = grid.points
     w = sample.weights
     m = x.size
 
     if init is not None:
-        if grid.repeat_of(w, options, init):
-            return init
         kidx = x.searchsorted(init.knots)
         if (kidx[0] != 0 or kidx[-1] != m - 1
                 or np.count_nonzero(x[kidx] != init.knots)):
@@ -458,8 +438,8 @@ def fit_weighted_logconcave(sample: WeightedSample,
     psi_prev = -math.inf
     released_last = -1
     exp_phi = None  # e^phi at the points, while it matches (kidx, phi_k)
-    for _outer in range(options.max_outer_iters):
-        kidx, phi_k, stalled, W = _reduced_solve(grid, w, kidx, phi_k, options, tol)
+    for _outer in range(_MAX_OUTER_ITERS):
+        kidx, phi_k, stalled, W = _reduced_solve(grid, w, kidx, phi_k, tol)
         # Exact normalization: shifting phi by -log(integral) preserves
         # concavity and never lowers psi. The KKT test below runs on the
         # normalized state; if the shift disturbed stationarity beyond tol
@@ -496,10 +476,7 @@ def fit_weighted_logconcave(sample: WeightedSample,
     fit = LogConcaveFit(knots=x[kidx], phi=phi_k, objective=psi,
                         kkt_residual=kkt, converged=converged)
     if exp_phi is not None:
-        grid.remember(fit, exp_phi)
-    if init is not None:  # a warm fit that returned its start can be repeated
-        fixed = _same_bits(fit.knots, init.knots) and _same_bits(fit.phi, init.phi)
-        grid._warm = (options, w, fit) if fixed else None
+        grid._density = (fit, exp_phi)
     return fit
 
 

@@ -13,6 +13,7 @@ worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
@@ -110,13 +111,22 @@ def _run_replication(args: Tuple[int, float, int, int, int, EmConfig]
     return (1, result.p_hat, mu_hat, cla)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def run_scenario(spec: ScenarioSpec, workers: int = 1,
                  config: Optional[EmConfig] = None) -> ScenarioSummary:
     """Run all replications of one scenario and aggregate the estimates.
 
-    ``workers > 1`` fans replications out to worker processes; results are
-    identical to the serial run because each replication depends only on
-    (scenario seed, replication index). Raises
+    ``workers > 1`` fans replications out to worker processes, at most one
+    per replication and per CPU this process may use; results are identical
+    to the serial run because each replication depends only on (scenario
+    seed, replication index). Raises
     :class:`AllReplicationsFailedError` when no replication succeeds.
     """
     if workers < 1:
@@ -124,10 +134,11 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1,
     cfg = config if config is not None else EmConfig()
     tasks = [(spec.model_id, spec.p, spec.n, spec.seed, rep, cfg)
              for rep in range(spec.reps)]
-    if workers == 1 or spec.reps == 1:
+    workers = min(workers, spec.reps, _usable_cpus())
+    if workers == 1:
         rows = [_run_replication(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, spec.reps)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_replication, tasks))
 
     ok = np.array([r[0] for r in rows], dtype=bool)

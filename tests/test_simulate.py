@@ -4,10 +4,12 @@ determinism, serial/parallel agreement, and the summary table format."""
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from logconmix import simulate
 from logconmix.em import EmConfig
 from logconmix.errors import AllReplicationsFailedError
 from logconmix.families import (Beta15, Exponential, Normal, ShiftedChiSq3,
@@ -66,6 +68,37 @@ def test_parallel_matches_serial_exactly():
     serial = run_scenario(spec, workers=1)
     parallel = run_scenario(spec, workers=3)
     assert serial == parallel
+
+
+def test_worker_pool_is_capped_at_the_usable_cpus(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size and maps in this process; starts none."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    assert 1 <= simulate._usable_cpus() <= (os.cpu_count() or 1)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+    spec = ScenarioSpec(model_id=1, p=0.5, n=120, reps=5, seed=9)
+    serial = summary_table([run_scenario(spec, workers=1)])
+    for workers, size in ((200, 3), (2, 2)):
+        assert summary_table([run_scenario(spec, workers=workers)]) == serial
+        assert sizes[-1] == size
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+    assert summary_table([run_scenario(spec, workers=200)]) == serial
+    assert sizes == [3, 2]  # one usable CPU runs serially
 
 
 def test_different_seeds_differ():

@@ -1,10 +1,12 @@
-"""The active-set solver's step bound and its repeat shortcut.
+"""The active-set solver's step bound, its reuse of the grid, and EM's
+skip of the clamp's exact repeats.
 
 ``_max_feasible_step`` is checked bit for bit against the earlier
-formulation, kept here as the oracle. The shortcut in
-``fit_weighted_logconcave`` returns a warm start unchanged when the last warm
-fit on the same grid, with the same weights and options, returned that start
-as it was; every other call must run the solver and give its bits.
+formulation, kept here as the oracle. A fit on a grid that already served
+fits must give the bits of the same fit on a fresh grid. When a clamped
+M-step of ``run_em`` returns its start bit for bit, the clamped iterations
+left are recorded without being run; the result must equal, bit for bit,
+the one that runs them.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 
-from logconmix import em, kernels, logcon
+from logconmix import em, logcon
 from logconmix.families import Normal, sample_mixture
-from logconmix.logcon import (FitOptions, LogConcaveFit, WeightedSample,
-                              fit_weighted_logconcave)
+from logconmix.logcon import fit_weighted_logconcave
+from logconmix.rng import child_seed
+from logconmix.simulate import model_catalog
 
 
 def _ref_max_feasible_step(dt, phi_k, direction):
@@ -90,120 +92,68 @@ def test_max_feasible_step_clamps_roundoff_negative_curvature():
     assert _check_step(np.ones(3), phi, direction) == (0.0, 1)
 
 
-@pytest.fixture
-def repeat_case(rng):
-    """A workspace, one weighted sample on its grid, and a warm fit that
-    returned its start: the next warm call from it is an exact repeat."""
-    x = np.sort(sample_mixture(Normal(0.0, 2.0), Normal(3.0, 1.0), 0.4, 300, 11)[0])
-    ws = em._Workspace(x)
-    sample = ws.sample(rng.uniform(0.0, 1.0, x.size))
-    fit = fit_weighted_logconcave(sample)
-    for _ in range(20):
-        warm = fit_weighted_logconcave(sample, init=fit)
-        if warm is fit:
-            return ws, sample, fit
-        fit = warm
-    raise AssertionError("no warm fit returned its start")
-
-
-@pytest.fixture
-def grad_hess_calls(monkeypatch):
-    calls = []
-    inner = kernels.knot_grad_hess
-
-    def counted(*args):
-        calls.append(1)
-        return inner(*args)
-
-    monkeypatch.setattr(kernels, "knot_grad_hess", counted)
-    return calls
-
-
-def _fresh(points, weights, init, options=None):
-    """The fit on a new grid, where no earlier fit can be repeated."""
-    start = LogConcaveFit(knots=init.knots.copy(), phi=init.phi.copy(),
-                          objective=init.objective,
-                          kkt_residual=init.kkt_residual, converged=init.converged)
-    sample = WeightedSample._on_grid(logcon._Grid(points), weights)
-    return fit_weighted_logconcave(sample, options=options, init=start)
-
-
 def _same_fit(a, b):
     assert np.array_equal(a.knots, b.knots)
     assert a.phi.tobytes() == b.phi.tobytes()
     assert (a.objective, a.kkt_residual, a.converged) == (b.objective, b.kkt_residual, b.converged)
 
 
-def test_an_exact_repeat_returns_its_start_without_solving(repeat_case, grad_hess_calls):
-    ws, sample, fit = repeat_case
-    again = WeightedSample._on_grid(ws.grid, sample.weights.copy())
-    assert fit_weighted_logconcave(again, init=fit) is fit
-    assert fit_weighted_logconcave(again, options=FitOptions(), init=fit) is fit
-    assert not grad_hess_calls
-    # and the solver, run from the same start, would return the same bits
-    _same_fit(_fresh(ws.grid.points, sample.weights, fit), fit)
+def test_a_warm_fit_on_a_used_grid_equals_one_on_a_fresh_grid(rng):
+    # the grid keeps the latest knot set and e^phi between fits; neither may
+    # change a bit of the next fit, a warm fit that returns its start included
+    x = np.sort(sample_mixture(Normal(0.0, 2.0), Normal(3.0, 1.0), 0.4, 300, 11)[0])
+    grid = logcon._Grid(x)
+    fit = fit_weighted_logconcave(grid.sample(rng.uniform(0.0, 1.0, x.size)))
+    for _ in range(5):
+        w = rng.uniform(0.0, 1.0, x.size)
+        for _ in range(3):
+            warm = fit_weighted_logconcave(grid.sample(w), init=fit)
+            _same_fit(warm, fit_weighted_logconcave(logcon._Grid(x).sample(w), init=fit))
+            fit = warm
 
 
-def test_a_one_ulp_weight_change_runs_the_solver(repeat_case, grad_hess_calls):
-    ws, sample, fit = repeat_case
-    w = sample.weights.copy()
-    w[17] = np.nextafter(w[17], 1.0)
-    got = fit_weighted_logconcave(WeightedSample._on_grid(ws.grid, w), init=fit)
-    assert got is not fit
-    assert grad_hess_calls
-    _same_fit(got, _fresh(ws.grid.points, w, fit))
-
-
-def test_other_options_run_the_solver(repeat_case, grad_hess_calls):
-    ws, sample, fit = repeat_case
-    options = FitOptions(tol_kkt=1e-9)
-    got = fit_weighted_logconcave(sample, options=options, init=fit)
-    assert got is not fit
-    assert grad_hess_calls
-    _same_fit(got, _fresh(ws.grid.points, sample.weights, fit, options))
-
-
-def test_a_warm_fit_that_moved_is_not_repeated(repeat_case, grad_hess_calls):
-    ws, sample, fit = repeat_case
-    start = LogConcaveFit(knots=fit.knots, phi=fit.phi - 0.01, objective=fit.objective,
-                          kkt_residual=fit.kkt_residual, converged=fit.converged)
-    moved = fit_weighted_logconcave(sample, init=start)
-    calls = len(grad_hess_calls)
-    again = fit_weighted_logconcave(sample, init=moved)
-    assert again is not moved
-    assert len(grad_hess_calls) > calls
-    _same_fit(again, _fresh(ws.grid.points, sample.weights, moved))
-
-
-def test_a_cold_fit_never_repeats(repeat_case, grad_hess_calls):
-    ws, sample, fit = repeat_case
-    cold = fit_weighted_logconcave(sample)
-    assert cold is not fit
-    assert grad_hess_calls
-    # a cold fit leaves the record of the last warm fit alone
-    calls = len(grad_hess_calls)
-    assert fit_weighted_logconcave(sample, init=fit) is fit
-    assert len(grad_hess_calls) == calls
+def _tied_catalog_sample():
+    """Model 3 at p = 0.9, rounded to one decimal: the clamped warm-up of
+    the second pilot pass reaches an exact fixed point at its 5th iteration
+    under each budget tested."""
+    spec = model_catalog()[3]
+    values, _ = sample_mixture(spec.known, spec.unknown, 0.9, 200, child_seed(3200, 1))
+    return np.round(values, 1), spec.known
 
 
 def test_run_em_is_bitwise_equal_without_the_shortcut(monkeypatch):
-    values, _ = sample_mixture(Normal(0.0, 2.0), Normal(3.0, 1.0), 0.4, 300, 2)
-    repeats = []
-    original = logcon._Grid.repeat_of
+    values, f0 = _tied_catalog_sample()
+    check = em._returned_its_start
+    fired = []
+    fits = []
+    m_step_f = em.m_step_f
 
-    def seen(self, *args):
-        hit = original(self, *args)
-        repeats.append(hit)
-        return hit
+    def seen(fit, start):
+        fired.append(check(fit, start))
+        return fired[-1]
 
-    monkeypatch.setattr(logcon._Grid, "repeat_of", seen)
-    with_shortcut = em.run_em(values, Normal(0.0, 2.0))
-    assert any(repeats)
-    monkeypatch.setattr(logcon._Grid, "repeat_of", lambda self, *args: False)
-    without = em.run_em(values, Normal(0.0, 2.0))
-    assert with_shortcut.p_hat == without.p_hat
-    assert with_shortcut.omega.tobytes() == without.omega.tobytes()
-    assert with_shortcut.loglik_trace.tobytes() == without.loglik_trace.tobytes()
-    assert (with_shortcut.iterations, with_shortcut.converged, with_shortcut.degenerate) == \
-        (without.iterations, without.converged, without.degenerate)
-    _same_fit(with_shortcut.fit, without.fit)
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return m_step_f(*args, **kwargs)
+
+    monkeypatch.setattr(em, "m_step_f", counted)
+    # the clamp of 50 iterations outlasts a budget of 10, meets one of 50,
+    # and leaves one free iteration in a budget of 51
+    for max_iters in (10, 50, 51):
+        config = em.EmConfig(max_iters=max_iters)
+        fired.clear()
+        fits.clear()
+        monkeypatch.setattr(em, "_returned_its_start", seen)
+        with_shortcut = em.run_em(values, f0, config)
+        assert any(fired), max_iters
+        skipping = len(fits)
+        fits.clear()
+        monkeypatch.setattr(em, "_returned_its_start", lambda fit, start: False)
+        without = em.run_em(values, f0, config)
+        assert skipping < len(fits), max_iters
+        assert with_shortcut.p_hat == without.p_hat
+        assert with_shortcut.omega.tobytes() == without.omega.tobytes()
+        assert with_shortcut.loglik_trace.tobytes() == without.loglik_trace.tobytes()
+        assert (with_shortcut.iterations, with_shortcut.converged, with_shortcut.degenerate) == \
+            (without.iterations, without.converged, without.degenerate)
+        _same_fit(with_shortcut.fit, without.fit)

@@ -1,11 +1,14 @@
-"""The EM workspace and the per-point work of the log-concave fit.
+"""The observation grid, EM's workspace, and the per-point work of the
+log-concave fit.
 
-``run_em`` merges ties once per run, ``logcon`` takes segment ids from the
-knot indices and aggregates weights with one bincount, the concavity
-multipliers come in closed form per knot segment, and e^phi at the points
-goes from the multiplier check to the E-step. The kernels that did this work
-before (``aggregate_weights``, ``interp_to_points``, ``integral_grad_terms``
-followed by ``multipliers``) stay in ``_kernels_py`` as the oracle.
+``run_em`` builds one ``logcon._Grid`` of the sorted observations, whose
+``sample`` merges ties and floors the weights for every M-step; ``logcon``
+takes segment ids from the knot indices and aggregates weights with one
+bincount, the concavity multipliers come in closed form per knot segment,
+and e^phi at the points goes from the multiplier check to the E-step. The
+kernels that did this work before (``aggregate_weights``,
+``interp_to_points``, ``integral_grad_terms`` followed by ``multipliers``)
+stay in ``_kernels_py`` as the oracle.
 """
 
 from __future__ import annotations
@@ -151,29 +154,31 @@ def _mixture(n, seed, ties):
 @pytest.mark.parametrize("ties", [False, True])
 def test_workspace_sample_equals_from_observations_bitwise(rng, ties):
     x = np.sort(_mixture(500, 3, ties))
-    ws = em._Workspace(x)
+    grid = logcon._Grid(x)
     residual = rng.uniform(0.0, 1.0, x.size)
     residual[::7] = 0.0
-    got = ws.sample(residual)
+    got = grid.sample(residual)
+    assert got._grid is grid
     want = WeightedSample.from_observations(x, residual)
     assert np.array_equal(got.points, want.points)
     assert np.array_equal(got.weights, want.weights)
-    # the tie merge sums as np.add.at does
+    # the tie merge sums as np.add.at does, and the floor lifts the zeros
     keep = np.concatenate(([True], np.diff(x) > 0.0))
+    assert np.array_equal(grid.points, np.unique(x))
     merged = np.zeros(int(keep.sum()))
     np.add.at(merged, np.cumsum(keep) - 1, residual)
     merged = merged / merged.sum()
     floored = np.maximum(merged, logcon.WEIGHT_FLOOR_SCALE / merged.size)
-    assert np.array_equal(want.weights, floored / floored.sum())
+    assert np.array_equal(got.weights, floored / floored.sum())
 
 
 @pytest.mark.parametrize("ties", [False, True])
 def test_e_step_density_equals_eval_log_density(rng, ties):
     x = np.sort(_mixture(600, 5, ties))
-    ws = em._Workspace(x)
+    grid = logcon._Grid(x)
     omega = rng.uniform(0.0, 1.0, x.size)
-    fit = em.m_step_f(ws, omega)
-    handed = ws.f_values(fit)
+    fit = em.m_step_f(grid, omega)
+    handed = grid.f_values(fit)
     want = np.exp(eval_log_density(fit, x))
     # within a few ulps; the interpolation is np.interp's, so it is exact
     assert np.all(np.abs(handed - want) <= 4 * np.spacing(want))
@@ -181,17 +186,17 @@ def test_e_step_density_equals_eval_log_density(rng, ties):
     # a fit the grid did not produce is evaluated on demand
     other = LogConcaveFit(knots=fit.knots, phi=fit.phi.copy(), objective=fit.objective,
                           kkt_residual=fit.kkt_residual, converged=fit.converged)
-    assert np.array_equal(ws.f_values(other), want)
+    assert np.array_equal(grid.f_values(other), want)
 
 
 def test_m_step_f_workspace_and_array_paths_agree(rng):
     x = np.sort(_mixture(400, 9, True))
     omega = rng.uniform(0.0, 1.0, x.size)
-    a = em.m_step_f(em._Workspace(x), omega)
+    a = em.m_step_f(logcon._Grid(x), omega)
     b = em.m_step_f(x, omega)
     assert np.array_equal(a.knots, b.knots)
     assert np.array_equal(a.phi, b.phi)
     assert a.objective == b.objective
-    warm_a = em.m_step_f(em._Workspace(x), 0.5 * omega, init=a)
+    warm_a = em.m_step_f(logcon._Grid(x), 0.5 * omega, init=a)
     warm_b = em.m_step_f(x, 0.5 * omega, init=b)
     assert np.array_equal(warm_a.phi, warm_b.phi)
