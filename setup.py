@@ -2,8 +2,9 @@
 
 ``logconmix._kernels_c`` is built from the hand-written ``_kernels_c.c``
 against numpy's C API. The package works without it (``kernels`` then
-selects the pure-numpy backend), so the extension is optional: a failed
-compile downgrades to a warning instead of aborting the install.
+selects the python backend, written in Python and numpy), so the extension
+is optional: a failed compile downgrades to a warning instead of aborting
+the install.
 """
 
 import numpy as np

@@ -14,7 +14,7 @@ Modules:
 - ``identifiability`` sufficient-condition diagnostics for the decomposition
 - ``simulate``        Monte-Carlo benchmark harness
 - ``special``         Student-t tail probabilities (incomplete beta)
-- ``kernels``         the five numerical kernels, compiled (C) or pure numpy
+- ``kernels``         the five numerical kernels, compiled (C) or python
 - ``cli``             command-line front end (``logconmix`` entry point)
 """
 

@@ -67,6 +67,7 @@ when nothing is) and flagged, instead of raising.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
@@ -111,8 +112,15 @@ class EmConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.p_init < 1.0):
             raise ValueError(f"p_init must lie in (0, 1), got {self.p_init}")
-        if self.max_iters < 1:
+        try:
+            max_iters = operator.index(self.max_iters)
+        except TypeError:
+            max_iters = None
+        if max_iters is None or isinstance(self.max_iters, bool):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
+        if max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        object.__setattr__(self, "max_iters", max_iters)  # a Python int
         if not (self.tol_loglik > 0.0):
             raise ValueError("tol_loglik must be positive")
         if not (0.0 < self.min_component_mass < 0.5):

@@ -4,9 +4,11 @@
 ``knot_objective``, ``knot_grad_hess`` and ``solve_newton_step``. The
 ``"compiled"`` backend takes them from ``_kernels_c``, the C extension that
 ``setup.py`` builds from ``_kernels_c.c``, and is selected when that module
-imports; the ``"python"`` backend takes them from the pure-numpy
-``_kernels_py``, their reference, and is selected otherwise.
-:func:`set_backend` switches at runtime.
+imports; the ``"python"`` backend takes them from ``_kernels_py``, their
+reference, and is selected otherwise. The python knot kernels run one knot
+segment at a time on Python floats, with numpy's exp, expm1, dot products
+and sums, and give the bits of the array formulation; the compiled ones
+agree with them to rounding. :func:`set_backend` switches at runtime.
 """
 
 from __future__ import annotations

@@ -308,24 +308,38 @@ def _hinge_tail(e_left, inv_s2, d, z, e_right):
 
 
 def _max_feasible_step(inv_dt, phi_k, direction):
-    """Largest alpha keeping knot slopes nonincreasing; (inf, None) if free."""
+    """Largest alpha keeping knot slopes nonincreasing; (inf, None) if free.
+
+    The first knot whose curvature ratio is least blocks; a NaN ratio
+    frees the step, as the argmin of an array holding it would. A few knots
+    take this pass at every Newton step, so it runs on Python floats, with
+    numpy's operations in numpy's order (see ``_kernels_py``).
+    """
     if phi_k.size < 3:
         return math.inf, None
-    def curv(v):
-        s = (v[1:] - v[:-1]) * inv_dt
-        return s[:-1] - s[1:]
-    c_dir = curv(direction)
-    blocking = c_dir < -1e-300
-    if not np.count_nonzero(blocking):
+    inv = inv_dt.tolist()
+    c_dir = _curvatures(direction.tolist(), inv)
+    blocking = [j for j, c in enumerate(c_dir) if c < -1e-300]
+    if not blocking:
         return math.inf, None
-    c_now = np.maximum(curv(phi_k), 0.0)   # clamp roundoff-negative slack
-    ratios = np.full(c_now.size, math.inf)
-    np.divide(c_now, np.negative(c_dir, out=c_dir), ratios, where=blocking)
-    j = int(ratios.argmin())
-    alpha = float(ratios[j])
-    if not math.isfinite(alpha):
-        return math.inf, None
-    return alpha, j + 1  # +1: constraint j sits at interior knot j+1
+    c_now = _curvatures(phi_k.tolist(), inv)
+    alpha, j_block = math.inf, None
+    for j in blocking:
+        c = c_now[j]
+        # np.maximum(c, 0.0) clamps roundoff-negative slack (and -0.0);
+        # -c_dir[j] > 1e-300 is never zero
+        ratio = (0.0 if c <= 0.0 else c) / -c_dir[j]
+        if ratio != ratio:
+            return math.inf, None
+        if ratio < alpha:
+            alpha, j_block = ratio, j + 1  # +1: constraint j sits at interior knot j+1
+    return alpha, j_block
+
+
+def _curvatures(v, inv_dt):
+    """Slope decrease at each interior knot of the values v, as a list."""
+    s = [(b - a) * h for a, b, h in zip(v, v[1:], inv_dt)]
+    return [left - right for left, right in zip(s, s[1:])]
 
 
 def _knot_weights(grid, kidx, w):

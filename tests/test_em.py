@@ -19,6 +19,8 @@ from logconmix.families import (Normal, ShiftedExponential, Uniform,
                                 log_pdf_known, sample_mixture)
 from logconmix.rng import make_rng
 
+from test_solver import _tied_catalog_sample
+
 
 def test_e_step_hand_value():
     # omega = (1-p) f0 / ((1-p) f0 + p f); with p = 0.4, f0 = 2, f = 0.25:
@@ -165,6 +167,21 @@ def test_em_config_validation():
         EmConfig(tol_loglik=-1e-9)
     with pytest.raises(ValueError):
         EmConfig(init="random")
+
+
+def test_em_config_max_iters_must_be_an_integer():
+    for bad in (10.5, 10.0, True, "10", None):
+        with pytest.raises(ValueError, match="max_iters"):
+            EmConfig(max_iters=bad)
+    config = EmConfig(max_iters=np.int64(10))
+    assert type(config.max_iters) is int and config.max_iters == 10
+    # a numpy integer budget gives the same run, and a result that
+    # serializes, on a sample whose clamp reaches an exact fixed point
+    values, f0 = _tied_catalog_sample()
+    result = run_em(values, f0, config)
+    assert type(result.iterations) is int
+    assert result.iterations == run_em(values, f0, EmConfig(max_iters=10)).iterations
+    json.dumps(em_result_to_dict(result))
 
 
 def test_run_em_rejects_empty_and_degenerate_input():

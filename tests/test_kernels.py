@@ -5,7 +5,9 @@ forms, finite differences, and the compiled backend against the python one.
 J(a, b) = integral_0^1 exp((1-t) a + t b) dt, so that a segment of width dx
 with endpoint log-values (a, b) contributes dx * J(a, b) to integral(e^phi).
 Both backends are checked through the five kernels that logcon calls; the
-partials of J are read off ``knot_grad_hess`` (see ``_partials``).
+partials of J are read off ``knot_grad_hess`` (see ``_partials``). The
+python kernels are also checked bit for bit against an array oracle, on
+fixed seams and on hypothesis-drawn knot chains.
 """
 
 from __future__ import annotations
@@ -15,15 +17,18 @@ import platform
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import logconmix._kernels_py as kpy
-from logconmix import kernels
+from logconmix import kernels, logcon
 from logconmix.em import run_em
 from logconmix.families import sample_mixture
 from logconmix.rng import child_seed
 from logconmix.simulate import model_catalog
 
 from conftest import independent_objective
+from test_solver import _ref_max_feasible_step
 
 # 40-digit quadrature of the defining integral (mpmath, dps=40), rounded to
 # 20 significant digits. The (0.3, 0.3 + 1e-9) pair exercises the
@@ -130,14 +135,15 @@ def test_j_partials_match_finite_differences(impl, rng):
 
 @PYTHON_ONLY
 def test_first_partials_agree_with_full_partials(impl, rng):
-    # order 2, which integral_grad_terms reads, against order 3
+    # order 2, which integral_grad_terms reads, against the full partials
+    # of knot_grad_hess
     a = rng.uniform(-5.0, 3.0, 40)
     b = a + rng.uniform(-2.0, 2.0, 40)
     _, da, db = impl._parts(a, b, 2)
     for i in range(40):
-        full = impl._parts(float(a[i]), float(b[i]), 3)
-        assert da[i] == pytest.approx(full[1], rel=1e-14)
-        assert db[i] == pytest.approx(full[2], rel=1e-14)
+        full = _partials(impl, float(a[i]), float(b[i]))
+        assert da[i] == pytest.approx(full[0][0], rel=1e-14)
+        assert db[i] == pytest.approx(full[1][0], rel=1e-14)
 
 
 def test_j_all_partials_vectorized(impl, rng):
@@ -247,8 +253,10 @@ def test_aggregate_weights_conserves_mass_and_splits_linearly(impl):
 # ---------------------------------------------------------------------------
 # Bit-exact oracle for the python backend: the earlier formulation, with one
 # G-function per moment, each evaluating its closed form and its series on
-# every entry, and the LDL^T sweep on numpy scalars. The fused kernels must
-# reproduce it to the last bit.
+# every entry, and the LDL^T sweep on numpy scalars. The python kernels,
+# whether they run per segment on floats or on whole arrays, must reproduce
+# it to the last bit; so must logcon's step bound, against
+# ``test_solver._ref_max_feasible_step``.
 
 def _ref_g1(eps):
     eps = np.asarray(eps, dtype=float)
@@ -392,8 +400,8 @@ def test_kernels_bit_identical_to_oracle(rng):
         dx = rng.uniform(0.01, 2.0, a.shape)
         np.testing.assert_array_equal(kpy.j_values(a, b), _ref_j_values(a, b))
         full = _ref_j_all_partials(a, b)
-        for got, want in zip(kpy._parts(a, b, 3)[[1, 2, 3, 5, 4]], full):
-            np.testing.assert_array_equal(got, want)
+        for got, want in zip(_partials(kpy, a.ravel(), b.ravel()), full):
+            np.testing.assert_array_equal(got, want.ravel())
         for got, want in zip(kpy._parts(a, b, 2)[1:], full[:2]):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(kpy.segment_integrals(dx, a, b),
@@ -461,13 +469,103 @@ def test_scalar_and_0d_inputs_in_each_branch(diff):
     want = [float(v) for v in _ref_j_all_partials(a, b)]
     assert float(kpy._parts(a, b, 1)[0]) == float(_ref_j_values(a, b))
     assert float(kpy._parts(b, a, 1)[0]) == float(_ref_j_values(b, a))
-    assert [float(v) for v in kpy._parts(a, b, 3)[[1, 2, 3, 5, 4]]] == want
+    assert [float(v[0]) for v in _partials(kpy, a, b)] == want
     a0, b0 = np.array(a), np.array(b)
     assert np.shape(kpy.j_values(a0, b0)) == ()
     assert kpy.j_values(a0, b0) == float(_ref_j_values(a, b))
     assert [np.shape(v) for v in kpy._parts(a0, b0, 2)[1:]] == [(), ()]
     assert [float(v) for v in kpy._parts(a0, b0, 2)[1:]] == want[:2]
     assert np.shape(kpy.segment_integrals(2.0, a0, b0)) == ()
+
+
+# Neighbour differences for the property tests: ties under either sign of
+# zero, each series radius and its neighbours one ulp either side, in both
+# orientations, and wide ones.
+_SEAMS = [0.0, -0.0] + [float(s * v) for r in (1e-5, 0.05)
+                        for v in (np.nextafter(r, 0.0), r, np.nextafter(r, 1.0))
+                        for s in (1.0, -1.0)]
+_DIFFS = st.one_of(st.sampled_from(_SEAMS), st.floats(-40.0, 40.0))
+
+
+@st.composite
+def _knot_problems(draw, min_dt=0.0):
+    """(dt, phi, weights) on 2 to 64 knots, |phi| <= 700. phi starts at 0,
+    where every difference above is exact, or anywhere in range; a step that
+    would leave the range is taken the other way."""
+    r = draw(st.integers(2, 64))
+    phi = [draw(st.one_of(st.just(0.0), st.floats(-700.0, 700.0)))]
+    for d in draw(st.lists(_DIFFS, min_size=r - 1, max_size=r - 1)):
+        phi.append(phi[-1] + d if abs(phi[-1] + d) <= 700.0 else phi[-1] - d)
+    widths = st.one_of(st.sampled_from([0.5, 1.0]), st.floats(min_dt, 4.0))
+    dt = draw(st.lists(widths, min_size=r - 1, max_size=r - 1))
+    w = draw(st.lists(st.floats(0.0, 1.0), min_size=r, max_size=r))
+    return np.array(dt), np.array(phi), np.array(w)
+
+
+def _flat(widths, phi):
+    return np.array(widths), np.array(phi), np.zeros(len(phi))
+
+
+# Shrunk counterexamples that hypothesis found for deliberately broken
+# kernels, kept as fixed cases: -x for 0.0 - x (the sign of a zero Hessian
+# entry), the partials of a > b swapped with those of a < b, G3's series
+# with G2's coefficients, a left-to-right sum for ndarray.sum (which differ
+# from 8 segments on), and math.exp for numpy's exp.
+@example(_flat([0.5, 0.5, 0.0], [0.0] * 4))
+@example(_flat([0.5], [0.0, 1e-5]))
+@example(_flat([0.5], [0.0, 0.0]))
+@example(_flat([0.5] * 48, [0.0] * 48 + [1e-5]))
+@example(_flat([0.5], [0.0, 22.0]))
+@settings(max_examples=150, deadline=None)
+@given(_knot_problems())
+def test_knot_kernels_bit_identical_to_oracle_property(problem):
+    dt, phi, w = problem
+    got = kpy.knot_grad_hess(dt, phi, w)
+    want = _ref_knot_grad_hess(dt, phi, w)
+    assert got[0] == want[0]
+    for g, r in zip(got[1:], want[1:]):
+        assert g.tobytes() == r.tobytes()
+    assert kpy.knot_objective(dt, phi, w) == _ref_knot_objective(dt, phi, w)
+
+
+_STEPS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def _step_problems(draw):
+    """(dt, phi, step): a knot chain of positive widths and a direction."""
+    dt, phi, _ = draw(_knot_problems(min_dt=1e-3))
+    step = draw(st.lists(_STEPS, min_size=phi.size, max_size=phi.size))
+    return dt, phi, np.array(step)
+
+
+# two constraints block at the same ratio: the first one wins, as argmin's
+@example((np.full(3, 0.5), np.zeros(4), np.array([1.0, 0.0, 0.0, 1.0])))
+@settings(max_examples=100, deadline=None)
+@given(_step_problems())
+def test_max_feasible_step_matches_oracle_property(problem):
+    dt, phi, step = problem
+    want = _ref_max_feasible_step(dt, phi, step)
+    got = logcon._max_feasible_step(1.0 / dt, phi, step)
+    assert got == want
+    assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_knot_kernels_match_oracle_on_non_finite_values(rng, bad):
+    dt = rng.uniform(0.1, 1.0, 7)
+    w = rng.uniform(0.0, 1.0, 8)
+    for at in ([0], [3], [7], [3, 4], [0, 7]):
+        phi = np.cumsum(rng.uniform(-1.0, 1.0, 8))
+        phi[at] = bad
+        with np.errstate(all="ignore"):
+            got = kpy.knot_grad_hess(dt, phi, w)
+            want = _ref_knot_grad_hess(dt, phi, w)
+            objectives = (kpy.knot_objective(dt, phi, w), _ref_knot_objective(dt, phi, w))
+        np.testing.assert_array_equal(got[0], want[0])
+        for g, r in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(g, r)
+        np.testing.assert_array_equal(*objectives)
 
 
 def test_backends_agree_to_rounding(rng, compiled_kernels):
@@ -589,6 +687,29 @@ BAD_CALLS = [
 def test_compiled_kernels_reject_wrong_shapes(compiled_kernels, fn, args, name):
     with pytest.raises(ValueError, match=f"{fn}: {name} "):
         getattr(compiled_kernels, fn)(*args)
+
+
+# the knot kernels check their lengths on the python backend too;
+# j_values and segment_integrals keep numpy's broadcasting there
+KNOT_BAD_CALLS = [row for row in BAD_CALLS if row[0] not in ("j_values", "segment_integrals")]
+
+
+@pytest.mark.parametrize("fn, args, name", KNOT_BAD_CALLS,
+                         ids=[f"{fn}-{name}" for fn, _, name in KNOT_BAD_CALLS])
+def test_python_knot_kernels_reject_wrong_shapes(fn, args, name):
+    with pytest.raises(ValueError, match=f"{fn}: {name} "):
+        getattr(kpy, fn)(*args)
+
+
+@pytest.mark.parametrize("fn, args, name", KNOT_BAD_CALLS,
+                         ids=[f"{fn}-{name}" for fn, _, name in KNOT_BAD_CALLS])
+def test_both_backends_word_shape_errors_alike(compiled_kernels, fn, args, name):
+    messages = []
+    for impl in (kpy, compiled_kernels):
+        with pytest.raises(ValueError) as err:
+            getattr(impl, fn)(*args)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_compiled_kernels_take_exactly_their_arguments(compiled_kernels):

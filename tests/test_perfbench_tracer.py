@@ -17,6 +17,8 @@ import numpy as np
 from logconmix import cli, em, kernels, logcon, simulate
 from logconmix.families import Normal, sample_mixture
 
+from test_solver import _tied_catalog_sample
+
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
 
@@ -32,15 +34,24 @@ def _namespaces():
     return {owner: dict(vars(owner)) for owner in owners}
 
 
-def test_tracer_decomposes_run_em_and_uninstalls_cleanly():
+def _check_traced_run_em(monkeypatch, values, f0):
+    """Trace one ``run_em`` and check the trace against the run; returns the
+    result and the number of M-steps run."""
     layers = _load_layers()
-    values, _ = sample_mixture(Normal(0.0, 2.0), Normal(3.0, 1.0), 0.4, 300, 11)
+    run = []
+    m_step_f = em.m_step_f
+
+    def counted(*args, **kwargs):
+        run.append(1)
+        return m_step_f(*args, **kwargs)
+
+    monkeypatch.setattr(em, "m_step_f", counted)
     before = _namespaces()
     tracer = layers.Tracer()
     layers.install(tracer)
     try:
         assert em.m_step_f is not before[em]["m_step_f"]
-        result = em.run_em(values, Normal(0.0, 2.0))
+        result = em.run_em(values, f0)
     finally:
         tracer.uninstall()
 
@@ -55,8 +66,24 @@ def test_tracer_decomposes_run_em_and_uninstalls_cleanly():
     assert checks["self_time_nonnegative"][0]
     totals = tracer.totals()
     assert totals["em.run_em"][0] == 1
-    # every M-step is seen, and each goes through the traced fit
-    assert totals["em.m_step_f"][0] >= result.iterations
+    # every M-step is seen, and each goes through the traced fit; each of
+    # the two EM passes runs one M-step for its start and at most one per
+    # iteration, none for the clamped repeats it records without running
+    assert totals["em.m_step_f"][0] == len(run)
+    assert len(run) <= result.iterations + 2
     assert totals["logcon.fit_warm"][0] + totals["logcon.fit_cold"][0] == totals["em.m_step_f"][0]
     assert totals["kernels.knot_grad_hess"][0] > 0
     assert np.isfinite(result.p_hat)
+    return result, len(run)
+
+
+def test_tracer_decomposes_run_em_and_uninstalls_cleanly(monkeypatch):
+    values, _ = sample_mixture(Normal(0.0, 2.0), Normal(3.0, 1.0), 0.4, 300, 11)
+    _check_traced_run_em(monkeypatch, values, Normal(0.0, 2.0))
+
+
+def test_tracer_counts_m_steps_when_em_skips_exact_repeats(monkeypatch):
+    # the clamp of this sample reaches an exact fixed point, so fewer
+    # M-steps run than iterations are counted
+    result, m_steps = _check_traced_run_em(monkeypatch, *_tied_catalog_sample())
+    assert m_steps < result.iterations
