@@ -1,11 +1,11 @@
-/* Compiled kernels for the weighted log-concave solver: the five functions
+/* Compiled kernels for the weighted log-concave solver: the four functions
    that logcon.py calls. They use the formulas of _kernels_py (see there for
    the math and the stability notes) one segment at a time, with libm's exp
    and expm1, and sum left to right; so they agree with the python backend
    to rounding, not to the bit.
 
    Every argument is a 1-d float64 array, or converts safely to one. The
-   elementwise kernels take equal lengths; the knot kernels and the Newton
+   elementwise kernels take equal lengths; knot_grad_hess and the Newton
    solve take R >= 2 knots, with dt and hess_off of length R - 1 and the
    rest of length R. Any other shape raises ValueError naming the argument. */
 
@@ -80,8 +80,6 @@ typedef struct {
 static const Spec J_VALUES = {"j_values", 2, 0, 0, {"a", "b"}, {0, 0}};
 static const Spec SEGMENT_INTEGRALS = {
     "segment_integrals", 3, 0, 0, {"dx", "pa", "pb"}, {0, 0, 0}};
-static const Spec KNOT_OBJECTIVE = {
-    "knot_objective", 3, 1, 2, {"dt", "phi", "weights"}, {-1, 0, 0}};
 static const Spec KNOT_GRAD_HESS = {
     "knot_grad_hess", 3, 1, 2, {"dt", "phi", "weights"}, {-1, 0, 0}};
 static const Spec SOLVE_NEWTON_STEP = {
@@ -190,30 +188,21 @@ static double linear_term(const Args *a)
     return lin;
 }
 
-static PyObject *knot_objective(ARGS)
-{
-    Args a;
-    if (load(&a, &KNOT_OBJECTIVE, args, nargs) < 0)
-        return NULL;
-    const double *dt = a.p[0], *phi = a.p[1];
-    double integral = 0.0, lin = linear_term(&a);
-    for (npy_intp i = 0; i < a.r - 1; i++)
-        integral += dt[i] * jval(phi[i], phi[i + 1]);
-    release(&a);
-    return PyFloat_FromDouble(lin - integral + 1.0);
-}
-
+/* (psi, grad, hess_diag, hess_off, mass), with mass[i] = dt[i] J(phi[i],
+   phi[i+1]) to the bit of segment_integrals; psi sums mass left to right. */
 static PyObject *knot_grad_hess(ARGS)
 {
     Args a;
-    double *grad, *hd, *he, g[3];
+    double *grad, *hd, *he, *mass, g[3];
     if (load(&a, &KNOT_GRAD_HESS, args, nargs) < 0)
         return NULL;
     const double *dt = a.p[0], *phi = a.p[1];
     PyObject *grad_o = new_vector(a.r, &grad), *hd_o = new_vector(a.r, &hd);
-    PyObject *he_o = new_vector(a.r - 1, &he);
-    if (grad_o == NULL || hd_o == NULL || he_o == NULL)
+    PyObject *he_o = new_vector(a.r - 1, &he), *mass_o = new_vector(a.r - 1, &mass);
+    if (grad_o == NULL || hd_o == NULL || he_o == NULL || mass_o == NULL) {
+        Py_XDECREF(mass_o);
         return drop(&a, grad_o, hd_o, he_o);
+    }
     memcpy(grad, a.p[2], a.r * sizeof(double));
     memset(hd, 0, a.r * sizeof(double));
     double integral = 0.0, lin = linear_term(&a);
@@ -225,7 +214,8 @@ static PyObject *knot_grad_hess(ARGS)
         double near1 = ehi * (g[0] - g[1]), far1 = ehi * g[1];
         double near2 = ehi * (g[0] - 2.0 * g[1] + g[2]), far2 = ehi * g[2];
         int b_hi = pb >= pa;
-        integral += dt[i] * (ehi * g[0]);
+        mass[i] = dt[i] * (ehi * g[0]);
+        integral += mass[i];
         grad[i] -= dt[i] * (b_hi ? far1 : near1);
         grad[i + 1] -= dt[i] * (b_hi ? near1 : far1);
         hd[i] -= dt[i] * (b_hi ? far2 : near2);
@@ -233,7 +223,7 @@ static PyObject *knot_grad_hess(ARGS)
         he[i] = -dt[i] * (ehi * (g[1] - g[2]));
     }
     release(&a);
-    return Py_BuildValue("(dNNN)", lin - integral + 1.0, grad_o, hd_o, he_o);
+    return Py_BuildValue("(dNNNN)", lin - integral + 1.0, grad_o, hd_o, he_o, mass_o);
 }
 
 /* LDL^T sweep of (-H + delta I) y = grad into y, with dref and lsub as
@@ -295,8 +285,8 @@ static PyObject *solve_newton_step(ARGS)
 static PyMethodDef methods[] = {
     KERNEL(j_values, "j_values(a, b): elementwise J(a, b)."),
     KERNEL(segment_integrals, "segment_integrals(dx, pa, pb): dx * J(pa, pb)."),
-    KERNEL(knot_objective, "knot_objective(dt, phi, weights) -> psi."),
-    KERNEL(knot_grad_hess, "knot_grad_hess(dt, phi, weights) -> (psi, grad, hd, he)."),
+    KERNEL(knot_grad_hess,
+           "knot_grad_hess(dt, phi, weights) -> (psi, grad, hd, he, mass)."),
     KERNEL(solve_newton_step, "solve_newton_step(hd, he, grad): d with (-H) d = grad."),
     {NULL, NULL, 0, NULL},
 };

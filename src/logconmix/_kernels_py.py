@@ -1,9 +1,13 @@
 """Reference kernels for the weighted log-concave solver.
 
-This module is the reference implementation of the five kernels that
-``logcon`` calls (``j_values``, ``segment_integrals``, ``knot_objective``,
-``knot_grad_hess`` and ``solve_newton_step``); the C extension built from
-``_kernels_c.c`` implements the same five with the same formulas.
+This module is the reference implementation of the four kernels that
+``logcon`` calls (``j_values``, ``segment_integrals``, ``knot_grad_hess``
+and ``solve_newton_step``); the C extension built from ``_kernels_c.c``
+implements the same four with the same formulas. ``knot_grad_hess`` also
+returns the segment masses, from which ``logcon`` forms the objective at a
+trial point as ``knot_objective`` does. ``knot_objective`` itself stays,
+like the per-point kernels at the end of the module, as test oracle and for
+the benchmark's tracer; it has no compiled twin.
 
 Central object: the exponential-segment integral
 
@@ -27,13 +31,14 @@ Stability notes, used identically in both backends:
   |b - a| < 1e-5, the expm1 form otherwise.
 
 Two layouts of the same formulas:
-- The knot kernels (``knot_objective``, ``knot_grad_hess``, and
+- The knot kernels (``knot_grad_hess``, ``knot_objective`` and
   ``segment_integrals`` on 1-d arguments) work on the R - 1 segments of one
-  knot set, and the solver calls them at every Newton step. R is small
-  (about 6 in a Monte-Carlo M-step, about 16 at n = 1e5), and one numpy
-  call (~0.5-1 us) costs about as much as the ~40 flops of a whole segment.
-  These kernels therefore run one segment at a time on Python floats, at
-  about 1.5-2 us per segment, with a few numpy calls per kernel call.
+  knot set; the solver calls ``knot_grad_hess`` at every Newton point. R
+  is small (about 6 in a Monte-Carlo M-step, about 16 at n = 1e5), and one
+  numpy call (~0.5-1 us) costs about as much as the ~40 flops of a whole
+  segment. These kernels therefore run one segment at a time on Python
+  floats, at about 1.5-2 us per segment, with a few numpy calls per kernel
+  call.
 - ``j_values``, ``segment_integrals`` on any other shape, and the
   per-point ``integral_grad_terms`` take arrays of any shape through
   ``_parts``, one numpy call per step of the formulas for all entries.
@@ -89,11 +94,14 @@ def _series(coef, eps):
 
 def _vectors(fn, spec, args):
     """``args`` as 1-d float64 arrays of the lengths ``spec`` gives; a
-    ValueError naming the argument otherwise, worded as in _kernels_c.c."""
+    ValueError naming the argument otherwise, worded as in _kernels_c.c.
+    Both specs take three arguments, whose joined shapes are then the three
+    lengths exactly when each argument is 1-d."""
     names, ref, offsets = spec
-    out = [np.asarray(v, dtype=float) for v in args]
+    o0, o1, o2 = offsets
+    a, b, c = out = [np.asarray(v, dtype=float) for v in args]
     r = out[ref].size
-    if r >= 2 and [v.shape for v in out] == [(r + off,) for off in offsets]:
+    if r >= 2 and a.shape + b.shape + c.shape == (r + o0, r + o1, r + o2):
         return out
     for name, v in zip(names, out):
         if v.ndim != 1:
@@ -208,11 +216,16 @@ def knot_objective(dt, phi, weights) -> float:
 
 
 def knot_grad_hess(dt, phi, weights):
-    """Objective, gradient, and tridiagonal Hessian on the knot grid.
+    """Objective, gradient, tridiagonal Hessian and segment masses on the
+    knot grid.
 
-    Returns ``(psi, grad, hess_diag, hess_off)`` where the Hessian of psi is
-    symmetric tridiagonal with diagonal ``hess_diag`` (length R) and
+    Returns ``(psi, grad, hess_diag, hess_off, mass)`` where the Hessian of
+    psi is symmetric tridiagonal with diagonal ``hess_diag`` (length R) and
     off-diagonal ``hess_off`` (length R-1). It is negative definite.
+    ``mass`` holds dt_j J(phi_j, phi_{j+1}), the bits of
+    ``segment_integrals(dt, phi[:-1], phi[1:])``, so that
+    ``float(weights.dot(phi)) - float(mass.sum()) + 1.0`` is
+    ``knot_objective`` to the bit.
 
     Per segment: with ehi = exp(max(a, b)) and gk as in ``_parts``, J =
     ehi g1; the partials wrt the smaller argument are ehi g2 and ehi g3,
@@ -222,19 +235,29 @@ def knot_grad_hess(dt, phi, weights):
     """
     dt, phi, weights = _vectors("knot_grad_hess", _KNOT_ARGS, (dt, phi, weights))
     p = phi.tolist()
-    hi, eps, swap = _orient(p, p[1:])
+    q = p[1:]
+    hi = []
+    eps = []
+    for a, b in zip(p, q):  # max(a, b) and -|b - a|, as in _orient
+        if b < a:
+            hi.append(a)
+            eps.append(b - a)
+        else:
+            hi.append(b)
+            eps.append(a - b)
     closed = [e for e in eps if not e > -_SERIES_RADIUS]  # G2, G3 closed forms
     ex = np.exp(hi + closed).tolist()
     ehi, ee = ex[:len(hi)], iter(ex[len(hi):])
     em = iter(np.expm1([e for e in eps if not e > -_VALUE_SERIES_RADIUS]).tolist())
     w = weights.tolist()
     jv = []
+    mass = []
     grad = []
     hd = []
     he = []
     carry_g = carry_h = 0.0  # segment i - 1's terms at knot i; x - 0.0 is x
     # one pass per segment; the last knot's weight is taken after it
-    for e, x, d, wi, flip in zip(eps, ehi, dt.tolist(), w, swap):
+    for a, b, e, x, d, wi in zip(p, q, eps, ehi, dt.tolist(), w):
         if e > -_SERIES_RADIUS:
             g1 = _g1_series(e) if e > -_VALUE_SERIES_RADIUS else next(em) / e
             g2 = _series(_G2_COEF, e)
@@ -247,12 +270,14 @@ def knot_grad_hess(dt, phi, weights):
             ss = e * e
             g2 = num / ss
             g3 = (ss * y - 2.0 * num) / (ss * e)
-        jv.append(g1 * x)
+        j = g1 * x
+        jv.append(j)
+        mass.append(d * j)
         near1 = (g1 - g2) * x * d
         far1 = g2 * x * d
         near2 = (g1 - g2 * 2.0 + g3) * x * d
         far2 = g3 * x * d
-        if flip:
+        if b < a:
             grad.append(wi - near1 - carry_g)
             hd.append(0.0 - near2 - carry_h)
             carry_g, carry_h = far1, far2
@@ -264,7 +289,7 @@ def knot_grad_hess(dt, phi, weights):
     grad.append(w[-1] - carry_g)
     hd.append(0.0 - carry_h)
     psi = float(weights.dot(phi)) - float(dt.dot(np.array(jv))) + 1.0
-    return psi, np.array(grad), np.array(hd), np.array(he)
+    return psi, np.array(grad), np.array(hd), np.array(he), np.array(mass)
 
 
 def solve_newton_step(hess_diag, hess_off, grad):

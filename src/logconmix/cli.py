@@ -29,6 +29,7 @@ from .families import (Exponential, KnownComponent, Normal, StudentT,
                        Uniform, load_tabulated_csv, log_pdf_known)
 from .logcon import (FitOptions, eval_log_density, fit_weighted_logconcave,
                      load_weighted_csv, save_fit_json)
+from .rng import child_seed
 from .simulate import ScenarioSpec, ScenarioSummary, run_scenario, summary_table
 from .special import student_t_two_sided_p
 
@@ -190,9 +191,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for model_id in (1, 2, 3, 4, 5, 6):
             for p in (0.2, 0.5, 0.8):
                 for n in (250, 500, 1000):
-                    seed = int(np.random.SeedSequence(
-                        entropy=args.seed,
-                        spawn_key=(idx,)).generate_state(1)[0])
+                    seed = int(child_seed(args.seed, idx).generate_state(1)[0])
                     scenarios.append(ScenarioSpec(model_id=model_id, p=p,
                                                   n=n, reps=reps, seed=seed))
                     idx += 1

@@ -42,7 +42,9 @@ Cost per iteration. ``run_em`` sorts the sample once and builds one logcon
 grid from it: the distinct points, on which every M-step fits, and each
 observation's tie group. An iteration then makes a fixed number of
 elementwise passes over the n points (m <= n distinct ones), plus O(R) work
-per Newton step on the R knots:
+on the R knots: one ``knot_grad_hess`` call per Newton point, whose segment
+masses also serve the Armijo test, the normalization and the multiplier
+check, and one ``solve_newton_step`` per step:
 - the E-step and the mixing weight: about 8 passes, with no transcendental
   function, as p is the unknown mass already summed for the degenerate tests;
 - the M-step's weights: one bincount over the tie groups (only when there
@@ -52,7 +54,8 @@ per Newton step on the R knots:
   shares, reused while the knots stay; per aggregation onto the knots, one
   bincount over 2m entries; and per multiplier check (once per outer round,
   usually once per M-step), about 30 passes with one ``exp``, whose values
-  e^phi are the next E-step's f;
+  e^phi are the next E-step's f, after one pass over the knots on Python
+  floats and no kernel call;
 - the log-likelihood: about 7 passes with one ``log``.
 No pass sorts or binary-searches the points. A clamped iteration whose fit
 returns its start bit for bit is an exact fixed point, so the clamped
@@ -67,14 +70,13 @@ when nothing is) and flagged, instead of raising.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (AllWeightsKnownError, ComponentCollapsedError,
-                     DegenerateSampleError, ZeroMixtureDensityError)
+                     DegenerateSampleError, ZeroMixtureDensityError, require_int)
 from .families import KnownComponent, log_pdf_known
 from .identifiability import (IdentifiabilityReport, check_identifiability,
                               report_to_dict)
@@ -112,12 +114,7 @@ class EmConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.p_init < 1.0):
             raise ValueError(f"p_init must lie in (0, 1), got {self.p_init}")
-        try:
-            max_iters = operator.index(self.max_iters)
-        except TypeError:
-            max_iters = None
-        if max_iters is None or isinstance(self.max_iters, bool):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
+        max_iters = require_int("max_iters", self.max_iters)
         if max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         object.__setattr__(self, "max_iters", max_iters)  # a Python int

@@ -1,4 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+names the argument it rejects."""
+
+import operator
+
+
+def require_int(name: str, value) -> int:
+    """``value`` as a Python int when it is an integer of any type (numpy's
+    included); a ValueError naming ``name`` for a bool or a non-integral
+    number, which ``int()`` would otherwise truncate."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        out = None
+    if out is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return out
 
 
 class LogconmixError(Exception):

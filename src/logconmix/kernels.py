@@ -1,30 +1,35 @@
 """Kernel backend selection.
 
-``logcon`` calls five kernels: ``j_values``, ``segment_integrals``,
-``knot_objective``, ``knot_grad_hess`` and ``solve_newton_step``. The
-``"compiled"`` backend takes them from ``_kernels_c``, the C extension that
-``setup.py`` builds from ``_kernels_c.c``, and is selected when that module
-imports; the ``"python"`` backend takes them from ``_kernels_py``, their
-reference, and is selected otherwise. The python knot kernels run one knot
-segment at a time on Python floats, with numpy's exp, expm1, dot products
-and sums, and give the bits of the array formulation; the compiled ones
-agree with them to rounding. :func:`set_backend` switches at runtime.
+``logcon`` calls four kernels: ``j_values``, ``segment_integrals``,
+``knot_grad_hess`` and ``solve_newton_step``. The ``"compiled"`` backend
+takes them from ``_kernels_c``, the C extension that ``setup.py`` builds
+from ``_kernels_c.c``, and is selected when that module imports; the
+``"python"`` backend takes them from ``_kernels_py``, their reference, and
+is selected otherwise. The python knot kernels run one knot segment at a
+time on Python floats, with numpy's exp, expm1, dot products and sums, and
+give the bits of the array formulation; the compiled ones agree with them
+to rounding. :func:`set_backend` switches at runtime.
+
+``knot_grad_hess`` hands back each segment's mass with its derivatives, so
+``logcon`` forms the Armijo value and the normalizing integral from one
+kernel call per Newton point.
 """
 
 from __future__ import annotations
 
 from . import _kernels_py
 
-# The four per-point kernels that logcon no longer calls: it does that work
-# on its point grid. They stay, from _kernels_py on every backend, as that
-# code's test oracle and for the benchmark tracer, which wraps them by name.
+# Five python kernels that logcon does not call. The four per-point ones did
+# its per-point work, which now runs on its point grid; ``knot_objective``
+# is the value that logcon forms from ``knot_grad_hess``'s masses. They stay,
+# from _kernels_py on every backend, as that code's test oracle and for the
+# benchmark tracer, which wraps them by name.
 from ._kernels_py import (aggregate_weights, integral_grad_terms,  # noqa: F401
-                          interp_to_points, multipliers)
+                          interp_to_points, knot_objective, multipliers)
 
-_CONTRACT = ["j_values", "segment_integrals", "knot_objective",
-             "knot_grad_hess", "solve_newton_step"]
+_CONTRACT = ["j_values", "segment_integrals", "knot_grad_hess", "solve_newton_step"]
 
-__all__ = _CONTRACT + ["interp_to_points", "aggregate_weights",
+__all__ = _CONTRACT + ["knot_objective", "interp_to_points", "aggregate_weights",
                        "integral_grad_terms", "multipliers",
                        "BACKEND", "set_backend", "available_backends"]
 

@@ -20,7 +20,9 @@ and strictly concave and is solved by a damped Newton iteration. Steps are
 truncated at the first knot whose concavity would flip, which activates that
 constraint; at reduced stationarity the constraint multipliers decide which
 single constraint to release. The method stops when the reduced gradient and
-all multipliers are within ``tol_kkt``.
+all multipliers are within ``tol_kkt``. Each point the iteration visits
+costs one ``knot_grad_hess`` call, whose segment masses also give the
+Armijo value, the normalizing integral and the F below.
 
 The multiplier of the constraint at a point x is the derivative of psi along
 the hinge direction (x - t)_+ (Duembgen, Huesler & Rufibach 2007),
@@ -29,18 +31,24 @@ the hinge direction (x - t)_+ (Duembgen, Huesler & Rufibach 2007),
 
 On the knot segment [t_j, t_{j+1}] that holds x, with d = x - t_j, slope s_j
 and z = s_j d, the integral is Q_j + d F_j + (e^phi(x) - e^phi_j (1 + z)) / s_j^2,
-where F_j and Q_j are the integrals of e^phi and (t_j - t) e^phi up to t_j.
-So every multiplier costs one exp per point (a series replaces the closed
-form for small |z|), and that e^phi at the points is also what an EM E-step
-needs. Per-point work runs on the sample's ``_Grid``, which holds the
-sorted observations: the segment of each point comes from the knot indices
-by ``np.repeat``, the latest knot set's per-point data is reused until the
+where F_j and Q_j are the integrals of e^phi and (t_j - t) e^phi up to t_j:
+running sums over the knot segments, F of the masses that the last
+``knot_grad_hess`` call returned and Q of dt_j F_j plus the segment's own
+hinge integral, formed in one pass over the knots on Python floats. So a
+multiplier check calls no kernel and costs one exp per point (a series
+replaces the closed form for small |z|), and that e^phi at the points is
+also what an EM E-step needs.
+
+Per-point work runs on the sample's ``_Grid``, which holds the sorted
+observations: the segment of each point comes from the knot indices by
+``np.repeat``, the latest knot set's per-point data is reused until the
 knots change, and e^phi of the latest fit is kept for the observations.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -352,12 +360,16 @@ def _knot_weights(grid, kidx, w):
 def _reduced_solve(grid, w, kidx, phi_k, gtol):
     """Newton with Armijo backtracking on the current knot set.
 
-    Truncated steps activate the blocking constraint (the knot drops out).
-    Returns ``(kidx, phi_k, stalled, W)``, with ``W`` the weights
-    aggregated onto the returned knots.
+    Each trial point costs one ``knot_grad_hess`` call: its segment masses
+    give the Armijo value as ``knot_objective`` forms it, and an accepted
+    point's derivatives are the next step's. Truncated steps activate the
+    blocking constraint (the knot drops out), and the shorter knot set is
+    evaluated afresh. Returns ``(kidx, phi_k, stalled, W, mass)``, with
+    ``W`` the weights aggregated onto the returned knots and ``mass`` the
+    segment masses of ``phi_k``.
     """
     dt, inv_dt, W = _knot_weights(grid, kidx, w)
-    psi, grad, hd, he = K.knot_grad_hess(dt, phi_k, W)
+    psi, grad, hd, he, mass = K.knot_grad_hess(dt, phi_k, W)
     stalled = False
     for _ in range(_MAX_NEWTON_ITERS):
         if float(np.abs(grad).max()) <= gtol:
@@ -373,7 +385,9 @@ def _reduced_solve(grid, w, kidx, phi_k, gtol):
             while alpha > 1e-16:
                 cand = step * alpha
                 cand += phi_k
-                if K.knot_objective(dt, cand, W) >= psi + _ARMIJO_C * alpha * slope:
+                point = K.knot_grad_hess(dt, cand, W)
+                value = float(W.dot(cand)) - float(point[4].sum()) + 1.0
+                if value >= psi + _ARMIJO_C * alpha * slope:
                     break
                 alpha *= 0.5
             else:
@@ -385,24 +399,48 @@ def _reduced_solve(grid, w, kidx, phi_k, gtol):
             kidx = np.delete(kidx, j_block)
             phi_k = np.delete(phi_k, j_block)
             dt, inv_dt, W = _knot_weights(grid, kidx, w)
-        psi, grad, hd, he = K.knot_grad_hess(dt, phi_k, W)
-    return kidx, phi_k, stalled, W
+            point = K.knot_grad_hess(dt, phi_k, W)
+        psi, grad, hd, he, mass = point
+    return kidx, phi_k, stalled, W, mass
 
 
-def _kkt_state(grid, w, ks, phi_k):
+def _knot_integrals(dt, mass, e_k, s):
+    """F and Q at each knot, the integrals of e^phi and of (t_j - t) e^phi
+    from the first knot up to it, and 1/s^2 per segment (0 where s^2 is 0),
+    as arrays, from lists of the spacings, the segment masses, e^phi at the
+    knots and the slopes. The recurrences are serial, so they run on Python
+    floats: F and Q are cumulative sums, and segment j adds dt_j F_j plus
+    its hinge tail at z = s_j dt_j, in ``_hinge_tail``'s operations and
+    order (see ``_kernels_py`` on floats against numpy)."""
+    F = [0.0, *itertools.accumulate(mass)]
+    inv_s2 = []
+    terms = []
+    for d, f, e_left, e_right, sj in zip(dt, F, e_k, e_k[1:], s):
+        s2 = sj * sj
+        inv = 1.0 / s2 if s2 > 0.0 else 0.0
+        z = sj * d
+        if abs(z) < _TAIL_SERIES_RADIUS:
+            series = _TAIL_COEF[0] * z + _TAIL_COEF[1]
+            for c in _TAIL_COEF[2:]:
+                series = series * z + c
+            tail = e_left * (d * d) * series
+        else:
+            tail = (e_right - (1.0 + z) * e_left) * inv
+        inv_s2.append(inv)
+        terms.append(d * f + tail)
+    Q = [0.0, *itertools.accumulate(terms)]
+    return np.array(F), np.array(Q), np.array(inv_s2)
+
+
+def _kkt_state(grid, w, ks, phi_k, mass):
     """e^phi at every point, and the multipliers at the active points in
-    the closed form of the module docstring."""
+    the closed form of the module docstring; ``mass`` holds the segment
+    masses of ``phi_k``, as ``knot_grad_hess`` returns them."""
     phi, s, z = ks.phi_at(phi_k)
     exp_phi = np.exp(phi, out=phi)
     e_k = np.exp(phi_k)
-    s2 = s * s
-    inv_s2 = np.divide(1.0, s2, out=np.zeros(s.size), where=s2 > 0.0)
-    # F and Q at each knot: the integrals of e^phi and of (t_j - t) e^phi
-    # from the first point up to it
-    mass = K.segment_integrals(ks.dt, phi_k[:-1], phi_k[1:])
-    tail = _hinge_tail(e_k[:-1], inv_s2, ks.dt, s * ks.dt, e_k[1:])
-    F = np.concatenate(([0.0], mass.cumsum()))
-    Q = np.concatenate(([0.0], (ks.dt * F[:-1] + tail).cumsum()))
+    F, Q, inv_s2 = _knot_integrals(ks.dt.tolist(), mass.tolist(), e_k.tolist(),
+                                   s.tolist())
     seg = ks.seg
     inside = F[seg]
     inside *= ks.d
@@ -453,18 +491,18 @@ def fit_weighted_logconcave(sample: WeightedSample,
     released_last = -1
     exp_phi = None  # e^phi at the points, while it matches (kidx, phi_k)
     for _outer in range(_MAX_OUTER_ITERS):
-        kidx, phi_k, stalled, W = _reduced_solve(grid, w, kidx, phi_k, tol)
+        kidx, phi_k, stalled, W, mass = _reduced_solve(grid, w, kidx, phi_k, tol)
         # Exact normalization: shifting phi by -log(integral) preserves
         # concavity and never lowers psi. The KKT test below runs on the
         # normalized state; if the shift disturbed stationarity beyond tol
         # the next outer round re-tightens it (one or two Newton steps).
         ks = grid.knot_set(kidx)
-        integral = float(K.segment_integrals(ks.dt, phi_k[:-1], phi_k[1:]).sum())
+        integral = float(mass.sum())
         if integral > 0.0 and math.isfinite(integral):
             phi_k = phi_k - math.log(integral)
-        psi, grad, _, _ = K.knot_grad_hess(ks.dt, phi_k, W)
+        psi, grad, _, _, mass = K.knot_grad_hess(ks.dt, phi_k, W)
         ginf = float(np.abs(grad).max())
-        exp_phi, lam = _kkt_state(grid, w, ks, phi_k)
+        exp_phi, lam = _kkt_state(grid, w, ks, phi_k, mass)
         lam_min = float(lam.min()) if lam.size else 0.0
         kkt = max(ginf, max(0.0, -lam_min))
         if ginf <= tol and lam_min >= -tol:

@@ -13,6 +13,8 @@ from typing import Union
 
 import numpy as np
 
+from .errors import require_int
+
 # A seed is either a plain integer or an already-derived SeedSequence.
 RngSeed = Union[int, np.random.SeedSequence]
 
@@ -30,11 +32,20 @@ def child_seed(seed: RngSeed, index: int) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         key = seed.spawn_key + (index,)
         return np.random.SeedSequence(entropy=seed.entropy, spawn_key=key)
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=(index,))
+    return np.random.SeedSequence(entropy=_entropy(seed), spawn_key=(index,))
 
 
 def make_rng(seed: RngSeed) -> np.random.Generator:
     """Build a Generator on the Philox counter-based bit generator."""
     if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(entropy=int(seed))
+        seed = np.random.SeedSequence(entropy=_entropy(seed))
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _entropy(seed) -> int:
+    """An integer seed as a Python int; a ValueError naming the seed for a
+    negative or non-integral one, which would otherwise run as another."""
+    value = require_int("seed", seed)
+    if value < 0:
+        raise ValueError(f"seed must be >= 0, got {value}")
+    return value

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .em import EmConfig, classification_error, estimate_mu, run_em
-from .errors import AllReplicationsFailedError
+from .errors import AllReplicationsFailedError, require_int
 from .families import (Beta15, Exponential, KnownComponent, Normal,
                        ShiftedChiSq3, ShiftedExponential, ShiftedT5,
                        Uniform, UnknownComponent, sample_mixture)
@@ -65,6 +65,8 @@ class ScenarioSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("model_id", "n", "reps", "seed"):  # stored as Python ints
+            object.__setattr__(self, name, require_int(name, getattr(self, name)))
         if self.model_id not in model_catalog():
             raise ValueError(f"unknown model id {self.model_id}")
         if not (0.0 < self.p < 1.0):
@@ -73,6 +75,8 @@ class ScenarioSpec:
             raise ValueError("n must be >= 4")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,13 @@ def test_simulate_bad_p_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra", [[], ["--full-profile"]], ids=["one", "full-profile"])
+def test_simulate_negative_seed_exits_2_naming_the_seed(capsys, extra):
+    # the error used to read "expected non-negative integer", naming nothing
+    assert main(["simulate", "--n", "100", "--reps", "1", "--seed", "-1"] + extra) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_tstats_pooled_t_oracle(tmp_path):
     # g0: groups (1,2) vs (0,1) give t = sqrt(2) and, at df = 2,
     # p = 2 (1 - F(sqrt 2)) = 1 - sqrt(2)/2 exactly

@@ -180,3 +180,18 @@ def test_rng_child_streams_are_distinct_and_stable():
     a = r0.uniform(size=8)
     np.testing.assert_array_equal(a, r0_again.uniform(size=8))
     assert not np.array_equal(a, r1.uniform(size=8))
+
+
+@pytest.mark.parametrize("seed", [2.9, 1.5, -1, True, "3"])
+def test_rng_rejects_seeds_that_are_not_non_negative_integers(seed):
+    # 2.9 used to draw make_rng(2)'s stream, and 1.5 child_seed(1, .)'s
+    with pytest.raises(ValueError, match="seed must be"):
+        make_rng(seed)
+    with pytest.raises(ValueError, match="seed must be"):
+        child_seed(seed, 0)
+
+
+def test_rng_takes_numpy_integer_seeds_as_their_value():
+    np.testing.assert_array_equal(make_rng(np.uint32(7)).uniform(size=4),
+                                  make_rng(7).uniform(size=4))
+    assert child_seed(np.int64(7), 2).entropy == 7

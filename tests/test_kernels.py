@@ -4,16 +4,20 @@ forms, finite differences, and the compiled backend against the python one.
 
 J(a, b) = integral_0^1 exp((1-t) a + t b) dt, so that a segment of width dx
 with endpoint log-values (a, b) contributes dx * J(a, b) to integral(e^phi).
-Both backends are checked through the five kernels that logcon calls; the
-partials of J are read off ``knot_grad_hess`` (see ``_partials``). The
-python kernels are also checked bit for bit against an array oracle, on
-fixed seams and on hypothesis-drawn knot chains.
+Both backends are checked through the four kernels that logcon calls; the
+partials of J are read off ``knot_grad_hess`` (see ``_partials``), and the
+objective is formed from its segment masses as logcon's line search forms
+it (``_armijo_value``). The python kernels, and the python
+``knot_objective`` that has no compiled twin, are also checked bit for bit
+against an array oracle, on fixed seams and on hypothesis-drawn knot chains.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,8 +86,15 @@ def _partials(impl, a, b):
     phi = np.column_stack((np.atleast_1d(a), np.atleast_1d(b))).ravel()
     dt = np.zeros(phi.size - 1)
     dt[::2] = 1.0
-    _, grad, hd, he = impl.knot_grad_hess(dt, phi, np.zeros(phi.size))
+    _, grad, hd, he, _ = impl.knot_grad_hess(dt, phi, np.zeros(phi.size))
     return -grad[::2], -grad[1::2], -hd[::2], -he[::2], -hd[1::2]
+
+
+def _armijo_value(impl, dt, phi, w):
+    """psi as logcon's line search forms it from ``knot_grad_hess``'s
+    segment masses; ``knot_objective``'s value on the python backend."""
+    mass = impl.knot_grad_hess(dt, phi, w)[4]
+    return float(w.dot(phi)) - float(mass.sum()) + 1.0
 
 
 def test_j_values_match_quadrature(impl):
@@ -177,8 +188,10 @@ def test_knot_objective_matches_independent_evaluation(impl, rng):
     phi = np.cumsum(rng.uniform(-0.5, 0.5, 12)) - 1.0
     w = rng.uniform(0.0, 1.0, 12)
     w /= w.sum()
-    got = impl.knot_objective(np.diff(x), phi, w)
+    got = _armijo_value(impl, np.diff(x), phi, w)
     assert got == pytest.approx(independent_objective(x, w, phi), rel=1e-12)
+    if impl is kpy:
+        assert kpy.knot_objective(np.diff(x), phi, w) == got
 
 
 def test_knot_grad_hess_matches_finite_differences(impl, rng):
@@ -187,21 +200,21 @@ def test_knot_grad_hess_matches_finite_differences(impl, rng):
     phi = np.cumsum(rng.uniform(-0.4, 0.4, 8))
     w = rng.uniform(0.1, 1.0, 8)
     w /= w.sum()
-    _, grad, hdiag, hoff = impl.knot_grad_hess(dt, phi, w)
+    _, grad, hdiag, hoff, _ = impl.knot_grad_hess(dt, phi, w)
     h = 1e-6
     for i in range(8):
         e = np.zeros(8)
         e[i] = h
-        fd = (impl.knot_objective(dt, phi + e, w)
-              - impl.knot_objective(dt, phi - e, w)) / (2 * h)
+        fd = (_armijo_value(impl, dt, phi + e, w)
+              - _armijo_value(impl, dt, phi - e, w)) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-8)
     # Hessian via central differences of the gradient (second differences of
     # the objective itself would sit in h^2 cancellation noise)
     for i in range(8):
         e = np.zeros(8)
         e[i] = h
-        _, gplus, _, _ = impl.knot_grad_hess(dt, phi + e, w)
-        _, gminus, _, _ = impl.knot_grad_hess(dt, phi - e, w)
+        gplus = impl.knot_grad_hess(dt, phi + e, w)[1]
+        gminus = impl.knot_grad_hess(dt, phi - e, w)[1]
         fd_col = (gplus - gminus) / (2 * h)
         assert hdiag[i] == pytest.approx(fd_col[i], rel=2e-5, abs=1e-9)
         if i + 1 < 8:
@@ -434,7 +447,8 @@ def test_grad_hess_and_newton_step_bit_identical_to_oracle(rng, knots):
     assert got[0] == want[0]
     for g, r in zip(got[1:], want[1:]):
         np.testing.assert_array_equal(g, r)
-    np.testing.assert_array_equal(kpy.solve_newton_step(*got[2:], got[1]),
+    np.testing.assert_array_equal(got[4], dt * _ref_j_values(phi[:-1], phi[1:]))
+    np.testing.assert_array_equal(kpy.solve_newton_step(*got[2:4], got[1]),
                                   _ref_solve_newton_step(*want[2:], want[1]))
 
 
@@ -528,6 +542,26 @@ def test_knot_kernels_bit_identical_to_oracle_property(problem):
     assert kpy.knot_objective(dt, phi, w) == _ref_knot_objective(dt, phi, w)
 
 
+@example(_flat([0.5, 0.5, 0.0], [0.0] * 4))
+@example(_flat([0.5], [0.0, 1e-5]))
+@example(_flat([0.5] * 48, [0.0] * 48 + [1e-5]))
+@example(_flat([0.5], [0.0, 22.0]))
+@settings(max_examples=150, deadline=None)
+@given(_knot_problems())
+def test_knot_grad_hess_masses_are_segment_integrals_property(compiled_kernels, problem):
+    # the segment masses that logcon's line search, normalization and
+    # multipliers read from knot_grad_hess are each backend's
+    # segment_integrals, and on the python backend they give knot_objective
+    dt, phi, w = problem
+    mass = kpy.knot_grad_hess(dt, phi, w)[4]
+    assert mass.tobytes() == kpy.segment_integrals(dt, phi[:-1], phi[1:]).tobytes()
+    value = float(w.dot(phi)) - float(mass.sum()) + 1.0
+    assert value == kpy.knot_objective(dt, phi, w) == _ref_knot_objective(dt, phi, w)
+    kc = compiled_kernels
+    assert (kc.knot_grad_hess(dt, phi, w)[4].tobytes()
+            == kc.segment_integrals(dt, phi[:-1], phi[1:]).tobytes())
+
+
 _STEPS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-10.0, 10.0))
 
 
@@ -589,15 +623,15 @@ def test_backends_agree_to_rounding(rng, compiled_kernels):
     w = rng.uniform(0.1, 1, 40)
     w /= w.sum()
     phi = np.cumsum(rng.uniform(-0.3, 0.3, 40))
-    assert kc.knot_objective(np.diff(x), phi, w) == pytest.approx(
+    assert _armijo_value(kc, np.diff(x), phi, w) == pytest.approx(
         kpy.knot_objective(np.diff(x), phi, w), rel=1e-13)
     got = kc.knot_grad_hess(np.diff(x), phi, w)
     want = kpy.knot_grad_hess(np.diff(x), phi, w)
     assert got[0] == pytest.approx(want[0], rel=1e-13)
     for py_part, c_part in zip(want[1:], got[1:]):
         np.testing.assert_allclose(py_part, c_part, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(kc.solve_newton_step(*want[2:], want[1]),
-                               kpy.solve_newton_step(*want[2:], want[1]),
+    np.testing.assert_allclose(kc.solve_newton_step(*want[2:4], want[1]),
+                               kpy.solve_newton_step(*want[2:4], want[1]),
                                rtol=1e-13)
 
 
@@ -650,9 +684,10 @@ def test_compiled_kernels_bit_identical_to_scalar_formulas(rng, compiled_kernels
     lin = integral = 0.0
     for wi, pi in zip(w.tolist(), phi.tolist()):
         lin += wi * pi
-    grad, hd, he = w.tolist(), [0.0] * phi.size, []
+    grad, hd, he, mass = w.tolist(), [0.0] * phi.size, [], []
     for i, d in enumerate(dt.tolist()):
         j, ja, jb, jaa, jab, jbb = _c_parts(float(phi[i]), float(phi[i + 1]))
+        mass.append(d * j)
         integral += d * j
         grad[i] -= d * ja
         grad[i + 1] -= d * jb
@@ -660,21 +695,22 @@ def test_compiled_kernels_bit_identical_to_scalar_formulas(rng, compiled_kernels
         hd[i + 1] -= d * jbb
         he.append(-d * jab)
     psi = lin - integral + 1.0
-    assert kc.knot_objective(dt, phi, w) == psi
     got = kc.knot_grad_hess(dt, phi, w)
     assert got[0] == psi
-    for g, want in zip(got[1:], (grad, hd, he)):
+    for g, want in zip(got[1:], (grad, hd, he, mass)):
         np.testing.assert_array_equal(g, want)
 
 
 # (kernel, arguments, the argument that the error names); the first three
-# read past the end of an input before the lengths were checked
+# read past the end of an input before the lengths were checked. The python
+# knot_objective has no compiled twin, so the compiled tests skip its rows.
 BAD_CALLS = [
     ("knot_grad_hess", (np.ones(4), np.zeros(5), np.ones(2)), "weights"),
     ("segment_integrals", (np.ones(5), np.zeros(5), np.zeros(2)), "pb"),
     ("knot_objective", (np.ones(1), np.zeros(5), np.ones(5)), "dt"),
     ("j_values", (np.zeros(3), np.zeros(4)), "b"),
     ("knot_objective", (np.ones(0), np.zeros(1), np.ones(1)), "phi"),
+    ("knot_grad_hess", (np.ones(0), np.zeros(1), np.ones(1)), "phi"),
     ("knot_grad_hess", (np.ones((1, 1)), np.zeros(2), np.ones(2)), "dt"),
     ("solve_newton_step", (-np.ones(3), np.zeros(3), np.ones(3)), "hess_off"),
     ("solve_newton_step", (-np.ones(3), np.zeros(2), np.ones(2)), "grad"),
@@ -682,8 +718,11 @@ BAD_CALLS = [
 ]
 
 
-@pytest.mark.parametrize("fn, args, name", BAD_CALLS,
-                         ids=[f"{fn}-{name}" for fn, _, name in BAD_CALLS])
+COMPILED_BAD_CALLS = [row for row in BAD_CALLS if row[0] in kernels._CONTRACT]
+
+
+@pytest.mark.parametrize("fn, args, name", COMPILED_BAD_CALLS,
+                         ids=[f"{fn}-{name}" for fn, _, name in COMPILED_BAD_CALLS])
 def test_compiled_kernels_reject_wrong_shapes(compiled_kernels, fn, args, name):
     with pytest.raises(ValueError, match=f"{fn}: {name} "):
         getattr(compiled_kernels, fn)(*args)
@@ -692,6 +731,7 @@ def test_compiled_kernels_reject_wrong_shapes(compiled_kernels, fn, args, name):
 # the knot kernels check their lengths on the python backend too;
 # j_values and segment_integrals keep numpy's broadcasting there
 KNOT_BAD_CALLS = [row for row in BAD_CALLS if row[0] not in ("j_values", "segment_integrals")]
+COMPILED_KNOT_BAD_CALLS = [row for row in KNOT_BAD_CALLS if row[0] in kernels._CONTRACT]
 
 
 @pytest.mark.parametrize("fn, args, name", KNOT_BAD_CALLS,
@@ -701,8 +741,8 @@ def test_python_knot_kernels_reject_wrong_shapes(fn, args, name):
         getattr(kpy, fn)(*args)
 
 
-@pytest.mark.parametrize("fn, args, name", KNOT_BAD_CALLS,
-                         ids=[f"{fn}-{name}" for fn, _, name in KNOT_BAD_CALLS])
+@pytest.mark.parametrize("fn, args, name", COMPILED_KNOT_BAD_CALLS,
+                         ids=[f"{fn}-{name}" for fn, _, name in COMPILED_KNOT_BAD_CALLS])
 def test_both_backends_word_shape_errors_alike(compiled_kernels, fn, args, name):
     messages = []
     for impl in (kpy, compiled_kernels):
@@ -716,7 +756,7 @@ def test_compiled_kernels_take_exactly_their_arguments(compiled_kernels):
     with pytest.raises(TypeError):
         compiled_kernels.j_values(np.zeros(2))
     with pytest.raises(TypeError):
-        compiled_kernels.knot_objective(np.ones(1), np.zeros(2), np.ones(2), None)
+        compiled_kernels.knot_grad_hess(np.ones(1), np.zeros(2), np.ones(2), None)
 
 
 @pytest.mark.parametrize("cell", [0, 5, 11], ids=["model1-p0.1", "model3-p0.9", "model6-p0.9"])
@@ -730,6 +770,21 @@ def test_run_em_agrees_across_backends(compiled_kernels, python_backend, cell):
     kernels.set_backend("compiled")
     got = run_em(values, spec.known)
     assert abs(got.p_hat - want.p_hat) <= 1e-12
+
+
+def _kernels_logcon_uses():
+    tree = ast.parse(Path(logcon.__file__).read_text(encoding="utf-8"))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "K"}
+
+
+def test_kernel_contract_is_what_logcon_calls(compiled_kernels):
+    # the contract is exactly as wide as its caller: every K.<name> in
+    # logcon.py, and the compiled module exports those names and no others
+    assert _kernels_logcon_uses() == set(kernels._CONTRACT)
+    exported = {name for name in dir(compiled_kernels) if not name.startswith("_")}
+    assert exported == set(kernels._CONTRACT)
 
 
 def test_backend_selection_roundtrip():

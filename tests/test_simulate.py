@@ -47,6 +47,26 @@ def test_scenario_spec_validation():
         ScenarioSpec(model_id=1, p=0.5, n=100, reps=0, seed=0)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("n", 200.5), ("reps", 2.5), ("reps", True), ("model_id", 1.0),
+    ("seed", 1.5), ("seed", -1), ("seed", True), ("n", "200")])
+def test_scenario_spec_rejects_what_is_not_an_integer_and_names_it(field, bad):
+    # n=200.5 and reps=2.5 used to fail later, inside run_scenario; reps=True,
+    # model_id=1.0 and seed=1.5 (which ran as seed 1) used to pass
+    kwargs = dict(model_id=1, p=0.5, n=200, reps=2, seed=3)
+    kwargs[field] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ScenarioSpec(**kwargs)
+
+
+def test_scenario_spec_stores_numpy_integers_as_python_ints():
+    spec = ScenarioSpec(model_id=np.int64(1), p=0.5, n=np.int32(200),
+                        reps=np.uint8(2), seed=np.uint32(7))
+    assert spec == ScenarioSpec(model_id=1, p=0.5, n=200, reps=2, seed=7)
+    assert all(type(getattr(spec, name)) is int
+               for name in ("model_id", "n", "reps", "seed"))
+
+
 def test_single_replication_mse_is_squared_bias():
     spec = ScenarioSpec(model_id=1, p=0.5, n=400, reps=1, seed=12)
     summary = run_scenario(spec)

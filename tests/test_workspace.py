@@ -55,7 +55,8 @@ def _check_multipliers(sample, kidx, phi_k):
     x, w = sample.points, sample.weights
     grid = logcon._Grid(x)
     ks = grid.knot_set(kidx)
-    _, lam = logcon._kkt_state(grid, w, ks, phi_k)
+    mass = kpy.segment_integrals(ks.dt, phi_k[:-1], phi_k[1:])
+    _, lam = logcon._kkt_state(grid, w, ks, phi_k, mass)
     want = _oracle_multipliers(x, w, kidx, phi_k)[ks.active]
     np.testing.assert_allclose(lam, want, rtol=0.0,
                                atol=LAMBDA_RTOL * (x[-1] - x[0]))
@@ -97,6 +98,101 @@ def test_hinge_tail_is_accurate_on_both_sides_of_the_series_seam():
         zm = mpmath.mpf(z)
         want = (mpmath.exp(zm) - 1 - zm) / zm ** 2 if z else mpmath.mpf(0.5)
         assert abs(got - float(want)) <= 2e-13 * float(want), z
+
+
+# The array formulation of F, Q and 1/s^2 that ``logcon._knot_integrals``
+# runs on Python floats, and the multiplier pass around it; the float code
+# must give its bits.
+
+def _ref_knot_integrals(dt, mass, e_k, s):
+    s2 = s * s
+    inv_s2 = np.divide(1.0, s2, out=np.zeros(s.size), where=s2 > 0.0)
+    tail = logcon._hinge_tail(e_k[:-1], inv_s2, dt, s * dt, e_k[1:])
+    F = np.concatenate(([0.0], mass.cumsum()))
+    Q = np.concatenate(([0.0], (dt * F[:-1] + tail).cumsum()))
+    return F, Q, inv_s2
+
+
+def _ref_kkt_state(grid, w, ks, phi_k):
+    phi, s, z = ks.phi_at(phi_k)
+    exp_phi = np.exp(phi, out=phi)
+    e_k = np.exp(phi_k)
+    mass = kpy.segment_integrals(ks.dt, phi_k[:-1], phi_k[1:])
+    F, Q, inv_s2 = _ref_knot_integrals(ks.dt, mass, e_k, s)
+    seg = ks.seg
+    inside = F[seg]
+    inside *= ks.d
+    inside += Q[seg]
+    inside += logcon._hinge_tail(e_k[seg], inv_s2[seg], ks.d, z, exp_phi)
+    lam = np.empty(inside.size)
+    lam[0] = 0.0
+    below = w[:-1].cumsum()
+    below *= grid.dx
+    below.cumsum(out=lam[1:])
+    lam -= inside
+    return exp_phi, lam[ks.active]
+
+
+def _check_kkt_state_bits(sample, kidx, phi_k):
+    x, w = sample.points, sample.weights
+    grid = logcon._Grid(x)
+    ks = grid.knot_set(kidx)
+    mass = kpy.knot_grad_hess(ks.dt, phi_k, ks.aggregate(w))[4]
+    got = logcon._kkt_state(grid, w, ks, phi_k, mass)
+    want = _ref_kkt_state(grid, w, ks, phi_k)
+    e_k = np.exp(phi_k)
+    s = (phi_k[1:] - phi_k[:-1]) / ks.dt
+    knot_got = logcon._knot_integrals(ks.dt.tolist(), mass.tolist(), e_k.tolist(), s.tolist())
+    knot_want = _ref_knot_integrals(ks.dt, mass, e_k, s)
+    for g, r in zip(got + knot_got, want + knot_want):
+        if np.all(np.isfinite(r)):
+            assert g.tobytes() == r.tobytes()
+        else:
+            np.testing.assert_array_equal(g, r)   # NaN payloads aside
+
+
+# |z| = |s dt| on each side of the tail's series radius, to the ulp
+_TAIL_SEAM = [float(v) for r in (0.1, -0.1)
+              for v in (np.nextafter(r, 0.0), r, np.nextafter(r, 2 * r))]
+
+
+def test_float_knot_integrals_match_array_formulation_bitwise(rng):
+    for n, spread, ties in ((5, 1.0, False), (40, 1e-3, True), (400, 1e3, False)):
+        sample = _sample(rng, n, spread, ties)
+        m = sample.size
+        for knots in (2, 3, min(m, 9)):
+            inner = rng.choice(np.arange(1, m - 1), knots - 2, replace=False)
+            kidx = np.sort(np.concatenate(([0, m - 1], inner))).astype(np.intp)
+            t = sample.points[kidx]
+            phi = _concave_phi(rng, t)
+            _check_kkt_state_bits(sample, kidx, phi)
+            flat = phi.copy()
+            flat[1] = flat[0]                 # a slope-0 segment: 1/s^2 is 0
+            _check_kkt_state_bits(sample, kidx, flat)
+            # gentle slopes put most segments inside the tail's series
+            _check_kkt_state_bits(sample, kidx, 0.01 * phi - 0.37)
+    # two-knot fits on [0, 1], where s dt is the difference of the two
+    # values exactly: the tail's seam, a flat density, and steep ones
+    sample = WeightedSample.from_observations(np.linspace(0.0, 1.0, 30))
+    two = np.array([0, 29], dtype=np.intp)
+    for z in _TAIL_SEAM + [0.0, 1e-9, 0.05, 3.0, -40.0]:
+        _check_kkt_state_bits(sample, two, np.array([0.0, z]))
+    # the seam in the last segment of a three-knot set of unit spacings
+    sample = WeightedSample.from_observations(np.linspace(0.0, 2.0, 21))
+    three = np.array([0, 10, 20], dtype=np.intp)
+    assert sample.points[three].tolist() == [0.0, 1.0, 2.0]
+    for z in _TAIL_SEAM:
+        _check_kkt_state_bits(sample, three, np.array([-0.3, 0.0, z]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_float_knot_integrals_match_array_formulation_on_non_finite_phi(bad):
+    sample = WeightedSample.from_observations(np.linspace(0.0, 2.0, 21))
+    for kidx, phi in (([0, 20], [bad, 0.0]), ([0, 20], [0.0, bad]),
+                      ([0, 7, 13, 20], [0.0, bad, -1.0, -3.0]),
+                      ([0, 7, 13, 20], [bad, bad, 0.5, -1.0])):
+        with np.errstate(all="ignore"):
+            _check_kkt_state_bits(sample, np.array(kidx, dtype=np.intp), np.array(phi))
 
 
 def test_two_knot_fit_multipliers_and_series_seam(rng):
