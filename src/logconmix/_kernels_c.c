@@ -1,13 +1,13 @@
-/* Compiled kernels for the weighted log-concave solver: the four functions
-   that logcon.py calls. They use the formulas of _kernels_py (see there for
-   the math and the stability notes) one segment at a time, with libm's exp
-   and expm1, and sum left to right; so they agree with the python backend
-   to rounding, not to the bit.
+/* Compiled kernels for the weighted log-concave solver: the two functions
+   that logcon.py calls at every Newton point. They use the formulas of
+   _kernels_py (see there for the math and the stability notes) one segment
+   at a time, with libm's exp and expm1, and sum left to right; so they agree
+   with the python backend to rounding, not to the bit.
 
-   Every argument is a 1-d float64 array, or converts safely to one. The
-   elementwise kernels take equal lengths; knot_grad_hess and the Newton
-   solve take R >= 2 knots, with dt and hess_off of length R - 1 and the
-   rest of length R. Any other shape raises ValueError naming the argument. */
+   Each kernel takes three 1-d float64 arrays, or arguments that convert
+   safely to them, on R >= 2 knots: dt and hess_off have length R - 1 and
+   the rest length R. Any other shape raises ValueError naming the
+   argument. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -32,26 +32,14 @@ static double series(const double *coef, double eps)
     return acc;
 }
 
-static double g1(double eps)
-{
-    if (fabs(eps) < VALUE_SERIES_RADIUS)
-        return 1.0 + eps * (0.5 + eps * (1.0 / 6.0 + eps * (1.0 / 24.0)));
-    return expm1(eps) / eps;
-}
-
-/* J(a, b) = integral_0^1 exp((1-t) a + t b) dt, anchored at max(a, b) */
-static double jval(double a, double b)
-{
-    double hi = a >= b ? a : b;
-    return exp(hi) * g1(-fabs(b - a));
-}
-
 /* G1, G2, G3 at eps = -|b - a|: the integrals of t^(k-1) e^(t eps) over
    [0, 1]. The closed forms share one exp and one expm1. */
 static void gfuns(double eps, double *g)
 {
     if (fabs(eps) < SERIES_RADIUS) {
-        g[0] = g1(eps);
+        g[0] = fabs(eps) < VALUE_SERIES_RADIUS
+                   ? 1.0 + eps * (0.5 + eps * (1.0 / 6.0 + eps * (1.0 / 24.0)))
+                   : expm1(eps) / eps;
         g[1] = series(G2C, eps);
         g[2] = series(G3C, eps);
         return;
@@ -62,32 +50,31 @@ static void gfuns(double eps, double *g)
     g[2] = (eps * eps * ee - 2.0 * (eps * ee - em)) / (eps * eps * eps);
 }
 
+#define NARGS 3 /* every kernel takes three arrays */
+#define RMIN 2  /* on at least two knots */
+
 /* The arguments of one kernel, as C-contiguous float64 arrays. */
 typedef struct {
     const char *fn;
-    int n, ref;           /* the number of arguments; which one sets r */
-    npy_intp rmin;        /* least r */
-    const char *names[3];
-    int off[3];           /* argument i has length r + off[i] */
+    int ref;              /* the argument whose length is r */
+    const char *names[NARGS];
+    int off[NARGS];       /* argument i has length r + off[i] */
 } Spec;
 
 typedef struct {
-    PyArrayObject *arr[3];
-    const double *p[3];
+    PyArrayObject *arr[NARGS];
+    const double *p[NARGS];
     npy_intp r;
 } Args;
 
-static const Spec J_VALUES = {"j_values", 2, 0, 0, {"a", "b"}, {0, 0}};
-static const Spec SEGMENT_INTEGRALS = {
-    "segment_integrals", 3, 0, 0, {"dx", "pa", "pb"}, {0, 0, 0}};
 static const Spec KNOT_GRAD_HESS = {
-    "knot_grad_hess", 3, 1, 2, {"dt", "phi", "weights"}, {-1, 0, 0}};
+    "knot_grad_hess", 1, {"dt", "phi", "weights"}, {-1, 0, 0}};
 static const Spec SOLVE_NEWTON_STEP = {
-    "solve_newton_step", 3, 0, 2, {"hess_diag", "hess_off", "grad"}, {0, -1, 0}};
+    "solve_newton_step", 0, {"hess_diag", "hess_off", "grad"}, {0, -1, 0}};
 
 static void release(Args *a)
 {
-    for (int i = 0; i < 3; i++)
+    for (int i = 0; i < NARGS; i++)
         Py_XDECREF(a->arr[i]);
 }
 
@@ -106,12 +93,12 @@ static PyObject *drop(Args *a, PyObject *o1, PyObject *o2, PyObject *o3)
 static int load(Args *a, const Spec *s, PyObject *const *args, Py_ssize_t nargs)
 {
     memset(a, 0, sizeof *a);
-    if (nargs != s->n) {
+    if (nargs != NARGS) {
         PyErr_Format(PyExc_TypeError, "%s() takes %d arguments (%zd given)",
-                     s->fn, s->n, nargs);
+                     s->fn, NARGS, nargs);
         return -1;
     }
-    for (int i = 0; i < s->n; i++) {
+    for (int i = 0; i < NARGS; i++) {
         a->arr[i] = (PyArrayObject *)PyArray_FROM_OTF(args[i], NPY_DOUBLE,
                                                       NPY_ARRAY_IN_ARRAY);
         if (a->arr[i] == NULL)
@@ -124,12 +111,12 @@ static int load(Args *a, const Spec *s, PyObject *const *args, Py_ssize_t nargs)
         a->p[i] = (const double *)PyArray_DATA(a->arr[i]);
     }
     a->r = PyArray_DIM(a->arr[s->ref], 0);
-    if (a->r < s->rmin) {
-        PyErr_Format(PyExc_ValueError, "%s: %s has length %zd, needs at least %zd",
-                     s->fn, s->names[s->ref], (Py_ssize_t)a->r, (Py_ssize_t)s->rmin);
+    if (a->r < RMIN) {
+        PyErr_Format(PyExc_ValueError, "%s: %s has length %zd, needs at least %d",
+                     s->fn, s->names[s->ref], (Py_ssize_t)a->r, RMIN);
         goto fail;
     }
-    for (int i = 0; i < s->n; i++) {
+    for (int i = 0; i < NARGS; i++) {
         npy_intp want = a->r + s->off[i], got = PyArray_DIM(a->arr[i], 0);
         if (got != want) {
             PyErr_Format(PyExc_ValueError, "%s: %s has length %zd, expected %zd",
@@ -152,34 +139,6 @@ static PyObject *new_vector(npy_intp n, double **data)
     return out;
 }
 
-static PyObject *j_values(ARGS)
-{
-    Args a;
-    double *out;
-    if (load(&a, &J_VALUES, args, nargs) < 0)
-        return NULL;
-    PyObject *res = new_vector(a.r, &out);
-    if (res != NULL)
-        for (npy_intp i = 0; i < a.r; i++)
-            out[i] = jval(a.p[0][i], a.p[1][i]);
-    release(&a);
-    return res;
-}
-
-static PyObject *segment_integrals(ARGS)
-{
-    Args a;
-    double *out;
-    if (load(&a, &SEGMENT_INTEGRALS, args, nargs) < 0)
-        return NULL;
-    PyObject *res = new_vector(a.r, &out);
-    if (res != NULL)
-        for (npy_intp i = 0; i < a.r; i++)
-            out[i] = a.p[0][i] * jval(a.p[1][i], a.p[2][i]);
-    release(&a);
-    return res;
-}
-
 static double linear_term(const Args *a)
 {
     double lin = 0.0;
@@ -189,7 +148,8 @@ static double linear_term(const Args *a)
 }
 
 /* (psi, grad, hess_diag, hess_off, mass), with mass[i] = dt[i] J(phi[i],
-   phi[i+1]) to the bit of segment_integrals; psi sums mass left to right. */
+   phi[i+1]), J = exp(max) G1 as in _kernels_py; psi sums mass left to
+   right. */
 static PyObject *knot_grad_hess(ARGS)
 {
     Args a;
@@ -283,8 +243,6 @@ static PyObject *solve_newton_step(ARGS)
     {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
 
 static PyMethodDef methods[] = {
-    KERNEL(j_values, "j_values(a, b): elementwise J(a, b)."),
-    KERNEL(segment_integrals, "segment_integrals(dx, pa, pb): dx * J(pa, pb)."),
     KERNEL(knot_grad_hess,
            "knot_grad_hess(dt, phi, weights) -> (psi, grad, hd, he, mass)."),
     KERNEL(solve_newton_step, "solve_newton_step(hd, he, grad): d with (-H) d = grad."),

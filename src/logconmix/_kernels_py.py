@@ -1,13 +1,15 @@
 """Reference kernels for the weighted log-concave solver.
 
-This module is the reference implementation of the four kernels that
-``logcon`` calls (``j_values``, ``segment_integrals``, ``knot_grad_hess``
-and ``solve_newton_step``); the C extension built from ``_kernels_c.c``
-implements the same four with the same formulas. ``knot_grad_hess`` also
+This module is the reference implementation of the two kernels that the
+solver in ``logcon`` calls at every Newton point, ``knot_grad_hess`` and
+``solve_newton_step``; the C extension built from ``_kernels_c.c``
+implements the same two with the same formulas. ``knot_grad_hess`` also
 returns the segment masses, from which ``logcon`` forms the objective at a
-trial point as ``knot_objective`` does. ``knot_objective`` itself stays,
-like the per-point kernels at the end of the module, as test oracle and for
-the benchmark's tracer; it has no compiled twin.
+trial point as ``knot_objective`` does. ``segment_integrals``, which
+``logcon.cdf`` and ``logcon.objective`` call on every backend to evaluate
+a finished fit, has no compiled twin; nor have ``knot_objective`` and the
+per-point kernels at the end of the module, which stay as test oracles and
+for the benchmark's tracer.
 
 Central object: the exponential-segment integral
 
@@ -31,17 +33,16 @@ Stability notes, used identically in both backends:
   |b - a| < 1e-5, the expm1 form otherwise.
 
 Two layouts of the same formulas:
-- The knot kernels (``knot_grad_hess``, ``knot_objective`` and
-  ``segment_integrals`` on 1-d arguments) work on the R - 1 segments of one
-  knot set; the solver calls ``knot_grad_hess`` at every Newton point. R
-  is small (about 6 in a Monte-Carlo M-step, about 16 at n = 1e5), and one
-  numpy call (~0.5-1 us) costs about as much as the ~40 flops of a whole
-  segment. These kernels therefore run one segment at a time on Python
-  floats, at about 1.5-2 us per segment, with a few numpy calls per kernel
-  call.
-- ``j_values``, ``segment_integrals`` on any other shape, and the
-  per-point ``integral_grad_terms`` take arrays of any shape through
-  ``_parts``, one numpy call per step of the formulas for all entries.
+- ``knot_grad_hess`` works on the R - 1 segments of one knot set, and the
+  solver calls it at every Newton point. R is small (about 6 in a
+  Monte-Carlo M-step, about 16 at n = 1e5), and one numpy call (~0.5-1 us)
+  costs about as much as the ~40 flops of a whole segment. It therefore
+  runs one segment at a time on Python floats, at about 1.5-2 us per
+  segment, with a few numpy calls per kernel call.
+- J's value everywhere else (``j_values``, ``segment_integrals`` and
+  ``knot_objective``), and the per-point ``integral_grad_terms``, take
+  arrays of any shape through ``_parts``, one numpy call per step of the
+  formulas for all entries.
 
 Both layouts give the bits of the oracle in ``tests/test_kernels.py``,
 which evaluates one G-function per moment on whole arrays:
@@ -112,34 +113,6 @@ def _vectors(fn, spec, args):
     raise ValueError(f"{fn}: {name} has length {v.size}, expected {r + off}")
 
 
-def _orient(pa, pb):
-    """For each pair of floats: max(a, b), eps = -|b - a| as
-    min(a, b) - max(a, b), and whether b < a (the partials then swap)."""
-    hi = []
-    eps = []
-    swap = []
-    for a, b in zip(pa, pb):
-        if b < a:
-            hi.append(a)
-            eps.append(b - a)
-            swap.append(True)
-        else:
-            hi.append(b)
-            eps.append(a - b)
-            swap.append(False)
-    return hi, eps, swap
-
-
-def _integrals(dx, pa, pb):
-    """dx * J(a, b) at each triple of floats, as a list."""
-    hi, eps, _ = _orient(pa, pb)
-    ehi = np.exp(hi).tolist()
-    closed = [e for e in eps if not e > -_VALUE_SERIES_RADIUS]
-    em = iter(np.expm1(closed).tolist() if closed else ())
-    return [d * ((_g1_series(e) if e > -_VALUE_SERIES_RADIUS else next(em) / e) * x)
-            for d, e, x in zip(dx, eps, ehi)]
-
-
 def _parts(a, b, order):
     """J, and for ``order`` 2 its first partials, stacked along a new first
     axis: rows (J,) for ``order`` 1 and (J, dJ/da, dJ/db) for 2, each of the
@@ -197,21 +170,14 @@ def j_values(a, b):
 
 
 def segment_integrals(dx, pa, pb):
-    """Per-segment integral of e^phi: dx_j * J(pa_j, pb_j). The segments of
-    1-d arguments of one length run on floats, any other shape on arrays."""
-    dx = np.asarray(dx, dtype=float)
-    pa = np.asarray(pa, dtype=float)
-    pb = np.asarray(pb, dtype=float)
-    if dx.ndim == pa.ndim == pb.ndim == 1 and dx.size == pa.size == pb.size:
-        return np.array(_integrals(dx.tolist(), pa.tolist(), pb.tolist()))
-    return dx * j_values(pa, pb)
+    """Per-segment integral of e^phi: dx_j * J(pa_j, pb_j), broadcast."""
+    return np.asarray(dx, dtype=float) * j_values(pa, pb)
 
 
 def knot_objective(dt, phi, weights) -> float:
     """psi = sum(W phi) - integral(e^phi) + 1 on the knot grid."""
     dt, phi, weights = _vectors("knot_objective", _KNOT_ARGS, (dt, phi, weights))
-    p = phi.tolist()
-    integral = float(np.array(_integrals(dt.tolist(), p, p[1:])).sum())
+    integral = float(segment_integrals(dt, phi[:-1], phi[1:]).sum())
     return float(np.dot(weights, phi)) - integral + 1.0
 
 
@@ -238,7 +204,7 @@ def knot_grad_hess(dt, phi, weights):
     q = p[1:]
     hi = []
     eps = []
-    for a, b in zip(p, q):  # max(a, b) and -|b - a|, as in _orient
+    for a, b in zip(p, q):  # max(a, b) and -|b - a| as min - max
         if b < a:
             hi.append(a)
             eps.append(b - a)

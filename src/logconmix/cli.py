@@ -141,6 +141,16 @@ def _density_grid_rows(grid: np.ndarray, f0: Optional[KnownComponent],
     return "\n".join(lines) + "\n"
 
 
+def _write_density_grid(args: argparse.Namespace, f0: Optional[KnownComponent],
+                        fit, p_hat: Optional[float]) -> None:
+    """With --grid-out, write the grid CSV on --grid, by default on 201
+    points across the fitted support."""
+    if args.grid_out:
+        lo, hi, count = args.grid if args.grid is not None else (*fit.support, 201)
+        _write_text(args.grid_out,
+                    _density_grid_rows(np.linspace(lo, hi, count), f0, fit, p_hat))
+
+
 def _cmd_fit(args: argparse.Namespace) -> int:
     f0 = parse_f0_spec(args.f0)
     values, labels = _read_value_csv(args.input)
@@ -155,12 +165,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         payload["cla_error"] = classification_error(result.omega, labels)
     if args.out:
         _write_json(args.out, payload)
-    if args.grid_out:
-        lo, hi, count = args.grid if args.grid is not None else (
-            result.fit.support[0], result.fit.support[1], 201)
-        grid = np.linspace(lo, hi, count)
-        _write_text(args.grid_out,
-                    _density_grid_rows(grid, f0, result.fit, result.p_hat))
+    _write_density_grid(args, f0, result.fit, result.p_hat)
     print(f"p_hat = {result.p_hat!r}")
     print(f"identifiability = {result.identifiability.verdict}")
     if labels is not None:
@@ -173,11 +178,7 @@ def _cmd_logcx(args: argparse.Namespace) -> int:
                                   options=FitOptions(tol_kkt=args.tol_kkt))
     if args.out:
         save_fit_json(fit, args.out)
-    if args.grid_out:
-        lo, hi, count = args.grid if args.grid is not None else (
-            fit.support[0], fit.support[1], 201)
-        grid = np.linspace(lo, hi, count)
-        _write_text(args.grid_out, _density_grid_rows(grid, None, fit, None))
+    _write_density_grid(args, None, fit, None)
     print(f"objective = {fit.objective!r}")
     print(f"converged = {fit.converged}")
     return 0

@@ -1,6 +1,6 @@
 """Kernel backend selection.
 
-``logcon`` calls four kernels: ``j_values``, ``segment_integrals``,
+The solver in ``logcon`` calls two kernels at every Newton point:
 ``knot_grad_hess`` and ``solve_newton_step``. The ``"compiled"`` backend
 takes them from ``_kernels_c``, the C extension that ``setup.py`` builds
 from ``_kernels_c.c``, and is selected when that module imports; the
@@ -19,18 +19,21 @@ from __future__ import annotations
 
 from . import _kernels_py
 
-# Five python kernels that logcon does not call. The four per-point ones did
-# its per-point work, which now runs on its point grid; ``knot_objective``
-# is the value that logcon forms from ``knot_grad_hess``'s masses. They stay,
-# from _kernels_py on every backend, as that code's test oracle and for the
-# benchmark tracer, which wraps them by name.
+# Six python kernels outside the contract, from _kernels_py on every
+# backend. ``segment_integrals`` is what ``logcon.cdf`` and
+# ``logcon.objective`` call to evaluate a finished fit; ``knot_objective``
+# is the value that logcon forms from ``knot_grad_hess``'s masses; the four
+# per-point ones did logcon's per-point work, which now runs on its point
+# grid. They stay here as test oracles and for the benchmark tracer, which
+# wraps them by name.
 from ._kernels_py import (aggregate_weights, integral_grad_terms,  # noqa: F401
-                          interp_to_points, knot_objective, multipliers)
+                          interp_to_points, knot_objective, multipliers,
+                          segment_integrals)
 
-_CONTRACT = ["j_values", "segment_integrals", "knot_grad_hess", "solve_newton_step"]
+_CONTRACT = ["knot_grad_hess", "solve_newton_step"]
 
-__all__ = _CONTRACT + ["knot_objective", "interp_to_points", "aggregate_weights",
-                       "integral_grad_terms", "multipliers",
+__all__ = _CONTRACT + ["segment_integrals", "knot_objective", "interp_to_points",
+                       "aggregate_weights", "integral_grad_terms", "multipliers",
                        "BACKEND", "set_backend", "available_backends"]
 
 BACKEND = "python"

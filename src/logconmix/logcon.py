@@ -57,6 +57,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels as K
+from ._kernels_py import segment_integrals
 from ._readcsv import read_csv
 from .errors import DegenerateSampleError
 
@@ -552,16 +553,17 @@ def eval_log_density(fit: LogConcaveFit, x) -> np.ndarray:
 
 
 def cdf(fit: LogConcaveFit, x) -> np.ndarray:
-    """Integral of exp(phi) from the left support edge to x (exact per segment); NaN raises."""
+    """Integral of exp(phi) from the left support edge to x (exact per
+    segment, and the same bits on either kernel backend); NaN raises."""
     xv = _points(x)
     t = fit.knots
     ph = fit.phi
-    seg_mass = K.segment_integrals(np.diff(t), ph[:-1], ph[1:])
+    seg_mass = segment_integrals(np.diff(t), ph[:-1], ph[1:])
     cum = np.concatenate(([0.0], np.cumsum(seg_mass)))
     seg = np.clip(np.searchsorted(t, xv, side="right") - 1, 0, t.size - 2)
     xc = np.clip(xv, t[0], t[-1])
     phi_at = np.interp(xc, t, ph)
-    partial = (xc - t[seg]) * K.j_values(ph[seg], phi_at)
+    partial = segment_integrals(xc - t[seg], ph[seg], phi_at)
     out = np.where(xv < t[0], 0.0, np.where(xv > t[-1], 1.0, cum[seg] + partial))
     out = np.clip(out, 0.0, 1.0)
     if np.ndim(x) == 0:
@@ -591,7 +593,7 @@ def objective(sample: WeightedSample, knots, phi) -> float:
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi values must be finite")
     lin = float(np.dot(_KnotSet(x, kidx).aggregate(sample.weights), phi))
-    integral = float(np.sum(K.segment_integrals(np.diff(knots), phi[:-1], phi[1:])))
+    integral = float(np.sum(segment_integrals(np.diff(knots), phi[:-1], phi[1:])))
     return lin - integral + 1.0
 
 

@@ -15,6 +15,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy.stats import kstest
 
 from logconmix.cli import main
@@ -113,6 +114,23 @@ def test_em_likelihood_never_decreases_across_all_models():
         if diffs.size:
             assert float(np.min(diffs)) >= -1e-8
     assert time.monotonic() - t0 < 300.0
+
+
+@pytest.mark.xfail(strict=True, reason="the M-step maximizes the floored weights "
+                   "of logcon._floored, not the EM surrogate, so the trace can drop")
+@pytest.mark.parametrize("rep", [0, 1])
+def test_em_likelihood_never_decreases_on_model5_at_n1000(python_backend, rep):
+    # Model 5, p = 0.5, n = 1000: the traces fall by -1.22e-7 (rep 0) and
+    # -3.93e-8 (rep 1) at step 53 of 55, just after the clamp on p releases,
+    # and both runs report converged=True. The n = 300 samples above do not
+    # reach this; when the M-step maximizes exactly the EM surrogate, this
+    # test passes and its xfail marker must go.
+    spec = model_catalog()[5]
+    x, _ = sample_mixture(spec.known, spec.unknown, 0.5, 1000,
+                          child_seed(4164515825, rep))
+    res = run_em(x, spec.known)
+    assert res.converged
+    assert float(np.min(np.diff(res.loglik_trace))) >= -1e-8
 
 
 def test_normal_mixture_recovery_bands():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from logconmix import logcon
+from logconmix import kernels, logcon
 from logconmix.errors import DegenerateSampleError
 from logconmix.logcon import (FitOptions, WeightedSample, cdf,
                               eval_log_density, fit_from_dict, fit_to_dict,
@@ -152,6 +152,23 @@ def test_cdf_properties():
     np.testing.assert_allclose(vals, [0.0, 0.0, 0.25, 0.5, 1.0, 1.0],
                                atol=1e-9)
     assert np.all(np.diff(vals) >= -1e-12)
+
+
+def test_cdf_and_objective_do_not_depend_on_the_kernel_backend(compiled_kernels,
+                                                               python_backend):
+    # each fit is made once; cdf and objective then evaluate it with either
+    # backend active and must give the same bytes
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        sample = WeightedSample.from_observations(rng.normal(0.0, 1.0, 500))
+        fit = fit_weighted_logconcave(sample)
+        grid = np.linspace(fit.knots[0] - 0.5, fit.knots[-1] + 0.5, 1001)
+        values = []
+        for backend in ("python", "compiled"):
+            kernels.set_backend(backend)
+            values.append((cdf(fit, grid).tobytes(),
+                           objective(sample, fit.knots, fit.phi)))
+        assert values[0] == values[1]
 
 
 def test_nan_points_raise_and_infinities_keep_their_meaning():
