@@ -27,6 +27,7 @@ def child_seed(seed: RngSeed, index: int) -> np.random.SeedSequence:
     Children with different indices are statistically independent, and
     ``child_seed(s, i)`` is a pure function of ``(s, i)``.
     """
+    index = require_int("index", index)
     if index < 0:
         raise ValueError(f"child index must be >= 0, got {index}")
     if isinstance(seed, np.random.SeedSequence):

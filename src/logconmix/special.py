@@ -100,10 +100,15 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return float(_incomplete_beta(a, b, np.array([float(x)]))[0])
 
 
+def _check_df(df: float) -> None:
+    # a NaN would otherwise run the continued fraction to its iteration cap,
+    # and an infinite df makes x = df / (df + t*t) NaN
+    if not 0.0 < df < math.inf:
+        raise ValueError(f"degrees of freedom must be positive and finite, got {df}")
+
+
 def _check_t_args(t: float, df: float) -> None:
-    # a NaN would otherwise run the continued fraction to its iteration cap
-    if not df > 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    _check_df(df)
     if math.isnan(t):
         raise ValueError("t statistic is NaN")
 
@@ -126,8 +131,7 @@ def student_t_two_sided_p(t, df: float):
     ``t`` is a float, or an array that gives an array of the same shape.
     """
     tv = np.asarray(t, dtype=float)
-    if not df > 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    _check_df(df)
     if np.isnan(tv).any():
         raise ValueError("t statistic is NaN")
     # t = +-inf gives x = 0 and p = 0; t = 0 gives x = 1 and p = 1; a

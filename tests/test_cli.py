@@ -405,7 +405,7 @@ def test_tstats_and_fit_output_bytes_are_pinned(tmp_path, capsys, python_backend
     assert hashlib.sha256(tcsv.read_bytes()).hexdigest() == (
         "f864da4d6045fd91c6b9c641d8b6e33706ecf29dfb17f619224d089ab19d5993")
     assert hashlib.sha256(mix.read_bytes()).hexdigest() == (
-        "e20f8dc355c4a1d45aa6a564176c6504a3fb4ab0a1721391b3871e36c952ae04")
+        "844a6b1eeec3ff6d602e8745ac0f1612cb0e5fb9b75de8244c86293e8bca630c")
 
 
 def test_unknown_subcommand_exits_2(capsys):

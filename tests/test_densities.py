@@ -173,6 +173,27 @@ def test_tabulated_csv_round_trip(tmp_path):
     assert stat.pvalue > 1e-3, stat
 
 
+def test_tabulated_cdf_is_the_normalized_cumulative_trapezoid():
+    # an uneven grid, so a cdf that ignored the spacing would show, and a
+    # table whose trapezoid total is 1.0005, inside the accepted 1e-3, so
+    # one that skipped the rescaling would too
+    grid = np.array([-1.0, -0.4, 0.0, 0.3, 1.1, 2.0, 3.0])
+    raw = -0.5 * (grid - 0.5) ** 2 + 0.3 * grid
+    logd = raw - math.log(float(np.trapezoid(np.exp(raw), grid)) / 1.0005)
+    tab = Tabulated(grid, logd)
+    assert tab.cdf(-1.0 - 1e-9) == 0.0 and tab.cdf(-50.0) == 0.0
+    assert tab.cdf(3.0 + 1e-9) == 1.0 and tab.cdf(50.0) == 1.0
+    masses = [0.0]
+    for x0, x1, a, b in zip(grid[:-1], grid[1:], logd[:-1], logd[1:]):
+        masses.append(masses[-1] + 0.5 * (math.exp(a) + math.exp(b)) * (x1 - x0))
+    np.testing.assert_allclose(tab.cdf(grid), np.array(masses) / masses[-1],
+                               rtol=1e-13, atol=1e-15)
+    fine = np.linspace(-1.5, 3.5, 2001)
+    assert np.all(np.diff(tab.cdf(fine)) >= 0.0)
+    stat = st.kstest(_sample(tab, 20_000, 31), tab.cdf)
+    assert stat.pvalue > 1e-3, stat
+
+
 def test_rng_child_streams_are_distinct_and_stable():
     r0 = make_rng(child_seed(42, 0))
     r0_again = make_rng(child_seed(42, 0))
@@ -195,3 +216,13 @@ def test_rng_takes_numpy_integer_seeds_as_their_value():
     np.testing.assert_array_equal(make_rng(np.uint32(7)).uniform(size=4),
                                   make_rng(7).uniform(size=4))
     assert child_seed(np.int64(7), 2).entropy == 7
+    np.testing.assert_array_equal(make_rng(child_seed(42, np.int64(2))).uniform(size=4),
+                                  make_rng(child_seed(42, 2)).uniform(size=4))
+
+
+@pytest.mark.parametrize("index", [True, 1.5, 2.0, "1"])
+def test_rng_rejects_child_indices_that_are_not_integers(index):
+    # unchecked, True would draw child 1's stream and 1.5 would fail in
+    # numpy with a message about the seed
+    with pytest.raises(ValueError, match="index"):
+        child_seed(42, index)

@@ -17,6 +17,7 @@ from logconmix.errors import (ComponentCollapsedError, DegenerateSampleError,
                               ZeroMixtureDensityError)
 from logconmix.families import (Normal, ShiftedExponential, Uniform,
                                 log_pdf_known, sample_mixture)
+from logconmix.logcon import cdf
 from logconmix.rng import make_rng
 
 from test_solver import _tied_catalog_sample
@@ -92,6 +93,23 @@ def test_run_em_posterior_complements_omega():
     np.testing.assert_allclose(post, 1.0 - result.omega, atol=1e-10)
     scalar = posterior_unknown(result, float(values[0]), f0)
     assert scalar == pytest.approx(post[0], abs=1e-12)
+
+
+def test_posterior_unknown_returns_the_shapes_of_cdf():
+    f0 = Normal(0.0, 2.0)
+    values, _ = sample_mixture(f0, Normal(3.0, 1.0), 0.4, 300, 4)
+    result = run_em(values, f0)
+    want = posterior_unknown(result, [1.0], f0)[0]
+    for x in (1.0, np.float64(1.0), np.array(1.0), np.array([[1.0, 1.0]])):
+        got = posterior_unknown(result, x, f0)
+        assert np.shape(got) == np.shape(cdf(result.fit, x)), type(x)
+        assert np.all(got == want)
+        if np.ndim(x) == 0:
+            assert type(got) is float
+    # f0 underflows to 0 far out, where the fit is 0 too; the error names
+    # that point in a 2-d input as in a 1-d one
+    with pytest.raises(ZeroMixtureDensityError, match=r"x=1e\+06"):
+        posterior_unknown(result, np.array([[1.0, 1e6]]), f0)
 
 
 def test_run_em_flat_init_still_monotone():
@@ -176,7 +194,7 @@ def test_em_config_max_iters_must_be_an_integer():
     config = EmConfig(max_iters=np.int64(10))
     assert type(config.max_iters) is int and config.max_iters == 10
     # a numpy integer budget gives the same run, and a result that
-    # serializes, on a sample whose clamp reaches an exact fixed point
+    # serializes, on a sample with ties
     values, f0 = _tied_catalog_sample()
     result = run_em(values, f0, config)
     assert type(result.iterations) is int

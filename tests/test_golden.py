@@ -138,7 +138,7 @@ def test_sample_mixture_digest(model_id):
 # every run's p_hat, omega, fit knots and phi, likelihood trace and iteration
 # count pins the whole EM path, solver included, to the bit.
 EM_SEED = 20190326
-EM_DIGEST = "fe6b2cc4a27fbf3c953dd514575ece84ed25f9a5995828647fa1878cec0d6aab"
+EM_DIGEST = "68d288df41e37499384112ef41963446e5a83bf934bedd04087f2989c7f8e90a"
 
 
 def test_run_em_on_the_catalog_is_pinned_bitwise(python_backend):

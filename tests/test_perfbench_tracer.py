@@ -67,10 +67,9 @@ def _check_traced_run_em(monkeypatch, values, f0):
     totals = tracer.totals()
     assert totals["em.run_em"][0] == 1
     # every M-step is seen, and each goes through the traced fit; each of
-    # the two EM passes runs one M-step for its start and at most one per
-    # iteration, none for the clamped repeats it records without running
+    # the two EM passes runs one M-step for its start and one per iteration
     assert totals["em.m_step_f"][0] == len(run)
-    assert len(run) <= result.iterations + 2
+    assert len(run) == result.iterations + 2
     assert totals["logcon.fit_warm"][0] + totals["logcon.fit_cold"][0] == totals["em.m_step_f"][0]
     assert totals["kernels.knot_grad_hess"][0] > 0
     assert np.isfinite(result.p_hat)
@@ -82,8 +81,8 @@ def test_tracer_decomposes_run_em_and_uninstalls_cleanly(monkeypatch):
     _check_traced_run_em(monkeypatch, values, Normal(0.0, 2.0))
 
 
-def test_tracer_counts_m_steps_when_em_skips_exact_repeats(monkeypatch):
-    # the clamp of this sample reaches an exact fixed point, so fewer
-    # M-steps run than iterations are counted
+def test_tracer_counts_one_m_step_per_iteration_on_a_tied_sample(monkeypatch):
+    # the clamp of this sample settles before it reaches its exact fixed
+    # point, and every iteration counted runs its M-step
     result, m_steps = _check_traced_run_em(monkeypatch, *_tied_catalog_sample())
-    assert m_steps < result.iterations
+    assert m_steps == result.iterations + 2

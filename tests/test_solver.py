@@ -1,12 +1,12 @@
 """The active-set solver's step bound, its reuse of the grid, and EM's
-skip of the clamp's exact repeats.
+count of the iterations it runs.
 
 ``_max_feasible_step`` is checked bit for bit against the earlier
 formulation, kept here as the oracle. A fit on a grid that already served
-fits must give the bits of the same fit on a fresh grid. When a clamped
-M-step of ``run_em`` returns its start bit for bit, the clamped iterations
-left are recorded without being run; the result must equal, bit for bit,
-the one that runs them.
+fits must give the bits of the same fit on a fresh grid. Every iteration
+that ``run_em`` counts runs one E-step and one M-step, the clamped
+iterations of the second pilot pass included; the clamp ends when the
+likelihood settles, on a sample with ties and on one without.
 """
 
 from __future__ import annotations
@@ -113,47 +113,48 @@ def test_a_warm_fit_on_a_used_grid_equals_one_on_a_fresh_grid(rng):
 
 
 def _tied_catalog_sample():
-    """Model 3 at p = 0.9, rounded to one decimal: the clamped warm-up of
-    the second pilot pass reaches an exact fixed point at its 5th iteration
-    under each budget tested."""
+    """Model 3 at p = 0.9, rounded to one decimal. With p held, the
+    clamped warm-up of the second pilot pass would reach an exact fixed
+    point at its 5th iteration; its likelihood settles at the 3rd."""
     spec = model_catalog()[3]
     values, _ = sample_mixture(spec.known, spec.unknown, 0.9, 200, child_seed(3200, 1))
     return np.round(values, 1), spec.known
 
 
-def test_run_em_is_bitwise_equal_without_the_shortcut(monkeypatch):
-    values, f0 = _tied_catalog_sample()
-    check = em._returned_its_start
-    fired = []
-    fits = []
+def _counted_run_em(monkeypatch, values, f0, config=None):
+    """``run_em`` with every M-step recorded as (warm start, fit)."""
+    steps = []
     m_step_f = em.m_step_f
 
-    def seen(fit, start):
-        fired.append(check(fit, start))
-        return fired[-1]
-
     def counted(*args, **kwargs):
-        fits.append(1)
-        return m_step_f(*args, **kwargs)
+        steps.append((kwargs.get("init"), m_step_f(*args, **kwargs)))
+        return steps[-1][1]
 
     monkeypatch.setattr(em, "m_step_f", counted)
-    # the clamp of 50 iterations outlasts a budget of 10, meets one of 50,
-    # and leaves one free iteration in a budget of 51
+    return em.run_em(values, f0, config), steps
+
+
+def test_run_em_runs_one_m_step_per_counted_iteration(monkeypatch, python_backend):
+    # each of the two pilot passes runs one cold M-step for its start and
+    # one warm M-step per iteration it counts, under budgets below, at and
+    # just above the clamp's cap of 50
+    values, f0 = _tied_catalog_sample()
     for max_iters in (10, 50, 51):
-        config = em.EmConfig(max_iters=max_iters)
-        fired.clear()
-        fits.clear()
-        monkeypatch.setattr(em, "_returned_its_start", seen)
-        with_shortcut = em.run_em(values, f0, config)
-        assert any(fired), max_iters
-        skipping = len(fits)
-        fits.clear()
-        monkeypatch.setattr(em, "_returned_its_start", lambda fit, start: False)
-        without = em.run_em(values, f0, config)
-        assert skipping < len(fits), max_iters
-        assert with_shortcut.p_hat == without.p_hat
-        assert with_shortcut.omega.tobytes() == without.omega.tobytes()
-        assert with_shortcut.loglik_trace.tobytes() == without.loglik_trace.tobytes()
-        assert (with_shortcut.iterations, with_shortcut.converged, with_shortcut.degenerate) == \
-            (without.iterations, without.converged, without.degenerate)
-        _same_fit(with_shortcut.fit, without.fit)
+        result, steps = _counted_run_em(monkeypatch, values, f0,
+                                        em.EmConfig(max_iters=max_iters))
+        assert result.degenerate is None and result.converged, max_iters
+        assert len(steps) == result.iterations + 2, max_iters
+    # a cell whose clamp settles without an exact fixed point: no warm fit
+    # returns its start bit for bit, and the second pass ends well inside
+    # the clamp's cap, so the clamp ended when the likelihood settled
+    spec = model_catalog()[5]
+    values, _ = sample_mixture(spec.known, spec.unknown, 0.5, 200, child_seed(3200, 1))
+    result, steps = _counted_run_em(monkeypatch, values, spec.known)
+    assert result.degenerate is None and result.converged
+    assert len(steps) == result.iterations + 2
+    cold = [i for i, (init, _) in enumerate(steps) if init is None]
+    assert len(cold) == 2 and cold[0] == 0
+    assert len(steps) - cold[1] - 1 < em._PILOT_CLAMP_ITERS
+    assert not any(init.knots.tobytes() == fit.knots.tobytes()
+                   and init.phi.tobytes() == fit.phi.tobytes()
+                   for init, fit in steps if init is not None)

@@ -102,7 +102,9 @@ def test_two_sided_p_decreasing_in_magnitude():
 def test_t_functions_reject_nan_and_nonpositive_df(function):
     with pytest.raises(ValueError, match="NaN"):
         function(math.nan, 4.0)
-    for df in (0.0, -1.0, math.nan):
+    # unchecked, df = inf makes x = df / (df + t*t) NaN, which the two-sided
+    # p turns into 1.0 for every t
+    for df in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="degrees of freedom"):
             function(1.0, df)
 
