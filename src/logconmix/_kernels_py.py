@@ -6,10 +6,10 @@ solver in ``logcon`` calls at every Newton point, ``knot_grad_hess`` and
 implements the same two with the same formulas. ``knot_grad_hess`` also
 returns the segment masses, from which ``logcon`` forms the objective at a
 trial point as ``knot_objective`` does. ``segment_integrals``, which
-``logcon.cdf`` and ``logcon.objective`` call on every backend to evaluate
-a finished fit, has no compiled twin; nor have ``knot_objective`` and the
-per-point kernels at the end of the module, which stay as test oracles and
-for the benchmark's tracer.
+``logcon.cdf`` calls on every backend to evaluate a finished fit, has no
+compiled twin; nor have ``knot_objective`` (which ``logcon.objective``
+calls), ``integral_grad_terms`` and the other per-point kernels at the end
+of the module, which stay as test oracles and for the benchmark's tracer.
 
 Central object: the exponential-segment integral
 
@@ -38,11 +38,12 @@ Two layouts of the same formulas:
   Monte-Carlo M-step, about 16 at n = 1e5), and one numpy call (~0.5-1 us)
   costs about as much as the ~40 flops of a whole segment. It therefore
   runs one segment at a time on Python floats, at about 1.5-2 us per
-  segment, with a few numpy calls per kernel call.
-- J's value everywhere else (``j_values``, ``segment_integrals`` and
-  ``knot_objective``), and the per-point ``integral_grad_terms``, take
-  arrays of any shape through ``_parts``, one numpy call per step of the
-  formulas for all entries.
+  segment, with a few numpy calls per kernel call. It is the only place
+  where J's partials are formed: ``knot_objective`` and
+  ``integral_grad_terms`` read its masses and its gradient.
+- J's value alone (``j_values``, and ``segment_integrals`` through it)
+  takes arrays of any shape, one numpy call per step of the formula for
+  all entries.
 
 Both layouts give the bits of the oracle in ``tests/test_kernels.py``,
 which evaluates one G-function per moment on whole arrays:
@@ -113,15 +114,13 @@ def _vectors(fn, spec, args):
     raise ValueError(f"{fn}: {name} has length {v.size}, expected {r + off}")
 
 
-def _parts(a, b, order):
-    """J, and for ``order`` 2 its first partials, stacked along a new first
-    axis: rows (J,) for ``order`` 1 and (J, dJ/da, dJ/db) for 2, each of the
-    broadcast shape of a, b.
+def j_values(a, b):
+    """Elementwise J(a, b), of the broadcast shape of a, b; symmetric in its
+    arguments.
 
     With ehi = exp(max(a, b)) and ``gk = integral_0^1 t^(k-1) e^{t eps} dt``
-    at ``eps = -|b - a|``: J = ehi g1, the partial wrt the smaller argument
-    is ehi g2 and that wrt the larger ehi (g1 - g2). The series overwrite the
-    closed forms inside their radius; a call with none there skips them.
+    at ``eps = -|b - a|``: J = ehi g1. G1's series overwrites its closed
+    form inside its radius; a call with no entry there skips it.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -131,42 +130,17 @@ def _parts(a, b, order):
     hi = np.maximum(a, b)
     eps = np.minimum(a, b)
     eps -= hi  # -|b - a| to the bit, up to the sign of a zero
-    # Most calls have no entry inside a radius (for G1 nearly all), so an
-    # empty mask skips its series; G1's radius lies inside that of G2.
-    near = eps > -(_SERIES_RADIUS if order > 1 else _VALUE_SERIES_RADIUS)
-    e2 = e1 = None
+    near = eps > -_VALUE_SERIES_RADIUS  # empty in nearly every call
+    e1 = None
     if np.count_nonzero(near):
-        if order > 1:
-            m2, e2, near = near, eps[near], eps > -_VALUE_SERIES_RADIUS
-        if np.count_nonzero(near):
-            m1, e1 = near, eps[near]
-            eps[m1] = 1.0
-    safe = eps  # 1.0 where G1 takes its series
-    ehi = np.exp(hi)
-    em = np.expm1(safe)
-    # rows: g1; then g2, g1 - g2
-    h = np.empty((2 * order - 1,) + hi.shape)
-    np.divide(em, safe, h[0])
-    if order > 1:
-        num = safe * np.exp(safe)
-        num -= em
-        np.divide(num, safe * safe, h[1])
+        e1 = eps[near]
+        eps[near] = 1.0
+    g1 = np.expm1(eps)
+    g1 /= eps
     if e1 is not None:
-        h[0][m1] = _g1_series(e1)
-    if e2 is not None:
-        h[1][m2] = _series(_G2_COEF, e2)
-    if order > 1:
-        np.subtract(h[0], h[1], h[2])
-    h *= ehi
-    if order > 1:
-        # the (smaller, larger) pair becomes (d/da, d/db): swapped where a > b
-        np.copyto(h[1:], h[:0:-1], where=b < a)
-    return h.reshape(h.shape[:1] + shape)
-
-
-def j_values(a, b):
-    """Elementwise J(a, b); symmetric in its arguments."""
-    return _parts(a, b, 1)[0]
+        g1[near] = _g1_series(e1)
+    g1 *= np.exp(hi)
+    return g1.reshape(shape) if shape else g1[0]
 
 
 def segment_integrals(dx, pa, pb):
@@ -175,10 +149,10 @@ def segment_integrals(dx, pa, pb):
 
 
 def knot_objective(dt, phi, weights) -> float:
-    """psi = sum(W phi) - integral(e^phi) + 1 on the knot grid."""
+    """psi = sum(W phi) - integral(e^phi) + 1 on the knot grid, from the
+    segment masses of ``knot_grad_hess``."""
     dt, phi, weights = _vectors("knot_objective", _KNOT_ARGS, (dt, phi, weights))
-    integral = float(segment_integrals(dt, phi[:-1], phi[1:]).sum())
-    return float(np.dot(weights, phi)) - integral + 1.0
+    return float(weights.dot(phi)) - float(knot_grad_hess(dt, phi, weights)[4].sum()) + 1.0
 
 
 def knot_grad_hess(dt, phi, weights):
@@ -193,7 +167,7 @@ def knot_grad_hess(dt, phi, weights):
     ``float(weights.dot(phi)) - float(mass.sum()) + 1.0`` is
     ``knot_objective`` to the bit.
 
-    Per segment: with ehi = exp(max(a, b)) and gk as in ``_parts``, J =
+    Per segment: with ehi = exp(max(a, b)) and gk as in ``j_values``, J =
     ehi g1; the partials wrt the smaller argument are ehi g2 and ehi g3,
     those wrt the larger ehi (g1 - g2) and ehi ((g1 - 2 g2) + g3), and
     d2J/dadb = ehi (g2 - g3). Knot i takes the terms of segment i before
@@ -343,15 +317,11 @@ def aggregate_weights(x, w, knot_idx):
 
 
 def integral_grad_terms(x, phi_all):
-    """d(integral e^phi)/d(phi_i) on the full point grid."""
-    x = np.asarray(x, dtype=float)
+    """d(integral e^phi)/d(phi_i) on the full point grid: the gradient of
+    ``knot_grad_hess`` at zero weights, negated as 0.0 - g so that a zero
+    term stays +0.0."""
     phi_all = np.asarray(phi_all, dtype=float)
-    dx = np.diff(x)
-    _, ja, jb = _parts(phi_all[:-1], phi_all[1:], 2)
-    terms = np.zeros_like(phi_all)
-    terms[:-1] += dx * ja
-    terms[1:] += dx * jb
-    return terms
+    return 0.0 - knot_grad_hess(np.diff(x), phi_all, np.zeros(phi_all.size))[1]
 
 
 def multipliers(x, grad_full):

@@ -135,6 +135,11 @@ class EmConfig:
 
 @dataclass(frozen=True)
 class EmResult:
+    """What ``run_em`` returns. ``iterations`` counts the iterations of both
+    pilot passes, but ``loglik_trace`` holds the last pass only (its start
+    and one entry per iteration) plus one entry after the polish of p: a
+    model-3 sample of the tests runs 12 iterations for 8 entries."""
+
     p_hat: float
     omega: np.ndarray
     fit: LogConcaveFit
@@ -377,7 +382,9 @@ def run_em(points: Sequence[float], f0: KnownComponent,
     EM runs on the sample sorted once up front, with one logcon grid of the
     sorted observations for all M-steps (see the module docstring);
     ``omega`` is returned in the input order. ``iterations`` counts the
-    iterations of every pass, each of which ran (see the module docstring).
+    iterations of every pass, each of which ran (see the module docstring);
+    ``loglik_trace`` covers the last pass and the polish of p only (see
+    :class:`EmResult`).
     """
     cfg = config if config is not None else EmConfig()
     points = np.asarray(points, dtype=float).ravel()

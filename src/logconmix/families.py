@@ -27,6 +27,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from ._readcsv import read_csv
+from .errors import require_int
 from .rng import RngSeed, make_rng
 
 __all__ = [
@@ -280,6 +281,7 @@ def sample_mixture(f0: KnownComponent, f: UnknownComponent, p: float, n: int,
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"mixing proportion must lie in [0, 1], got {p}")
+    n = require_int("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1 draws, got {n}")
     rng = make_rng(seed)

@@ -12,7 +12,9 @@ to rounding. :func:`set_backend` switches at runtime.
 
 ``knot_grad_hess`` hands back each segment's mass with its derivatives, so
 ``logcon`` forms the Armijo value and the normalizing integral from one
-kernel call per Newton point.
+kernel call per Newton point. Two layouts of the same formulas run on the
+python backend: ``knot_grad_hess`` per knot segment on Python floats, and
+J's value alone on arrays (``segment_integrals``); see ``_kernels_py``.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from __future__ import annotations
 from . import _kernels_py
 
 # Six python kernels outside the contract, from _kernels_py on every
-# backend. ``segment_integrals`` is what ``logcon.cdf`` and
-# ``logcon.objective`` call to evaluate a finished fit; ``knot_objective``
-# is the value that logcon forms from ``knot_grad_hess``'s masses; the four
+# backend. ``segment_integrals`` is what ``logcon.cdf`` calls to evaluate a
+# finished fit, and ``knot_objective`` what ``logcon.objective`` calls;
+# ``knot_objective`` and ``integral_grad_terms`` are one-line views of the
+# python ``knot_grad_hess``, the only code that forms J's partials. The four
 # per-point ones did logcon's per-point work, which now runs on its point
 # grid. They stay here as test oracles and for the benchmark tracer, which
 # wraps them by name.

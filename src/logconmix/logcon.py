@@ -57,7 +57,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels as K
-from ._kernels_py import segment_integrals
+from ._kernels_py import knot_objective, segment_integrals
 from ._readcsv import read_csv
 from .errors import DegenerateSampleError
 
@@ -592,9 +592,7 @@ def objective(sample: WeightedSample, knots, phi) -> float:
         raise ValueError("knots must include both sample endpoints")
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi values must be finite")
-    lin = float(np.dot(_KnotSet(x, kidx).aggregate(sample.weights), phi))
-    integral = float(np.sum(segment_integrals(np.diff(knots), phi[:-1], phi[1:])))
-    return lin - integral + 1.0
+    return knot_objective(np.diff(knots), phi, _KnotSet(x, kidx).aggregate(sample.weights))
 
 
 def fit_to_dict(fit: LogConcaveFit) -> dict:

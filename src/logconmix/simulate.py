@@ -14,7 +14,6 @@ worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
 from typing import Dict, Optional, Sequence, Tuple
@@ -133,6 +132,7 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1,
     seed, replication index). Raises
     :class:`AllReplicationsFailedError` when no replication succeeds.
     """
+    workers = require_int("workers", workers)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     cfg = config if config is not None else EmConfig()
@@ -142,6 +142,8 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1,
     if workers == 1:
         rows = [_run_replication(t) for t in tasks]
     else:
+        # imported here, so that importing the package loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_replication, tasks))
 

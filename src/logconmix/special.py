@@ -92,9 +92,11 @@ def _incomplete_beta(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+    """I_x(a, b) for finite a, b > 0 and x in [0, 1]."""
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        # a NaN or infinite shape would otherwise run the continued fraction
+        # to its iteration cap
+        raise ValueError(f"shape parameters must be positive and finite, got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x}")
     return float(_incomplete_beta(a, b, np.array([float(x)]))[0])

@@ -116,6 +116,20 @@ def test_mixture_sampling_deterministic():
     np.testing.assert_array_equal(l1, l2)
 
 
+@pytest.mark.parametrize("n", [2.5, True, "3"])
+def test_mixture_sampling_rejects_counts_that_are_not_integers(n):
+    # unchecked, numpy raised a TypeError that named no argument
+    with pytest.raises(ValueError, match="n must be an integer"):
+        sample_mixture(Normal(0, 1), ShiftedT5(3.0), 0.5, n, 5)
+
+
+def test_mixture_sampling_takes_numpy_integer_counts_as_their_value():
+    got = sample_mixture(Normal(0, 1), ShiftedT5(3.0), 0.5, np.int64(100), 5)
+    want = sample_mixture(Normal(0, 1), ShiftedT5(3.0), 0.5, 100, 5)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
 def test_validation_rejects_bad_parameters():
     with pytest.raises(ValueError):
         Normal(0.0, 0.0)

@@ -8,9 +8,10 @@ Both backends are checked through the two kernels that logcon's solver
 calls; J and its partials are read off ``knot_grad_hess`` (see ``_masses``
 and ``_partials``), and the objective is formed from its segment masses as
 logcon's line search forms it (``_armijo_value``). The python kernels, and
-the python ``j_values``, ``segment_integrals`` and ``knot_objective`` that
-have no compiled twin, are also checked bit for bit against an array
-oracle, on fixed seams and on hypothesis-drawn knot chains.
+the python ``j_values``, ``segment_integrals``, ``knot_objective`` and
+``integral_grad_terms`` that have no compiled twin, are also checked bit
+for bit against an array oracle, on fixed seams and on hypothesis-drawn
+knot chains.
 """
 
 from __future__ import annotations
@@ -156,19 +157,6 @@ def test_j_partials_match_finite_differences(impl, rng):
         fd_b = (j(a, b + h) - j(a, b - h)) / (2 * h)
         assert ja[0] == pytest.approx(fd_a, rel=5e-6)
         assert jb[0] == pytest.approx(fd_b, rel=5e-6)
-
-
-@PYTHON_ONLY
-def test_first_partials_agree_with_full_partials(impl, rng):
-    # order 2, which integral_grad_terms reads, against the full partials
-    # of knot_grad_hess
-    a = rng.uniform(-5.0, 3.0, 40)
-    b = a + rng.uniform(-2.0, 2.0, 40)
-    _, da, db = impl._parts(a, b, 2)
-    for i in range(40):
-        full = _partials(impl, float(a[i]), float(b[i]))
-        assert da[i] == pytest.approx(full[0][0], rel=1e-14)
-        assert db[i] == pytest.approx(full[1][0], rel=1e-14)
 
 
 def test_j_all_partials_vectorized(impl, rng):
@@ -429,8 +417,6 @@ def test_kernels_bit_identical_to_oracle(rng):
         full = _ref_j_all_partials(a, b)
         for got, want in zip(_partials(kpy, a.ravel(), b.ravel()), full):
             np.testing.assert_array_equal(got, want.ravel())
-        for got, want in zip(kpy._parts(a, b, 2)[1:], full[:2]):
-            np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(kpy.segment_integrals(dx, a, b),
                                       dx * _ref_j_values(a, b))
     # 1-d knot values whose neighbours are the pairs above and the gaps
@@ -495,14 +481,12 @@ def test_newton_step_regularized_and_failing_systems_match_oracle():
 def test_scalar_and_0d_inputs_in_each_branch(diff):
     a, b = -1.25, -1.25 + diff
     want = [float(v) for v in _ref_j_all_partials(a, b)]
-    assert float(kpy._parts(a, b, 1)[0]) == float(_ref_j_values(a, b))
-    assert float(kpy._parts(b, a, 1)[0]) == float(_ref_j_values(b, a))
+    assert float(kpy.j_values(a, b)) == float(_ref_j_values(a, b))
+    assert float(kpy.j_values(b, a)) == float(_ref_j_values(b, a))
     assert [float(v[0]) for v in _partials(kpy, a, b)] == want
     a0, b0 = np.array(a), np.array(b)
     assert np.shape(kpy.j_values(a0, b0)) == ()
     assert kpy.j_values(a0, b0) == float(_ref_j_values(a, b))
-    assert [np.shape(v) for v in kpy._parts(a0, b0, 2)[1:]] == [(), ()]
-    assert [float(v) for v in kpy._parts(a0, b0, 2)[1:]] == want[:2]
     assert np.shape(kpy.segment_integrals(2.0, a0, b0)) == ()
 
 
@@ -575,6 +559,38 @@ def test_knot_grad_hess_masses_are_segment_integrals_property(compiled_kernels, 
     assert value == kpy.knot_objective(dt, phi, w) == _ref_knot_objective(dt, phi, w)
     np.testing.assert_allclose(compiled_kernels.knot_grad_hess(dt, phi, w)[4], mass,
                                rtol=1e-13, atol=np.finfo(float).tiny)
+
+
+def _ref_integral_grad_terms(x, phi):
+    """The array formula that ``integral_grad_terms`` had before it read
+    ``knot_grad_hess``: each segment's first partials times its width, the
+    left ones added before the right ones."""
+    dx = np.diff(x)
+    ja, jb = _ref_j_all_partials(phi[:-1], phi[1:])[:2]
+    terms = np.zeros_like(phi)
+    terms[:-1] += dx * ja
+    terms[1:] += dx * jb
+    return terms
+
+
+# Zero-width segments give zero terms, which must stay +0.0 (a plain
+# negation of the gradient turns them into -0.0); then a seam, a tie and a
+# wide segment, each in both orientations.
+@example(_flat([0.5, 0.5, 0.0], [0.0] * 4))
+@example(_flat([0.0, 0.5], [3.0, 3.0, 1.0]))
+@example(_flat([0.5, 0.5], [0.0, 1e-5, 0.0]))
+@example(_flat([0.5, 0.5], [0.0, 0.05, 0.0]))
+@example(_flat([0.5, 0.5], [22.0, 0.0, 22.0]))
+@settings(max_examples=150, deadline=None)
+@given(_knot_problems())
+def test_knot_views_bit_identical_to_array_formulas_property(problem):
+    # integral_grad_terms and knot_objective are views of knot_grad_hess;
+    # they give the bits of the array formulas they replaced
+    dt, phi, w = problem
+    x = np.concatenate(([0.0], np.cumsum(dt)))
+    got = kpy.integral_grad_terms(x, phi)
+    assert got.tobytes() == _ref_integral_grad_terms(x, phi).tobytes()
+    assert kpy.knot_objective(dt, phi, w) == _ref_knot_objective(dt, phi, w)
 
 
 _STEPS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-10.0, 10.0))

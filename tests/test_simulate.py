@@ -3,8 +3,12 @@ determinism, serial/parallel agreement, and the summary table format."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,12 +94,13 @@ def test_parallel_matches_serial_exactly():
     assert serial == parallel
 
 
-def test_worker_pool_is_capped_at_the_usable_cpus(monkeypatch):
+def _record_pools(monkeypatch):
+    """Replace the worker pool, which run_scenario imports where it starts
+    one, by one that records its size and maps in this process; returns the
+    list of sizes."""
     sizes = []
 
     class RecordingPool:
-        """Records the pool size and maps in this process; starts none."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -108,8 +113,13 @@ def test_worker_pool_is_capped_at_the_usable_cpus(monkeypatch):
         def map(self, fn, tasks):
             return list(map(fn, tasks))
 
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_worker_pool_is_capped_at_the_usable_cpus(monkeypatch):
     assert 1 <= simulate._usable_cpus() <= (os.cpu_count() or 1)
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    sizes = _record_pools(monkeypatch)
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
     spec = ScenarioSpec(model_id=1, p=0.5, n=120, reps=5, seed=9)
     serial = summary_table([run_scenario(spec, workers=1)])
@@ -119,6 +129,40 @@ def test_worker_pool_is_capped_at_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
     assert summary_table([run_scenario(spec, workers=200)]) == serial
     assert sizes == [3, 2]  # one usable CPU runs serially
+
+
+@pytest.mark.parametrize("workers", [2.5, True, "3"])
+def test_run_scenario_rejects_worker_counts_that_are_not_integers(monkeypatch, workers):
+    # unchecked, 2.5 failed inside the pool with a TypeError and True ran
+    # serially
+    sizes = _record_pools(monkeypatch)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+    spec = ScenarioSpec(model_id=1, p=0.5, n=120, reps=5, seed=9)
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        run_scenario(spec, workers=workers)
+    assert sizes == []
+
+
+def test_run_scenario_takes_numpy_integer_workers_as_their_value(monkeypatch):
+    sizes = _record_pools(monkeypatch)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+    spec = ScenarioSpec(model_id=1, p=0.5, n=120, reps=2, seed=9)
+    serial = summary_table([run_scenario(spec)])
+    assert summary_table([run_scenario(spec, workers=np.int64(2))]) == serial
+    assert sizes == [2]
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # run_scenario imports the worker pool where it starts one, so neither
+    # a CLI start nor an import of the package loads multiprocessing
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, logconmix.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'multiprocessing'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_different_seeds_differ():

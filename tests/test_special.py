@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,18 @@ def test_regularized_incomplete_beta_endpoints():
     for x in (-0.1, 1.1, math.nan):
         with pytest.raises(ValueError, match="x must lie"):
             regularized_incomplete_beta(2.0, 3.0, x)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_regularized_incomplete_beta_rejects_shapes_outside_zero_inf(bad, which):
+    # checked before the symmetry step swaps a and b, so the message names
+    # them as passed, and before the continued fraction runs (and warns)
+    a, b = (bad, 1.0) if which == "a" else (1.0, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"got a={a}, b={b}$"):
+            regularized_incomplete_beta(a, b, 0.5)
 
 
 def test_regularized_incomplete_beta_matches_scipy():
