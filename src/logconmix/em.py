@@ -125,8 +125,10 @@ class EmConfig:
         if max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         object.__setattr__(self, "max_iters", max_iters)  # a Python int
-        if not (self.tol_loglik > 0.0):
-            raise ValueError("tol_loglik must be positive")
+        if not (0.0 < self.tol_loglik < math.inf):
+            # an infinite tolerance stops EM after its first iterations and
+            # still reports convergence
+            raise ValueError(f"tol_loglik must be positive and finite, got {self.tol_loglik}")
         if not (0.0 < self.min_component_mass < 0.5):
             raise ValueError("min_component_mass must lie in (0, 0.5)")
         if self.init not in ("pilot", "flat"):
@@ -156,8 +158,10 @@ def e_step(p: float, f0_values: np.ndarray, f_values: np.ndarray) -> np.ndarray:
     Points where both densities vanish make the mixture likelihood zero and
     raise :class:`ZeroMixtureDensityError`. Points where only f0 vanishes
     are attributed entirely to the unknown component (omega = 0) even when
-    p has shrunk to 0.
+    p has shrunk to 0. A p outside [0, 1], NaN included, raises ValueError.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     f0v = np.asarray(f0_values, dtype=float)
     fv = np.asarray(f_values, dtype=float)
     num = (1.0 - p) * f0v
@@ -466,6 +470,8 @@ def estimate_mu(points: Sequence[float], omega: np.ndarray) -> float:
     sum (1-omega_i) x_i / sum (1-omega_i)."""
     x = np.asarray(points, dtype=float)
     residual = 1.0 - np.asarray(omega, dtype=float)
+    if x.shape != residual.shape:
+        raise ValueError(f"shape mismatch: points {x.shape} vs omega {residual.shape}")
     total = float(np.sum(residual))
     if total <= 0.0:
         raise AllWeightsKnownError(
@@ -481,6 +487,8 @@ def classification_error(omega_hat: np.ndarray, labels: np.ndarray) -> float:
     w = np.asarray(labels, dtype=float)
     if om.shape != w.shape:
         raise ValueError(f"shape mismatch: {om.shape} vs {w.shape}")
+    if om.size == 0:
+        raise ValueError("omega_hat and labels must be non-empty")
     return float(np.mean((om - w) ** 2))
 
 

@@ -57,7 +57,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels as K
-from ._kernels_py import knot_objective, segment_integrals
+from ._kernels_py import _series, knot_objective, segment_integrals
 from ._readcsv import read_csv
 from .errors import DegenerateSampleError
 
@@ -71,9 +71,10 @@ __all__ = [
 WEIGHT_FLOOR_SCALE = 1e-10  # per-point floor is WEIGHT_FLOOR_SCALE / m
 # _hinge_tail's series in z replaces its closed form for |z| below this
 _TAIL_SERIES_RADIUS = 0.1
-# its coefficients 1/(k+2)! for k = 0..7, highest power first for Horner;
-# the first term left out is below 3e-15 relative inside the radius
-_TAIL_COEF = [1.0 / math.factorial(k + 2) for k in range(7, -1, -1)]
+# its coefficients 1/(k+2)! for k = 0..7, lowest power first, as
+# ``_series`` takes them; the first term left out is below 3e-15 relative
+# inside the radius
+_TAIL_COEF = [1.0 / math.factorial(k + 2) for k in range(8)]
 # the active-set solver's caps on outer rounds and on Newton steps per
 # round, and the Armijo sufficient-increase constant of its line search
 _MAX_OUTER_ITERS = 200
@@ -306,13 +307,8 @@ def _hinge_tail(e_left, inv_s2, d, z, e_right):
     out *= inv_s2
     near = np.abs(z) < _TAIL_SERIES_RADIUS
     if np.count_nonzero(near):
-        zn = z[near]
-        series = _TAIL_COEF[0] * zn + _TAIL_COEF[1]
-        for c in _TAIL_COEF[2:]:
-            series *= zn
-            series += c
         dn = d[near]
-        out[near] = e_left[near] * (dn * dn) * series
+        out[near] = e_left[near] * (dn * dn) * _series(_TAIL_COEF, z[near])
     return out
 
 
@@ -421,10 +417,7 @@ def _knot_integrals(dt, mass, e_k, s):
         inv = 1.0 / s2 if s2 > 0.0 else 0.0
         z = sj * d
         if abs(z) < _TAIL_SERIES_RADIUS:
-            series = _TAIL_COEF[0] * z + _TAIL_COEF[1]
-            for c in _TAIL_COEF[2:]:
-                series = series * z + c
-            tail = e_left * (d * d) * series
+            tail = e_left * (d * d) * _series(_TAIL_COEF, z)
         else:
             tail = (e_right - (1.0 + z) * e_left) * inv
         inv_s2.append(inv)
@@ -605,17 +598,32 @@ def fit_to_dict(fit: LogConcaveFit) -> dict:
     }
 
 
-def fit_from_dict(doc: dict) -> LogConcaveFit:
+def _doc_field(doc: dict, name: str, kinds: str, want: str, scalar: bool = True):
+    """Field ``name`` of a fit document as an array whose dtype kind is one
+    of ``kinds``, 0-d if ``scalar``; a ValueError naming the field
+    otherwise, so that a string or a boolean is rejected, not converted."""
     try:
-        return LogConcaveFit(
-            knots=np.asarray(doc["knots"], dtype=float),
-            phi=np.asarray(doc["phi"], dtype=float),
-            objective=float(doc["objective"]),
-            kkt_residual=float(doc["kkt_residual"]),
-            converged=bool(doc["converged"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"fit document missing field {exc}") from None
+        value = np.asarray(doc[name])
+    except KeyError:
+        raise ValueError(f"fit document missing field {name!r}") from None
+    if value.dtype.kind not in kinds or (scalar and value.ndim):
+        raise ValueError(f"fit document field {name!r} must be {want}, got {doc[name]!r}")
+    return value
+
+
+def fit_from_dict(doc: dict) -> LogConcaveFit:
+    """The fit that ``fit_to_dict`` wrote as ``doc``."""
+    knots, phi = (_doc_field(doc, k, "iuf", "numbers", scalar=False)
+                  for k in ("knots", "phi"))
+    objective, kkt = (_doc_field(doc, k, "iuf", "a number")
+                      for k in ("objective", "kkt_residual"))
+    return LogConcaveFit(
+        knots=knots.astype(float),
+        phi=phi.astype(float),
+        objective=float(objective),
+        kkt_residual=float(kkt),
+        converged=bool(_doc_field(doc, "converged", "b", "true or false")),
+    )
 
 
 def save_fit_json(fit: LogConcaveFit, path) -> None:

@@ -1,9 +1,10 @@
 """Special functions needed by the t-statistic pipeline.
 
-Only the regularized incomplete beta function and the Student-t CDF built on
-it live here. Both are evaluated with the modified Lentz continued fraction,
-which converges to near machine precision for every argument combination the
-package produces (degrees of freedom >= 1, finite t).
+Only the regularized incomplete beta function and the Student-t tails built
+on it live here: the two-sided p-value is I_x(df/2, 1/2) at x = df/(df + t^2),
+and the CDF is half of it. The modified Lentz continued fraction, one update
+per partial numerator, converges to near machine precision for every argument
+combination the package produces (degrees of freedom >= 1, finite t).
 
 The continued fraction runs on arrays: :func:`student_t_two_sided_p` takes
 an array of t, and all entries iterate at once, each leaving when it
@@ -44,23 +45,18 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     h = d.copy()
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d[np.abs(d) < _FPMIN] = _FPMIN
-        c = 1.0 + aa / c
-        c[np.abs(c) < _FPMIN] = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d[np.abs(d) < _FPMIN] = _FPMIN
-        c = 1.0 + aa / c
-        c[np.abs(c) < _FPMIN] = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # round m's even and odd partial numerators; the odd one's delta
+        # decides convergence
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            d[np.abs(d) < _FPMIN] = _FPMIN
+            c = 1.0 + aa / c
+            c[np.abs(c) < _FPMIN] = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         done = np.abs(delta - 1.0) < _EPS
         if done.any():
             out[left[done]] = h[done]
@@ -109,22 +105,11 @@ def _check_df(df: float) -> None:
         raise ValueError(f"degrees of freedom must be positive and finite, got {df}")
 
 
-def _check_t_args(t: float, df: float) -> None:
-    _check_df(df)
-    if math.isnan(t):
-        raise ValueError("t statistic is NaN")
-
-
 def student_t_cdf(t: float, df: float) -> float:
-    """P(T <= t) for T ~ Student-t with ``df`` degrees of freedom."""
-    _check_t_args(t, df)
-    if t == 0.0:
-        return 0.5
-    if math.isinf(t):
-        return 0.0 if t < 0 else 1.0
-    x = df / (df + t * t)
-    tail = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
+    """P(T <= t) for T ~ Student-t with ``df`` degrees of freedom: half the
+    two-sided tail p, or 1 - p/2 for t > 0."""
+    p = student_t_two_sided_p(t, df)
+    return 1.0 - 0.5 * p if t > 0 else 0.5 * p
 
 
 def student_t_two_sided_p(t, df: float):

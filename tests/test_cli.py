@@ -105,6 +105,14 @@ def test_fit_missing_file_exits_2(labeled_csv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fit_infinite_tolerance_exits_2(unlabeled_csv, capsys):
+    # unchecked, EM stopped after its first iterations and reported
+    # convergence, and the command exited 0
+    code = main(["fit", unlabeled_csv, "--f0", "normal:0,2", "--tol-loglik", "inf"])
+    assert code == 2
+    assert "tol_loglik must be positive and finite, got inf" in capsys.readouterr().err
+
+
 def test_fit_bad_f0_spec_exits_2(labeled_csv, capsys):
     assert main(["fit", labeled_csv, "--f0", "cauchy:0,1"]) == 2
     err = capsys.readouterr().err

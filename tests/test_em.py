@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,19 @@ def test_e_step_vector_and_zero_null_component():
 def test_e_step_rejects_jointly_vanishing_densities():
     with pytest.raises(ZeroMixtureDensityError, match="1"):
         e_step(0.5, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("p", [2.0, -0.1, math.nextafter(1.0, 2.0),
+                               math.nextafter(0.0, -1.0), math.nan, math.inf])
+def test_e_step_rejects_p_outside_the_unit_interval(p):
+    # unchecked, p = 2 gave omega = -1 and a NaN p gave NaN
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+        e_step(p, np.array([1.0]), np.array([1.0]))
+
+
+def test_e_step_takes_both_ends_of_the_unit_interval():
+    np.testing.assert_array_equal(e_step(0.0, np.array([1.0]), np.array([2.0])), [1.0])
+    np.testing.assert_array_equal(e_step(1.0, np.array([1.0]), np.array([2.0])), [0.0])
 
 
 def test_m_step_p_is_mean_unknown_mass():
@@ -150,6 +164,18 @@ def test_estimate_mu_hand_value():
     assert got == pytest.approx(21.0 / 13.0, rel=1e-15)
 
 
+def test_estimate_mu_names_both_shapes_when_they_differ():
+    with pytest.raises(ValueError, match=r"points \(3,\) vs omega \(2,\)"):
+        estimate_mu(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.2]))
+
+
+def test_classification_error_rejects_empty_input():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # not numpy's "Mean of empty slice"
+        with pytest.raises(ValueError, match="omega_hat and labels must be non-empty"):
+            classification_error(np.array([]), np.array([]))
+
+
 def test_classification_error_is_mean_squared_gap():
     assert classification_error(np.array([1.0, 0.0]),
                                 np.array([1.0, 0.0])) == 0.0
@@ -185,6 +211,15 @@ def test_em_config_validation():
         EmConfig(tol_loglik=-1e-9)
     with pytest.raises(ValueError):
         EmConfig(init="random")
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0])
+def test_em_config_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    # unchecked, an infinite tolerance stopped the model-1 sample after 3
+    # iterations with converged=True and p_hat 0.2963, against 0.2853 after
+    # 118 at the default
+    with pytest.raises(ValueError, match="tol_loglik must be positive and finite"):
+        EmConfig(tol_loglik=tol)
 
 
 def test_em_config_max_iters_must_be_an_integer():

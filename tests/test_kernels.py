@@ -490,6 +490,67 @@ def test_scalar_and_0d_inputs_in_each_branch(diff):
     assert np.shape(kpy.segment_integrals(2.0, a0, b0)) == ()
 
 
+# The hand-written Horner forms that ``_kernels_py._series`` replaced, kept
+# as its oracles: G1's nested form, G2's and G3's nine-coefficient loop, and
+# logcon's hinge-tail loops, highest power first, on floats and in place on
+# arrays. ``_series`` must give their bits on floats and on 1-d and 0-d
+# arrays.
+
+def _nested_g1(eps):
+    return 1.0 + eps * (0.5 + eps * (1.0 / 6.0 + eps * (1.0 / 24.0)))
+
+
+def _nine_term_series(coef, eps):
+    acc = coef[8] * eps + coef[7]
+    for c in coef[6::-1]:
+        acc = acc * eps + c
+    return acc
+
+
+_TAIL_COEF_HIGH_FIRST = [1.0 / math.factorial(k + 2) for k in range(7, -1, -1)]
+
+
+def _tail_series_on_floats(z):
+    series = _TAIL_COEF_HIGH_FIRST[0] * z + _TAIL_COEF_HIGH_FIRST[1]
+    for c in _TAIL_COEF_HIGH_FIRST[2:]:
+        series = series * z + c
+    return series
+
+
+def _tail_series_in_place(zn):
+    series = _TAIL_COEF_HIGH_FIRST[0] * zn + _TAIL_COEF_HIGH_FIRST[1]
+    for c in _TAIL_COEF_HIGH_FIRST[2:]:
+        series *= zn
+        series += c
+    return series
+
+
+def _bits(v):
+    return type(v), np.shape(v), np.asarray(v).tobytes()
+
+
+def test_series_bit_identical_to_the_forms_it_replaced(rng):
+    radii = [float(s * v) for r in (1e-5, 0.05, 0.1)
+             for v in (np.nextafter(r, 0.0), r, np.nextafter(r, 1.0))
+             for s in (1.0, -1.0)]
+    eps = np.concatenate(([0.0, -0.0, 5e-324, 1e-300], radii,
+                          rng.uniform(-0.1, 0.1, 400),
+                          -(10.0 ** rng.uniform(-12.0, -1.0, 200))))
+    cases = [
+        (kpy._G1_COEF, _nested_g1, _nested_g1),
+        (kpy._G2_COEF, lambda e: _nine_term_series(kpy._G2_COEF, e), None),
+        (kpy._G3_COEF, lambda e: _nine_term_series(kpy._G3_COEF, e), None),
+        (logcon._TAIL_COEF, _tail_series_on_floats, _tail_series_in_place),
+    ]
+    for coef, on_floats, on_arrays in cases:
+        on_arrays = on_arrays or on_floats
+        assert _bits(kpy._series(coef, eps)) == _bits(on_arrays(eps.copy()))
+        for e in eps.tolist():
+            assert _bits(kpy._series(coef, e)) == _bits(on_floats(e)), (coef, e)
+            e0 = np.array(e)
+            assert _bits(kpy._series(coef, e0)) == _bits(on_arrays(e0.copy())), (coef, e)
+
+
 # Neighbour differences for the property tests: ties under either sign of
 # zero, each series radius and its neighbours one ulp either side, in both
 # orientations, and wide ones.

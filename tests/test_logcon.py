@@ -253,6 +253,34 @@ def test_dict_round_trip(rng):
     assert back.converged == fit.converged
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("converged", "false", "must be true or false, got 'false'"),
+    ("converged", 1, "must be true or false, got 1"),
+    ("knots", ["0", "1"], r"must be numbers, got \['0', '1'\]"),
+    ("phi", "0", "must be numbers, got '0'"),
+    ("phi", [True, False], "must be numbers"),
+    ("objective", "1", "must be a number, got '1'"),
+    ("objective", False, "must be a number, got False"),
+    ("kkt_residual", [0.0], r"must be a number, got \[0.0\]"),
+])
+def test_fit_from_dict_rejects_fields_of_the_wrong_type(field, value, message):
+    # unchecked, bool("false") read the string as True, and float() and
+    # np.asarray(dtype=float) read numbers written as strings
+    doc = {"knots": [0, 1], "phi": [0.0, 0.0], "objective": 0.0,
+           "kkt_residual": 0.0, "converged": False}
+    fit = fit_from_dict(doc)
+    assert fit.converged is False and fit.knots.dtype == float
+    doc[field] = value
+    with pytest.raises(ValueError, match=f"fit document field '{field}' {message}"):
+        fit_from_dict(doc)
+
+
+def test_fit_from_dict_names_a_missing_field():
+    with pytest.raises(ValueError, match="fit document missing field 'phi'"):
+        fit_from_dict({"knots": [0.0, 1.0], "objective": 0.0,
+                       "kkt_residual": 0.0, "converged": True})
+
+
 def test_json_file_round_trip(tmp_path, rng):
     pts, w = random_small_sample(rng, 5)
     fit = fit_weighted_logconcave(WeightedSample(pts, w))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from logconmix import special
 from logconmix.special import (regularized_incomplete_beta, student_t_cdf,
                                student_t_two_sided_p)
 
@@ -149,6 +150,117 @@ def _scalar_betacf(a, b, x):
         if abs(delta - 1.0) < 1e-15:
             return h
     raise RuntimeError("no convergence")
+
+
+def _two_step_betacf(a, b, x, clamps):
+    """The array continued fraction with its even and odd Lentz updates
+    written out one after the other, as ``special._betacf`` had it; kept
+    as its oracle. ``clamps`` counts, per site, the entries lifted to
+    1e-300: the start, the even step's d and c, the odd step's d and c."""
+    out = np.empty_like(x)
+    left = np.arange(x.size)
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+
+    def lift(v, site):
+        small = np.abs(v) < 1e-300
+        clamps[site] += int(np.count_nonzero(small))
+        v[small] = 1e-300
+
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    lift(d, 0)
+    d = 1.0 / d
+    h = d.copy()
+    for m in range(1, 501):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        lift(d, 1)
+        c = 1.0 + aa / c
+        lift(c, 2)
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        lift(d, 3)
+        c = 1.0 + aa / c
+        lift(c, 4)
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        done = np.abs(delta - 1.0) < 1e-15
+        if done.any():
+            out[left[done]] = h[done]
+            if done.all():
+                return out
+            keep = ~done
+            left, x, c, d, h = (v[keep] for v in (left, x, c, d, h))
+    raise RuntimeError(f"incomplete beta continued fraction did not converge "
+                       f"(a={a}, b={b}, x={x[0]}, entry {int(left[0])})")
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args).tobytes()
+    except RuntimeError as exc:
+        return "raised", str(exc)
+
+
+def test_betacf_bit_identical_to_the_two_step_loop():
+    # On shapes that are multiples of 1/4 and x on a 1/256 grid, Lentz's d
+    # and c hit zero exactly now and then, so the clamps take part; the
+    # first three pairs are known to reach the in-loop clamps. Entries near
+    # x = 1 need more than 500 rounds, and both forms then raise alike.
+    rng = np.random.default_rng(18)
+    grid = np.arange(1, 257) / 256.0
+    pairs = [(0.25, 4.75), (0.25, 2.0), (2.0, 7.0)]
+    pairs += [tuple(float(v) for v in rng.integers(1, 33, 2) / 4.0) for _ in range(40)]
+    pairs += [tuple(float(v) for v in rng.uniform(0.05, 60.0, 2)) for _ in range(40)]
+    clamps = [0] * 5
+    for a, b in pairs:
+        for x in (grid, rng.random(64), grid[grid < (a + 1.0) / (a + b + 2.0)]):
+            assert (_outcome(special._betacf, a, b, x.copy())
+                    == _outcome(_two_step_betacf, a, b, x.copy(), clamps)), (a, b)
+    assert clamps[0] and clamps[1] and clamps[3] and clamps[4], clamps
+
+
+def _branchy_t_cdf(t, df):
+    """``student_t_cdf`` as it was, with its own t = 0 and t = +-inf
+    branches; kept as the oracle of the form built on the two-sided p."""
+    if not 0.0 < df < math.inf:
+        raise ValueError(f"degrees of freedom must be positive and finite, got {df}")
+    if math.isnan(t):
+        raise ValueError("t statistic is NaN")
+    if t == 0.0:
+        return 0.5
+    if math.isinf(t):
+        return 0.0 if t < 0 else 1.0
+    x = df / (df + t * t)
+    tail = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, x)
+    return 1.0 - tail if t > 0 else tail
+
+
+def _same_float(got, want):
+    return type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_student_t_cdf_bit_identical_to_the_branchy_form():
+    rng = np.random.default_rng(19)
+    edges = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf]
+    for df in (1.0, 2.0, 3.5, 18.0, 1e4):
+        for t in edges:
+            assert _same_float(student_t_cdf(t, df), _branchy_t_cdf(t, df)), (t, df)
+    for t, df in zip(rng.standard_t(3.0, 400) * rng.choice([0.01, 1.0, 30.0], 400),
+                     10.0 ** rng.uniform(0.0, 3.0, 400)):
+        t, df = float(t), float(df)
+        assert _same_float(student_t_cdf(t, df), _branchy_t_cdf(t, df)), (t, df)
+    for t, df in [(math.nan, 4.0)] + [(1.0, bad) for bad in
+                                      (0.0, -1.0, math.nan, math.inf, -math.inf)]:
+        with pytest.raises(ValueError) as got:
+            student_t_cdf(t, df)
+        with pytest.raises(ValueError) as want:
+            _branchy_t_cdf(t, df)
+        assert str(got.value) == str(want.value)
 
 
 def _scalar_two_sided_p(t, df):
