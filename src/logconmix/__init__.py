@@ -31,10 +31,10 @@ from .families import (Beta15, Exponential, Normal, ShiftedChiSq3,
                        sample_mixture)
 from .identifiability import (IdentifiabilityClause, IdentifiabilityReport,
                               check_identifiability, report_to_dict)
-from .logcon import (FitOptions, LogConcaveFit, WeightedSample, cdf,
-                     eval_log_density, fit_from_dict, fit_to_dict,
-                     fit_weighted_logconcave, load_fit_json,
-                     load_weighted_csv, objective, save_fit_json)
+from .logcon import (LogConcaveFit, WeightedSample, cdf, eval_log_density,
+                     fit_from_dict, fit_to_dict, fit_weighted_logconcave,
+                     load_fit_json, load_weighted_csv, objective,
+                     save_fit_json)
 from .rng import child_seed, make_rng
 from .simulate import (MixtureModelSpec, ScenarioSpec, ScenarioSummary,
                        model_catalog, run_scenario, summary_table)
@@ -55,10 +55,9 @@ __all__ = [
     "log_pdf_known", "sample_mixture",
     "IdentifiabilityClause", "IdentifiabilityReport", "check_identifiability",
     "report_to_dict",
-    "FitOptions", "LogConcaveFit", "WeightedSample", "cdf",
-    "eval_log_density", "fit_from_dict", "fit_to_dict",
-    "fit_weighted_logconcave", "load_fit_json", "load_weighted_csv",
-    "objective", "save_fit_json",
+    "LogConcaveFit", "WeightedSample", "cdf", "eval_log_density",
+    "fit_from_dict", "fit_to_dict", "fit_weighted_logconcave",
+    "load_fit_json", "load_weighted_csv", "objective", "save_fit_json",
     "child_seed", "make_rng",
     "MixtureModelSpec", "ScenarioSpec", "ScenarioSummary", "model_catalog",
     "run_scenario", "summary_table",

@@ -41,11 +41,11 @@ Two layouts of the same formulas:
   costs about as much as the ~40 flops of a whole segment. It therefore
   runs one segment at a time on Python floats, at about 1.5-2 us per
   segment, with a few numpy calls per kernel call. It is the only place
-  where J's partials are formed: ``knot_objective`` and
-  ``integral_grad_terms`` read its masses and its gradient.
-- J's value alone (``j_values``, and ``segment_integrals`` through it)
-  takes arrays of any shape, one numpy call per step of the formula for
-  all entries.
+  where J's partials are formed: ``integral_grad_terms`` reads its
+  gradient.
+- J's value alone (``j_values``, and ``segment_integrals`` and
+  ``knot_objective`` through it) takes arrays of any shape, one numpy call
+  per step of the formula for all entries.
 
 Both layouts give the bits of the oracle in ``tests/test_kernels.py``,
 which evaluates one G-function per moment on whole arrays:
@@ -154,9 +154,10 @@ def segment_integrals(dx, pa, pb):
 
 def knot_objective(dt, phi, weights) -> float:
     """psi = sum(W phi) - integral(e^phi) + 1 on the knot grid, from the
-    segment masses of ``knot_grad_hess``."""
+    segment masses, which have the bits of ``knot_grad_hess``'s."""
     dt, phi, weights = _vectors("knot_objective", _KNOT_ARGS, (dt, phi, weights))
-    return float(weights.dot(phi)) - float(knot_grad_hess(dt, phi, weights)[4].sum()) + 1.0
+    return (float(weights.dot(phi))
+            - float(segment_integrals(dt, phi[:-1], phi[1:]).sum()) + 1.0)
 
 
 def knot_grad_hess(dt, phi, weights):

@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +28,7 @@ from .em import EmConfig, classification_error, em_result_to_dict, run_em
 from .errors import (CliInputError, DegenerateSampleError, LogconmixError)
 from .families import (Exponential, KnownComponent, Normal, StudentT,
                        Uniform, load_tabulated_csv, log_pdf_known)
-from .logcon import (FitOptions, eval_log_density, fit_weighted_logconcave,
+from .logcon import (eval_log_density, fit_weighted_logconcave,
                      load_weighted_csv, save_fit_json)
 from .rng import child_seed
 from .simulate import ScenarioSpec, ScenarioSummary, run_scenario, summary_table
@@ -154,11 +155,10 @@ def _write_density_grid(args: argparse.Namespace, f0: Optional[KnownComponent],
 def _cmd_fit(args: argparse.Namespace) -> int:
     f0 = parse_f0_spec(args.f0)
     values, labels = _read_value_csv(args.input)
-    config = EmConfig(p_init=args.p_init, max_iters=args.max_iters,
-                      tol_loglik=args.tol_loglik,
-                      min_component_mass=args.min_component_mass,
-                      fit_options=FitOptions(tol_kkt=args.tol_kkt),
-                      init=args.init)
+    # each EmConfig field has a flag of its name; one not given keeps the
+    # field's default
+    given = {f.name: getattr(args, f.name) for f in fields(EmConfig)}
+    config = EmConfig(**{k: v for k, v in given.items() if v is not None})
     result = run_em(values, f0, config)
     payload = em_result_to_dict(result)
     if labels is not None:
@@ -174,8 +174,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_logcx(args: argparse.Namespace) -> int:
-    fit = fit_weighted_logconcave(load_weighted_csv(args.input),
-                                  options=FitOptions(tol_kkt=args.tol_kkt))
+    fit = fit_weighted_logconcave(load_weighted_csv(args.input))
     if args.out:
         save_fit_json(fit, args.out)
     _write_density_grid(args, None, fit, None)
@@ -289,15 +288,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="density-export grid (default: fitted support, "
                             "201 points)")
     p_fit.add_argument("--grid-out", help="density grid CSV path")
-    p_fit.add_argument("--init", choices=("pilot", "flat"), default="pilot",
+    p_fit.add_argument("--init", choices=("pilot", "flat"),
                        help="starting responsibilities: 'pilot' "
-                            "(density-ratio, default) or 'flat' (1 - p_init "
-                            "everywhere)")
-    p_fit.add_argument("--p-init", type=float, default=0.5)
-    p_fit.add_argument("--max-iters", type=int, default=500)
-    p_fit.add_argument("--tol-loglik", type=float, default=1e-8)
-    p_fit.add_argument("--min-component-mass", type=float, default=1e-6)
-    p_fit.add_argument("--tol-kkt", type=float, default=1e-8)
+                            "(density-ratio) or 'flat' (1 - p_init "
+                            f"everywhere); default {EmConfig.init!r}")
+    p_fit.add_argument("--p-init", type=float, help=f"default {EmConfig.p_init}")
+    p_fit.add_argument("--max-iters", type=int, help=f"default {EmConfig.max_iters}")
+    p_fit.add_argument("--tol-loglik", type=float,
+                       help=f"default {EmConfig.tol_loglik}")
 
     p_logcx = sub.add_parser(
         "logcx", help="weighted log-concave density fit",
@@ -309,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_logcx.add_argument("--grid", type=_parse_grid, default=None,
                          metavar="LO,HI,COUNT")
     p_logcx.add_argument("--grid-out", help="density grid CSV path")
-    p_logcx.add_argument("--tol-kkt", type=float, default=1e-8)
 
     p_sim = sub.add_parser(
         "simulate", help="Monte-Carlo scenario sweep",
@@ -356,15 +353,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return exc.code if isinstance(exc.code, int) else 2
         if getattr(args, "grid", None) is not None and not args.grid_out:
             raise CliInputError("--grid requires --grid-out")
-        if args.subcommand == "fit":
-            return _cmd_fit(args)
-        if args.subcommand == "logcx":
-            return _cmd_logcx(args)
-        if args.subcommand == "simulate":
-            return _cmd_simulate(args)
-        if args.subcommand == "tstats":
-            return _cmd_tstats(args)
-        parser.error(f"unknown subcommand {args.subcommand!r}")
+        command = {"fit": _cmd_fit, "logcx": _cmd_logcx,
+                   "simulate": _cmd_simulate, "tstats": _cmd_tstats}
+        return command[args.subcommand](args)
     except (CliInputError, DegenerateSampleError, ValueError, OSError) as exc:
         # OSError: an input file that cannot be read or an output path that
         # cannot be written is bad input, not an estimation failure
@@ -374,7 +365,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (LogconmixError, FloatingPointError) as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -70,7 +70,7 @@ one E-step and one M-step, except one that ends its pass at the
 ``AllKnown`` exit below, which runs no M-step.
 
 Degenerate exits: when the posterior mass of one component collapses below
-``min_component_mass`` per observation, the result is pinned to the
+``_MIN_COMPONENT_MASS`` (1e-6) per observation, the result is pinned to the
 surviving boundary model (p=0 when everything is attributed to f0, p=1
 when nothing is) and flagged, instead of raising.
 """
@@ -78,7 +78,7 @@ when nothing is) and flagged, instead of raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -88,8 +88,8 @@ from .errors import (AllWeightsKnownError, ComponentCollapsedError,
 from .families import KnownComponent, log_pdf_known
 from .identifiability import (IdentifiabilityReport, check_identifiability,
                               report_to_dict)
-from .logcon import (FitOptions, LogConcaveFit, WeightedSample, _Grid,
-                     eval_log_density, fit_to_dict, fit_weighted_logconcave)
+from .logcon import (LogConcaveFit, WeightedSample, _Grid, eval_log_density,
+                     fit_to_dict, fit_weighted_logconcave)
 
 __all__ = [
     "EmConfig", "EmResult", "e_step", "m_step_p", "m_step_f", "run_em",
@@ -97,6 +97,9 @@ __all__ = [
     "em_result_to_dict",
 ]
 
+# a component whose posterior mass falls below this per observation has
+# collapsed: the M-step refuses it and EM takes a degenerate exit
+_MIN_COMPONENT_MASS = 1e-6
 _P_POLISH_TOL = 1e-15
 _P_POLISH_MAX = 2000
 _PILOT_ROUND_UP = 0.9
@@ -114,8 +117,6 @@ class EmConfig:
     p_init: float = 0.5
     max_iters: int = 500
     tol_loglik: float = 1e-8
-    min_component_mass: float = 1e-6
-    fit_options: FitOptions = field(default_factory=FitOptions)
     init: str = "pilot"
 
     def __post_init__(self) -> None:
@@ -129,8 +130,6 @@ class EmConfig:
             # an infinite tolerance stops EM after its first iterations and
             # still reports convergence
             raise ValueError(f"tol_loglik must be positive and finite, got {self.tol_loglik}")
-        if not (0.0 < self.min_component_mass < 0.5):
-            raise ValueError("min_component_mass must lie in (0, 0.5)")
         if self.init not in ("pilot", "flat"):
             raise ValueError(f"init must be 'pilot' or 'flat', got {self.init!r}")
 
@@ -190,14 +189,12 @@ def m_step_p(omega: np.ndarray) -> float:
 
 
 def m_step_f(points: Sequence[float], omega: np.ndarray,
-             options: Optional[FitOptions] = None,
-             min_component_mass: float = 1e-6,
              init: Optional[LogConcaveFit] = None) -> LogConcaveFit:
     """Weighted log-concave refit of the unknown component.
 
     Weights are proportional to 1 - omega. Raises
     :class:`ComponentCollapsedError` when the total unknown-component mass
-    is below ``min_component_mass`` per observation, which would make the
+    is below ``_MIN_COMPONENT_MASS`` per observation, which would make the
     weighted sample meaningless. Inside :func:`run_em`, ``points`` is the
     run's grid of sorted observations, which builds the same weighted
     sample without a sort.
@@ -205,15 +202,15 @@ def m_step_f(points: Sequence[float], omega: np.ndarray,
     residual = 1.0 - np.asarray(omega, dtype=float)
     total = float(residual.sum())
     n = residual.size
-    if total < min_component_mass * n:
+    if total < _MIN_COMPONENT_MASS * n:
         raise ComponentCollapsedError(
             f"unknown-component mass {total:g} is below "
-            f"{min_component_mass:g} per observation ({n} observations)")
+            f"{_MIN_COMPONENT_MASS:g} per observation ({n} observations)")
     if isinstance(points, _Grid):
         sample = points.sample(residual)
     else:
         sample = WeightedSample.from_observations(points, residual)
-    return fit_weighted_logconcave(sample, options=options, init=init)
+    return fit_weighted_logconcave(sample, init=init)
 
 
 def _loglik(p: float, f0_values: np.ndarray, f_values: np.ndarray) -> float:
@@ -314,13 +311,11 @@ def _em_pass(grid: _Grid, f0_values: np.ndarray, omega0: np.ndarray,
     """
     n = f0_values.size
     try:
-        fit = m_step_f(grid, omega0, options=cfg.fit_options,
-                       min_component_mass=cfg.min_component_mass)
+        fit = m_step_f(grid, omega0)
     except ComponentCollapsedError:
         # Everything was attributed to f0 at the start; report the boundary
         # model. The fit slot still needs a density, so use the pooled MLE.
-        fit = fit_weighted_logconcave(grid.sample(np.full(n, 1.0 / n)),
-                                      options=cfg.fit_options)
+        fit = fit_weighted_logconcave(grid.sample(np.full(n, 1.0 / n)))
         f_values = grid.f_values(fit)
         trace = [_loglik(0.0, f0_values, f_values)]
         return _EmState(p=0.0, omega=np.ones(n), fit=fit, f_values=f_values,
@@ -339,26 +334,23 @@ def _em_pass(grid: _Grid, f0_values: np.ndarray, omega0: np.ndarray,
         iterations += 1
         omega = e_step(p, f0_values, f_values)
         unknown_mass = float((1.0 - omega).sum())
-        if unknown_mass < cfg.min_component_mass * n:
+        if unknown_mass < _MIN_COMPONENT_MASS * n:
             degenerate = "AllKnown"
             p = 0.0
             omega = np.ones_like(omega)
             converged = True
             break
-        if n - unknown_mass < cfg.min_component_mass * n:
+        if n - unknown_mass < _MIN_COMPONENT_MASS * n:
             degenerate = "AllUnknown"
             omega = np.zeros_like(omega)
-            fit = m_step_f(grid, omega, options=cfg.fit_options,
-                           min_component_mass=cfg.min_component_mass,
-                           init=fit)
+            fit = m_step_f(grid, omega, init=fit)
             f_values = grid.f_values(fit)
             p = 1.0
             converged = True
             break
         if iterations > clamp_iters:
             p = unknown_mass / n  # m_step_p(omega): np.mean is this sum / n
-        fit = m_step_f(grid, omega, options=cfg.fit_options,
-                       min_component_mass=cfg.min_component_mass, init=fit)
+        fit = m_step_f(grid, omega, init=fit)
         f_values = grid.f_values(fit)
         new_loglik = _loglik(p, f0_values, f_values)
         trace.append(new_loglik)

@@ -23,8 +23,8 @@ from . import _kernels_py
 
 # Six python kernels outside the contract, from _kernels_py on every
 # backend. ``segment_integrals`` is what ``logcon.cdf`` calls to evaluate a
-# finished fit, and ``knot_objective`` what ``logcon.objective`` calls;
-# ``knot_objective`` and ``integral_grad_terms`` are one-line views of the
+# finished fit, and ``knot_objective`` what ``logcon.objective`` calls, from
+# ``segment_integrals``; ``integral_grad_terms`` is a one-line view of the
 # python ``knot_grad_hess``, the only code that forms J's partials. The four
 # per-point ones did logcon's per-point work, which now runs on its point
 # grid. They stay here as test oracles and for the benchmark tracer, which

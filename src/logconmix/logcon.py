@@ -20,9 +20,9 @@ and strictly concave and is solved by a damped Newton iteration. Steps are
 truncated at the first knot whose concavity would flip, which activates that
 constraint; at reduced stationarity the constraint multipliers decide which
 single constraint to release. The method stops when the reduced gradient and
-all multipliers are within ``tol_kkt``. Each point the iteration visits
-costs one ``knot_grad_hess`` call, whose segment masses also give the
-Armijo value, the normalizing integral and the F below.
+all multipliers are within ``_TOL_KKT``, an absolute 1e-8. Each point the
+iteration visits costs one ``knot_grad_hess`` call, whose segment masses
+also give the Armijo value, the normalizing integral and the F below.
 
 The multiplier of the constraint at a point x is the derivative of psi along
 the hinge direction (x - t)_+ (Duembgen, Huesler & Rufibach 2007),
@@ -62,7 +62,7 @@ from ._readcsv import read_csv
 from .errors import DegenerateSampleError
 
 __all__ = [
-    "WeightedSample", "FitOptions", "LogConcaveFit",
+    "WeightedSample", "LogConcaveFit",
     "fit_weighted_logconcave", "objective", "eval_log_density", "cdf",
     "fit_to_dict", "fit_from_dict", "save_fit_json", "load_fit_json",
     "load_weighted_csv",
@@ -76,10 +76,13 @@ _TAIL_SERIES_RADIUS = 0.1
 # inside the radius
 _TAIL_COEF = [1.0 / math.factorial(k + 2) for k in range(8)]
 # the active-set solver's caps on outer rounds and on Newton steps per
-# round, and the Armijo sufficient-increase constant of its line search
+# round, the Armijo sufficient-increase constant of its line search, and
+# the bound on the reduced gradient and on each multiplier's violation at
+# which it stops
 _MAX_OUTER_ITERS = 200
 _MAX_NEWTON_ITERS = 50
 _ARMIJO_C = 0.25
+_TOL_KKT = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,15 +147,6 @@ class WeightedSample:
         return _Grid(pts[order]).sample(wts[order])
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    tol_kkt: float = 1e-8
-
-    def __post_init__(self):
-        if not (0.0 < self.tol_kkt < 1.0):
-            raise ValueError(f"tol_kkt must be in (0, 1), got {self.tol_kkt}")
-
-
 @dataclass(frozen=True, eq=False)
 class LogConcaveFit:
     """Fitted log-density: phi piecewise linear between ``knots``.
@@ -176,6 +170,8 @@ class LogConcaveFit:
             raise ValueError("knots and phi must be 1-D arrays of equal length >= 2")
         if not (kn[1:] > kn[:-1]).all():
             raise ValueError("knots must be strictly ascending")
+        if not np.isfinite(kn).all():
+            raise ValueError("knots must be finite")
         if not np.isfinite(ph).all():
             raise ValueError("phi values must be finite")
         object.__setattr__(self, "knots", kn)
@@ -354,7 +350,7 @@ def _knot_weights(grid, kidx, w):
     return ks.dt, ks.inv_dt, ks.aggregate(w)
 
 
-def _reduced_solve(grid, w, kidx, phi_k, gtol):
+def _reduced_solve(grid, w, kidx, phi_k):
     """Newton with Armijo backtracking on the current knot set.
 
     Each trial point costs one ``knot_grad_hess`` call: its segment masses
@@ -369,7 +365,7 @@ def _reduced_solve(grid, w, kidx, phi_k, gtol):
     psi, grad, hd, he, mass = K.knot_grad_hess(dt, phi_k, W)
     stalled = False
     for _ in range(_MAX_NEWTON_ITERS):
-        if float(np.abs(grad).max()) <= gtol:
+        if float(np.abs(grad).max()) <= _TOL_KKT:
             break
         step = K.solve_newton_step(hd, he, grad)
         slope = float(grad.dot(step))
@@ -452,7 +448,6 @@ def _kkt_state(grid, w, ks, phi_k, mass):
 
 
 def fit_weighted_logconcave(sample: WeightedSample,
-                            options: Optional[FitOptions] = None,
                             init: Optional[LogConcaveFit] = None) -> LogConcaveFit:
     """Weighted log-concave MLE on the span of the sample points.
 
@@ -461,7 +456,6 @@ def fit_weighted_logconcave(sample: WeightedSample,
     best log-linear density, i.e. the solution with every interior
     constraint active.
     """
-    options = options or FitOptions()
     grid = sample._grid
     x = grid.points
     w = sample.weights
@@ -477,7 +471,6 @@ def fit_weighted_logconcave(sample: WeightedSample,
         kidx = np.array([0, m - 1], dtype=np.intp)
         phi_k = np.full(2, -math.log(x[-1] - x[0]))
 
-    tol = options.tol_kkt
     converged = False
     psi = -math.inf
     kkt = math.inf
@@ -485,11 +478,12 @@ def fit_weighted_logconcave(sample: WeightedSample,
     released_last = -1
     exp_phi = None  # e^phi at the points, while it matches (kidx, phi_k)
     for _outer in range(_MAX_OUTER_ITERS):
-        kidx, phi_k, stalled, W, mass = _reduced_solve(grid, w, kidx, phi_k, tol)
+        kidx, phi_k, stalled, W, mass = _reduced_solve(grid, w, kidx, phi_k)
         # Exact normalization: shifting phi by -log(integral) preserves
         # concavity and never lowers psi. The KKT test below runs on the
-        # normalized state; if the shift disturbed stationarity beyond tol
-        # the next outer round re-tightens it (one or two Newton steps).
+        # normalized state; if the shift disturbed stationarity beyond the
+        # tolerance, the next outer round re-tightens it (one or two Newton
+        # steps).
         ks = grid.knot_set(kidx)
         integral = float(mass.sum())
         if integral > 0.0 and math.isfinite(integral):
@@ -499,10 +493,10 @@ def fit_weighted_logconcave(sample: WeightedSample,
         exp_phi, lam = _kkt_state(grid, w, ks, phi_k, mass)
         lam_min = float(lam.min()) if lam.size else 0.0
         kkt = max(ginf, max(0.0, -lam_min))
-        if ginf <= tol and lam_min >= -tol:
+        if ginf <= _TOL_KKT and lam_min >= -_TOL_KKT:
             converged = True
             break
-        if ginf <= tol and lam_min < -tol:
+        if ginf <= _TOL_KKT and lam_min < -_TOL_KKT:
             k_rel = int(ks.active[lam.argmin()])
             if k_rel == released_last and psi <= psi_prev + 1e-15 * (1.0 + abs(psi_prev)):
                 break  # released, re-activated, no progress: numerically done

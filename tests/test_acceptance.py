@@ -116,8 +116,9 @@ def test_em_likelihood_never_decreases_across_all_models():
     assert time.monotonic() - t0 < 300.0
 
 
-@pytest.mark.xfail(strict=True, reason="the M-step maximizes the floored weights "
-                   "of logcon._floored, not the EM surrogate, so the trace can drop")
+@pytest.mark.xfail(strict=True, reason="the M-step maximizes the weights that "
+                   "logcon._Grid.sample floors at WEIGHT_FLOOR_SCALE / m, not the "
+                   "EM surrogate, so the trace can drop")
 @pytest.mark.parametrize("rep", [0, 1])
 def test_em_likelihood_never_decreases_on_model5_at_n1000(python_backend, rep):
     # Model 5, p = 0.5, n = 1000: the traces fall by -1.22e-7 (rep 0) and

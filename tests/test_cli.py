@@ -12,7 +12,10 @@ import warnings
 import numpy as np
 import pytest
 
+from logconmix import cli
 from logconmix.cli import main
+from logconmix.em import EmConfig
+from logconmix.errors import LogconmixError
 from logconmix.families import Normal, sample_mixture
 from logconmix.logcon import load_fit_json
 from logconmix.special import student_t_two_sided_p
@@ -111,6 +114,36 @@ def test_fit_infinite_tolerance_exits_2(unlabeled_csv, capsys):
     code = main(["fit", unlabeled_csv, "--f0", "normal:0,2", "--tol-loglik", "inf"])
     assert code == 2
     assert "tol_loglik must be positive and finite, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, config", [
+    ([], EmConfig()),
+    (["--max-iters", "7"], EmConfig(max_iters=7)),
+    (["--init", "flat", "--p-init", "0.25", "--tol-loglik", "1e-6"],
+     EmConfig(init="flat", p_init=0.25, tol_loglik=1e-6)),
+])
+def test_fit_hands_run_em_the_flags_given_and_em_config_defaults(
+        monkeypatch, unlabeled_csv, capsys, flags, config):
+    seen = []
+
+    def fake_run_em(values, f0, cfg):  # records the config, then stops
+        seen.append(cfg)
+        raise LogconmixError("stop")
+
+    monkeypatch.setattr(cli, "run_em", fake_run_em)
+    assert main(["fit", unlabeled_csv, "--f0", "normal:0,2"] + flags) == 3
+    capsys.readouterr()
+    assert seen == [config]
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--f0", "normal:0,2", "--tol-kkt", "1e-8"],
+    ["fit", "--f0", "normal:0,2", "--min-component-mass", "1e-6"],
+    ["logcx", "--tol-kkt", "1e-8"],
+])
+def test_removed_solver_flags_exit_2(unlabeled_csv, capsys, command):
+    assert main(command[:1] + [unlabeled_csv] + command[1:]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_fit_bad_f0_spec_exits_2(labeled_csv, capsys):

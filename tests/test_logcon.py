@@ -4,6 +4,7 @@ serialization round trips."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ import scipy.stats as st
 
 from logconmix import kernels, logcon
 from logconmix.errors import DegenerateSampleError
-from logconmix.logcon import (FitOptions, WeightedSample, cdf,
+from logconmix.logcon import (LogConcaveFit, WeightedSample, cdf,
                               eval_log_density, fit_from_dict, fit_to_dict,
                               fit_weighted_logconcave, load_fit_json,
                               load_weighted_csv, objective, save_fit_json)
@@ -235,13 +236,6 @@ def test_weighted_sample_validation():
             WeightedSample.from_observations(np.array([2.0, 2.0, 2.0])))
 
 
-def test_fit_options_validation():
-    with pytest.raises(ValueError):
-        FitOptions(tol_kkt=0.0)
-    with pytest.raises(ValueError):
-        FitOptions(tol_kkt=1.0)
-
-
 def test_dict_round_trip(rng):
     pts, w = random_small_sample(rng, 6)
     fit = fit_weighted_logconcave(WeightedSample(pts, w))
@@ -273,6 +267,24 @@ def test_fit_from_dict_rejects_fields_of_the_wrong_type(field, value, message):
     doc[field] = value
     with pytest.raises(ValueError, match=f"fit document field '{field}' {message}"):
         fit_from_dict(doc)
+
+
+@pytest.mark.parametrize("knots", [[0.0, math.inf], [-math.inf, 0.0]])
+def test_fit_rejects_knots_that_are_not_finite(tmp_path, knots):
+    # unchecked, [0, inf] made a "density" on (0, inf) with cdf(fit, 1.0)
+    # == 1.0; load_fit_json builds it from a file that holds Infinity
+    with pytest.raises(ValueError, match="knots must be finite"):
+        LogConcaveFit(knots=np.array(knots), phi=np.zeros(2), objective=0.0,
+                      kkt_residual=0.0, converged=True)
+    doc = {"knots": knots, "phi": [0.0, 0.0], "objective": 0.0,
+           "kkt_residual": 0.0, "converged": True}
+    with pytest.raises(ValueError, match="knots must be finite"):
+        fit_from_dict(doc)
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert "Infinity" in path.read_text(encoding="utf-8")
+    with pytest.raises(ValueError, match="knots must be finite"):
+        load_fit_json(str(path))
 
 
 def test_fit_from_dict_names_a_missing_field():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import re
@@ -24,3 +25,25 @@ def test_readme_python_blocks_run():
             exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
     assert 0.0 <= namespace["result"].p_hat <= 1.0
     assert printed.getvalue().count("\n") >= 3
+
+
+def _readme_section(title):
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n### {title}\n")
+    end = text.find("\n#", start + 1)
+    return text[start:end]
+
+
+def test_readme_flags_are_options_of_their_subcommand():
+    from logconmix.cli import _build_parser
+
+    parser = _build_parser()
+    (subcommands,) = [a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    for name, title in (("fit", "`fit` — mixture estimation"),
+                        ("logcx", "`logcx` — standalone log-concave fit")):
+        options = {opt for action in subcommands.choices[name]._actions
+                   for opt in action.option_strings}
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _readme_section(title)))
+        assert named, title
+        assert named <= options, (name, sorted(named - options))
