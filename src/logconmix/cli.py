@@ -159,6 +159,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     # field's default
     given = {f.name: getattr(args, f.name) for f in fields(EmConfig)}
     config = EmConfig(**{k: v for k, v in given.items() if v is not None})
+    if args.p_init is not None and config.init != "flat":
+        # the pilot start never reads p_init, so the flag would change nothing
+        raise CliInputError("--p-init applies only with --init flat")
     result = run_em(values, f0, config)
     payload = em_result_to_dict(result)
     if labels is not None:
@@ -292,7 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="starting responsibilities: 'pilot' "
                             "(density-ratio) or 'flat' (1 - p_init "
                             f"everywhere); default {EmConfig.init!r}")
-    p_fit.add_argument("--p-init", type=float, help=f"default {EmConfig.p_init}")
+    p_fit.add_argument("--p-init", type=float,
+                       help=f"with --init flat only; default {EmConfig.p_init}")
     p_fit.add_argument("--max-iters", type=int, help=f"default {EmConfig.max_iters}")
     p_fit.add_argument("--tol-loglik", type=float,
                        help=f"default {EmConfig.tol_loglik}")

@@ -53,8 +53,10 @@ elementwise passes over the n points (m <= n distinct ones), plus O(R) work
 on the R knots: one ``knot_grad_hess`` call per Newton point, whose segment
 masses also serve the Armijo test, the normalization and the multiplier
 check, and one ``solve_newton_step`` per step:
-- the E-step and the mixing weight: about 8 passes, with no transcendental
-  function, as p is the unknown mass already summed for the degenerate tests;
+- the E-step and the mixing weight: about 10 passes with one ``log``, as
+  the E-step forms the mixture density once for both omega and the
+  log-likelihood, and p is the unknown mass already summed for the
+  degenerate tests;
 - the M-step's weights: one bincount over the tie groups (only when there
   are ties), then about 7 passes to normalize and floor them;
 - the fit: per knot set, about 12 passes to find each point's segment (by
@@ -63,11 +65,11 @@ check, and one ``solve_newton_step`` per step:
   bincount over 2m entries; and per multiplier check (once per outer round,
   usually once per M-step), about 30 passes with one ``exp``, whose values
   e^phi are the next E-step's f, after one pass over the knots on Python
-  floats and no kernel call;
-- the log-likelihood: about 7 passes with one ``log``.
-No pass sorts or binary-searches the points. Every iteration counted runs
-one E-step and one M-step, except one that ends its pass at the
-``AllKnown`` exit below, which runs no M-step.
+  floats and no kernel call.
+No pass sorts or binary-searches the points. A pass runs one E-step at its
+start, and every iteration counted runs one M-step and then one E-step,
+except one that ends its pass at a degenerate exit below: the ``AllKnown``
+exit runs neither, the ``AllUnknown`` exit only the M-step.
 
 Degenerate exits: when the posterior mass of one component collapses below
 ``_MIN_COMPONENT_MASS`` (1e-6) per observation, the result is pinned to the
@@ -79,7 +81,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -139,7 +141,8 @@ class EmResult:
     """What ``run_em`` returns. ``iterations`` counts the iterations of both
     pilot passes, but ``loglik_trace`` holds the last pass only (its start
     and one entry per iteration) plus one entry after the polish of p: a
-    model-3 sample of the tests runs 12 iterations for 8 entries."""
+    model-3 sample of the tests runs 12 iterations for 8 entries. Each entry
+    is the log-likelihood that an :func:`e_step` returned."""
 
     p_hat: float
     omega: np.ndarray
@@ -151,13 +154,15 @@ class EmResult:
     identifiability: IdentifiabilityReport
 
 
-def e_step(p: float, f0_values: np.ndarray, f_values: np.ndarray) -> np.ndarray:
-    """Posterior probability that each observation came from f0.
+def e_step(p: float, f0_values: np.ndarray,
+           f_values: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Posterior probability that each observation came from f0, and the
+    observed log-likelihood, both read off one mixture density
+    (1-p) f0 + p f.
 
-    Points where both densities vanish make the mixture likelihood zero and
-    raise :class:`ZeroMixtureDensityError`. Points where only f0 vanishes
-    are attributed entirely to the unknown component (omega = 0) even when
-    p has shrunk to 0. A p outside [0, 1], NaN included, raises ValueError.
+    A point where that density is not positive raises
+    :class:`ZeroMixtureDensityError`, even where f0 alone vanishes and p is
+    0. A p outside [0, 1], NaN included, raises ValueError.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -165,19 +170,12 @@ def e_step(p: float, f0_values: np.ndarray, f_values: np.ndarray) -> np.ndarray:
     fv = np.asarray(f_values, dtype=float)
     num = (1.0 - p) * f0v
     den = num + p * fv
-    zero = den <= 0.0
-    if not np.count_nonzero(zero):
-        return num / den
-    dead = zero & ~((f0v == 0.0) & (fv > 0.0))
-    if np.any(dead):
-        i = int(np.flatnonzero(dead)[0])
+    if np.count_nonzero(den <= 0.0):
+        i = int(np.flatnonzero(den <= 0.0)[0])
         raise ZeroMixtureDensityError(
             f"mixture density is zero at observation index {i}: "
             f"f0={f0v[i]:g}, f={fv[i]:g}, p={p:g}")
-    omega = np.zeros_like(den)
-    ok = ~zero
-    omega[ok] = num[ok] / den[ok]
-    return omega
+    return num / den, float(np.log(den).sum())
 
 
 def m_step_p(omega: np.ndarray) -> float:
@@ -211,15 +209,6 @@ def m_step_f(points: Sequence[float], omega: np.ndarray,
     else:
         sample = WeightedSample.from_observations(points, residual)
     return fit_weighted_logconcave(sample, init=init)
-
-
-def _loglik(p: float, f0_values: np.ndarray, f_values: np.ndarray) -> float:
-    den = (1.0 - p) * f0_values + p * f_values
-    if np.count_nonzero(den <= 0.0):
-        i = int(np.flatnonzero(den <= 0.0)[0])
-        raise ZeroMixtureDensityError(
-            f"mixture density is zero at observation index {i}")
-    return float(np.log(den).sum())
 
 
 def _silverman_bandwidth(x: np.ndarray) -> float:
@@ -317,14 +306,13 @@ def _em_pass(grid: _Grid, f0_values: np.ndarray, omega0: np.ndarray,
         # model. The fit slot still needs a density, so use the pooled MLE.
         fit = fit_weighted_logconcave(grid.sample(np.full(n, 1.0 / n)))
         f_values = grid.f_values(fit)
-        trace = [_loglik(0.0, f0_values, f_values)]
+        trace = [e_step(0.0, f0_values, f_values)[1]]
         return _EmState(p=0.0, omega=np.ones(n), fit=fit, f_values=f_values,
                         trace=trace, iterations=0, converged=True,
                         degenerate="AllKnown")
     p = m_step_p(omega0)
     f_values = grid.f_values(fit)
-    omega = np.asarray(omega0, dtype=float)
-    loglik = _loglik(p, f0_values, f_values)
+    omega, loglik = e_step(p, f0_values, f_values)
     trace = [loglik]
     converged = False
     degenerate: Optional[str] = None
@@ -332,7 +320,6 @@ def _em_pass(grid: _Grid, f0_values: np.ndarray, omega0: np.ndarray,
 
     while iterations < cfg.max_iters:
         iterations += 1
-        omega = e_step(p, f0_values, f_values)
         unknown_mass = float((1.0 - omega).sum())
         if unknown_mass < _MIN_COMPONENT_MASS * n:
             degenerate = "AllKnown"
@@ -352,7 +339,7 @@ def _em_pass(grid: _Grid, f0_values: np.ndarray, omega0: np.ndarray,
             p = unknown_mass / n  # m_step_p(omega): np.mean is this sum / n
         fit = m_step_f(grid, omega, init=fit)
         f_values = grid.f_values(fit)
-        new_loglik = _loglik(p, f0_values, f_values)
+        omega, new_loglik = e_step(p, f0_values, f_values)
         trace.append(new_loglik)
         done = abs(new_loglik - loglik) <= cfg.tol_loglik * (1.0 + abs(loglik))
         loglik = new_loglik
@@ -418,13 +405,13 @@ def run_em(points: Sequence[float], f0: KnownComponent,
         # Polish p to its fixed point under the final fit so that
         # p_hat == mean(1 - omega) holds exactly on the returned result.
         for _ in range(_P_POLISH_MAX):
-            omega = e_step(p, f0_values, state.f_values)
+            omega = e_step(p, f0_values, state.f_values)[0]
             p_new = m_step_p(omega)
             shift = abs(p_new - p)
             p = p_new
             if shift <= _P_POLISH_TOL:
                 break
-        trace = trace + [_loglik(p, f0_values, state.f_values)]
+        trace = trace + [e_step(p, f0_values, state.f_values)[1]]
 
     report = check_identifiability(f0, state.fit)
     omega_in_order = np.empty_like(omega)

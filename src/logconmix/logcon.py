@@ -168,10 +168,10 @@ class LogConcaveFit:
         ph = np.asarray(self.phi, dtype=float)
         if kn.ndim != 1 or ph.ndim != 1 or kn.size != ph.size or kn.size < 2:
             raise ValueError("knots and phi must be 1-D arrays of equal length >= 2")
-        if not (kn[1:] > kn[:-1]).all():
-            raise ValueError("knots must be strictly ascending")
         if not np.isfinite(kn).all():
             raise ValueError("knots must be finite")
+        if not (kn[1:] > kn[:-1]).all():
+            raise ValueError("knots must be strictly ascending")
         if not np.isfinite(ph).all():
             raise ValueError("phi values must be finite")
         object.__setattr__(self, "knots", kn)
@@ -609,13 +609,17 @@ def fit_from_dict(doc: dict) -> LogConcaveFit:
     """The fit that ``fit_to_dict`` wrote as ``doc``."""
     knots, phi = (_doc_field(doc, k, "iuf", "numbers", scalar=False)
                   for k in ("knots", "phi"))
-    objective, kkt = (_doc_field(doc, k, "iuf", "a number")
+    objective, kkt = (float(_doc_field(doc, k, "iuf", "a number"))
                       for k in ("objective", "kkt_residual"))
+    if math.isnan(objective):
+        raise ValueError("fit document field 'objective' must not be NaN")
+    if not kkt >= 0.0:  # a max of absolute values: >= 0, possibly inf
+        raise ValueError(f"fit document field 'kkt_residual' must be >= 0, got {kkt}")
     return LogConcaveFit(
         knots=knots.astype(float),
         phi=phi.astype(float),
-        objective=float(objective),
-        kkt_residual=float(kkt),
+        objective=objective,
+        kkt_residual=kkt,
         converged=bool(_doc_field(doc, "converged", "b", "true or false")),
     )
 

@@ -116,6 +116,15 @@ def test_fit_infinite_tolerance_exits_2(unlabeled_csv, capsys):
     assert "tol_loglik must be positive and finite, got inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("init", [[], ["--init", "pilot"]])
+def test_fit_p_init_without_flat_start_exits_2(unlabeled_csv, capsys, init):
+    # unchecked, the pilot start ignored --p-init and wrote the bytes of a
+    # run without it
+    code = main(["fit", unlabeled_csv, "--f0", "normal:0,2", "--p-init", "0.2"] + init)
+    assert code == 2
+    assert "--p-init applies only with --init flat" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, config", [
     ([], EmConfig()),
     (["--max-iters", "7"], EmConfig(max_iters=7)),

@@ -26,20 +26,53 @@ from test_solver import _tied_catalog_sample
 
 def test_e_step_hand_value():
     # omega = (1-p) f0 / ((1-p) f0 + p f); with p = 0.4, f0 = 2, f = 0.25:
-    # omega = 1.2 / (1.2 + 0.1) = 12/13
-    om = e_step(0.4, np.array([2.0]), np.array([0.25]))
+    # omega = 1.2 / (1.2 + 0.1) = 12/13, and the log-likelihood is log 1.3
+    om, loglik = e_step(0.4, np.array([2.0]), np.array([0.25]))
     assert om[0] == pytest.approx(12.0 / 13.0, rel=1e-15)
+    assert loglik == pytest.approx(math.log(1.3), rel=1e-15)
 
 
 def test_e_step_vector_and_zero_null_component():
-    om = e_step(0.5, np.array([1.0, 0.0, 2.0]), np.array([1.0, 3.0, 0.0]))
+    om, _ = e_step(0.5, np.array([1.0, 0.0, 2.0]), np.array([1.0, 3.0, 0.0]))
     # f0 = 0 with f > 0 pins the point to the unknown component
     np.testing.assert_allclose(om, [0.5, 0.0, 1.0], atol=1e-15)
+
+
+def _e_step_oracle(p, f0, f):
+    """omega and the log-likelihood as two formulas, each forming the
+    mixture density itself (the forms e_step replaced)."""
+    num = (1.0 - p) * f0
+    den = num + p * f
+    return num / den, float(np.log((1.0 - p) * f0 + p * f).sum())
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-300, 0.5, 1.0])
+def test_e_step_reads_omega_and_loglik_off_one_density(p):
+    rng = np.random.default_rng(20)
+    f0 = rng.uniform(0.0, 3.0, 200)
+    f = rng.uniform(0.0, 3.0, 200)
+    # zeros in f0 or in f, only where the mixture density stays positive
+    if p < 1.0:
+        f[:40] = 0.0
+    if p > 0.0:
+        f0[40:80] = 0.0
+    omega, loglik = e_step(p, f0, f)
+    want_omega, want_loglik = _e_step_oracle(p, f0, f)
+    assert omega.tobytes() == want_omega.tobytes()
+    assert np.float64(loglik).tobytes() == np.float64(want_loglik).tobytes()
+    assert type(loglik) is float
 
 
 def test_e_step_rejects_jointly_vanishing_densities():
     with pytest.raises(ZeroMixtureDensityError, match="1"):
         e_step(0.5, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
+
+def test_e_step_rejects_a_vanishing_null_at_p_zero():
+    # with p = 0 the mixture density is f0, which is 0 at index 1: the
+    # likelihood is zero there, so omega is not set to 0 for it
+    with pytest.raises(ZeroMixtureDensityError, match="index 1"):
+        e_step(0.0, np.array([1.0, 0.0]), np.array([1.0, 3.0]))
 
 
 @pytest.mark.parametrize("p", [2.0, -0.1, math.nextafter(1.0, 2.0),
@@ -51,8 +84,8 @@ def test_e_step_rejects_p_outside_the_unit_interval(p):
 
 
 def test_e_step_takes_both_ends_of_the_unit_interval():
-    np.testing.assert_array_equal(e_step(0.0, np.array([1.0]), np.array([2.0])), [1.0])
-    np.testing.assert_array_equal(e_step(1.0, np.array([1.0]), np.array([2.0])), [0.0])
+    np.testing.assert_array_equal(e_step(0.0, np.array([1.0]), np.array([2.0]))[0], [1.0])
+    np.testing.assert_array_equal(e_step(1.0, np.array([1.0]), np.array([2.0]))[0], [0.0])
 
 
 def test_m_step_p_is_mean_unknown_mass():

@@ -287,6 +287,32 @@ def test_fit_rejects_knots_that_are_not_finite(tmp_path, knots):
         load_fit_json(str(path))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("objective", math.nan, "'objective' must not be NaN"),
+    ("kkt_residual", math.nan, "'kkt_residual' must be >= 0, got nan"),
+    ("kkt_residual", -1e-12, "'kkt_residual' must be >= 0, got -1e-12"),
+])
+def test_fit_from_dict_rejects_a_nan_objective_or_residual(tmp_path, field, value, message):
+    # unchecked, {"objective": NaN, "kkt_residual": Infinity} loaded as a fit
+    doc = {"knots": [0.0, 1.0], "phi": [0.0, 0.0], "objective": -1.0,
+           "kkt_residual": math.inf, "converged": False}
+    assert fit_from_dict(doc).kkt_residual == math.inf
+    doc[field] = value
+    with pytest.raises(ValueError, match=f"fit document field {message}"):
+        fit_from_dict(doc)
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"fit document field {message}"):
+        load_fit_json(str(path))
+
+
+def test_fit_names_a_nan_knot_as_not_finite():
+    # unchecked before the order test, NaN read as "not strictly ascending"
+    with pytest.raises(ValueError, match="knots must be finite"):
+        fit_from_dict({"knots": [0.0, math.nan], "phi": [0.0, 0.0], "objective": 0.0,
+                       "kkt_residual": 0.0, "converged": True})
+
+
 def test_fit_from_dict_names_a_missing_field():
     with pytest.raises(ValueError, match="fit document missing field 'phi'"):
         fit_from_dict({"knots": [0.0, 1.0], "objective": 0.0,

@@ -4,9 +4,10 @@ count of the iterations it runs.
 ``_max_feasible_step`` is checked bit for bit against the earlier
 formulation, kept here as the oracle. A fit on a grid that already served
 fits must give the bits of the same fit on a fresh grid. Every iteration
-that ``run_em`` counts runs one E-step and one M-step, the clamped
-iterations of the second pilot pass included; the clamp ends when the
-likelihood settles, on a sample with ties and on one without.
+that ``run_em`` counts runs one M-step and the E-step after it, the
+clamped iterations of the second pilot pass included; the clamp ends when
+the likelihood settles, on a sample with ties and on one without. Every
+trace entry is a log-likelihood that an E-step returned.
 """
 
 from __future__ import annotations
@@ -158,3 +159,32 @@ def test_run_em_runs_one_m_step_per_counted_iteration(monkeypatch, python_backen
     assert not any(init.knots.tobytes() == fit.knots.tobytes()
                    and init.phi.tobytes() == fit.phi.tobytes()
                    for init, fit in steps if init is not None)
+
+
+def test_run_em_forms_each_trace_entry_in_one_e_step(monkeypatch, python_backend):
+    # one pass: an E-step at its start and one after each M-step, one per
+    # polish step of p (every m_step_p call but the pass's first), and a
+    # final one for the last trace entry, which holds only their values
+    values, f0 = _tied_catalog_sample()
+    e_steps, p_steps = [], []
+    e_step, m_step_p = em.e_step, em.m_step_p
+
+    def counted_e(*args):
+        e_steps.append(e_step(*args))
+        return e_steps[-1]
+
+    def counted_p(*args):
+        p_steps.append(m_step_p(*args))
+        return p_steps[-1]
+
+    monkeypatch.setattr(em, "e_step", counted_e)
+    monkeypatch.setattr(em, "m_step_p", counted_p)
+    result = em.run_em(values, f0, em.EmConfig(init="flat"))
+    assert result.degenerate is None and result.converged
+    polish = len(p_steps) - 1
+    assert polish >= 1
+    assert len(e_steps) == (result.iterations + 1) + polish + 1
+    logliks = [loglik for _, loglik in e_steps]
+    want = logliks[:result.iterations + 1] + logliks[-1:]
+    assert result.loglik_trace.tobytes() == np.asarray(want).tobytes()
+    assert result.p_hat == p_steps[-1]
