@@ -66,15 +66,19 @@ check, and one ``solve_newton_step`` per step:
   usually once per M-step), about 30 passes with one ``exp``, whose values
   e^phi are the next E-step's f, after one pass over the knots on Python
   floats and no kernel call.
-No pass sorts or binary-searches the points. A pass runs one E-step at its
-start, and every iteration counted runs one M-step and then one E-step,
-except one that ends its pass at a degenerate exit below: the ``AllKnown``
-exit runs neither, the ``AllUnknown`` exit only the M-step.
+No pass sorts or binary-searches the points. A pass is one loop of steps:
+step 0, its start, runs a cold M-step and one E-step, and every later step
+is a counted iteration that runs one warm M-step and then one E-step,
+except one that ends its pass at a degenerate exit below: at the
+``AllKnown`` exit the M-step raises and no E-step runs, and the
+``AllUnknown`` exit runs only the M-step.
 
 Degenerate exits: when the posterior mass of one component collapses below
 ``_MIN_COMPONENT_MASS`` (1e-6) per observation, the result is pinned to the
 surviving boundary model (p=0 when everything is attributed to f0, p=1
-when nothing is) and flagged, instead of raising.
+when nothing is) and flagged, instead of raising. The unknown component's
+collapse is found only by ``m_step_f``, whose ``ComponentCollapsedError``
+is the ``AllKnown`` exit, at step 0 or in an iteration alike.
 """
 
 from __future__ import annotations
@@ -162,12 +166,16 @@ def e_step(p: float, f0_values: np.ndarray,
 
     A point where that density is not positive raises
     :class:`ZeroMixtureDensityError`, even where f0 alone vanishes and p is
-    0. A p outside [0, 1], NaN included, raises ValueError.
+    0. A p outside [0, 1], NaN included, and f0 and f values of different
+    shapes raise ValueError.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     f0v = np.asarray(f0_values, dtype=float)
     fv = np.asarray(f_values, dtype=float)
+    if f0v.shape != fv.shape:
+        raise ValueError(
+            f"shape mismatch: f0_values {f0v.shape} vs f_values {fv.shape}")
     num = (1.0 - p) * f0v
     den = num + p * fv
     if np.count_nonzero(den <= 0.0):
@@ -289,69 +297,51 @@ def _em_pass(grid: _Grid, f0_values: np.ndarray, omega0: np.ndarray,
              cfg: EmConfig, clamp_iters: int = 0) -> _EmState:
     """One full EM run from starting responsibilities omega0.
 
-    The mixing proportion is held at its starting value, and only the
-    unknown component is refit, until the first iteration whose likelihood
-    change passes the convergence test, or for at most ``clamp_iters``
-    iterations. Holding p lets the density consolidate onto the signal
-    region before the pair (p, f) moves jointly; each clamped iteration is
-    an EM step in f alone, and an exact fixed point of the clamp has zero
-    likelihood change, so it ends the clamp too. The test that ends the
-    clamp ends the pass only once p moves.
+    Step 0 is the pass's start: a cold M-step on omega0, p = mean(1 - omega0)
+    and the first E-step. Each later step is one counted iteration, up to
+    ``cfg.max_iters``. The mixing proportion is held at its starting value,
+    and only the unknown component is refit, until the first iteration whose
+    likelihood change passes the convergence test, or for at most
+    ``clamp_iters`` iterations. Holding p lets the density consolidate onto
+    the signal region before the pair (p, f) moves jointly; each clamped
+    iteration is an EM step in f alone, and an exact fixed point of the
+    clamp has zero likelihood change, so it ends the clamp too. The test
+    that ends the clamp ends the pass only once p moves.
+
+    The ``AllKnown`` exit is the M-step's :class:`ComponentCollapsedError`:
+    it keeps the last fit, or the pooled MLE with one trace entry when it
+    comes at step 0, before any fit.
     """
     n = f0_values.size
-    try:
-        fit = m_step_f(grid, omega0)
-    except ComponentCollapsedError:
-        # Everything was attributed to f0 at the start; report the boundary
-        # model. The fit slot still needs a density, so use the pooled MLE.
-        fit = fit_weighted_logconcave(grid.sample(np.full(n, 1.0 / n)))
-        f_values = grid.f_values(fit)
-        trace = [e_step(0.0, f0_values, f_values)[1]]
-        return _EmState(p=0.0, omega=np.ones(n), fit=fit, f_values=f_values,
-                        trace=trace, iterations=0, converged=True,
-                        degenerate="AllKnown")
-    p = m_step_p(omega0)
-    f_values = grid.f_values(fit)
-    omega, loglik = e_step(p, f0_values, f_values)
-    trace = [loglik]
-    converged = False
-    degenerate: Optional[str] = None
-    iterations = 0
-
-    while iterations < cfg.max_iters:
-        iterations += 1
+    omega, fit, f_values, trace = omega0, None, None, []
+    for step in range(cfg.max_iters + 1):
         unknown_mass = float((1.0 - omega).sum())
-        if unknown_mass < _MIN_COMPONENT_MASS * n:
-            degenerate = "AllKnown"
-            p = 0.0
-            omega = np.ones_like(omega)
-            converged = True
-            break
-        if n - unknown_mass < _MIN_COMPONENT_MASS * n:
-            degenerate = "AllUnknown"
+        if step and n - unknown_mass < _MIN_COMPONENT_MASS * n:
             omega = np.zeros_like(omega)
             fit = m_step_f(grid, omega, init=fit)
-            f_values = grid.f_values(fit)
-            p = 1.0
-            converged = True
-            break
-        if iterations > clamp_iters:
+            return _EmState(1.0, omega, fit, grid.f_values(fit), trace, step,
+                            True, "AllUnknown")
+        if not 0 < step <= clamp_iters:
             p = unknown_mass / n  # m_step_p(omega): np.mean is this sum / n
-        fit = m_step_f(grid, omega, init=fit)
+        try:
+            fit = m_step_f(grid, omega, init=fit)
+        except ComponentCollapsedError:
+            # Everything is attributed to f0: report the boundary model. The
+            # fit slot still needs a density; before any fit, the pooled MLE.
+            if fit is None:
+                fit = fit_weighted_logconcave(grid.sample(np.full(n, 1.0 / n)))
+                f_values = grid.f_values(fit)
+                trace.append(e_step(0.0, f0_values, f_values)[1])
+            return _EmState(0.0, np.ones(n), fit, f_values, trace, step, True,
+                            "AllKnown")
         f_values = grid.f_values(fit)
-        omega, new_loglik = e_step(p, f0_values, f_values)
-        trace.append(new_loglik)
-        done = abs(new_loglik - loglik) <= cfg.tol_loglik * (1.0 + abs(loglik))
-        loglik = new_loglik
-        if done:
-            if iterations > clamp_iters:
-                converged = True
-                break
-            clamp_iters = iterations  # f has settled with p held: release p
-
-    return _EmState(p=p, omega=omega, fit=fit, f_values=f_values, trace=trace,
-                    iterations=iterations, converged=converged,
-                    degenerate=degenerate)
+        omega, loglik = e_step(p, f0_values, f_values)
+        trace.append(loglik)
+        if step and abs(loglik - trace[-2]) <= cfg.tol_loglik * (1.0 + abs(trace[-2])):
+            if step > clamp_iters:
+                return _EmState(p, omega, fit, f_values, trace, step, True, None)
+            clamp_iters = step  # f has settled with p held: release p
+    return _EmState(p, omega, fit, f_values, trace, cfg.max_iters, False, None)
 
 
 def run_em(points: Sequence[float], f0: KnownComponent,
@@ -364,8 +354,10 @@ def run_em(points: Sequence[float], f0: KnownComponent,
 
     EM runs on the sample sorted once up front, with one logcon grid of the
     sorted observations for all M-steps (see the module docstring);
-    ``omega`` is returned in the input order. ``iterations`` counts the
-    iterations of every pass, each of which ran (see the module docstring);
+    ``omega`` is returned in the input order. One :func:`_em_pass` runs from
+    either start; the pilot start runs a second, clamped pass unless the
+    first ends at a degenerate exit. ``iterations`` counts the iterations of
+    every pass, each of which ran (see the module docstring);
     ``loglik_trace`` covers the last pass and the polish of p only (see
     :class:`EmResult`).
     """
@@ -381,22 +373,18 @@ def run_em(points: Sequence[float], f0: KnownComponent,
             f"need at least 4 distinct observations, got {grid.points.size}")
 
     f0_values = np.exp(log_pdf_known(f0, x))
-
     if cfg.init == "flat":
         omega0 = np.full(x.shape, 1.0 - cfg.p_init)
-        state = _em_pass(grid, f0_values, omega0, cfg)
-        iterations = state.iterations
     else:
         kde_values = _gaussian_kde_at_points(x)
-        first = _em_pass(grid, f0_values,
-                         _pilot_omega(f0_values, kde_values, 1.0), cfg)
-        iterations = first.iterations
-        state = first
-        if first.degenerate is None:
-            omega1 = _pilot_omega(f0_values, kde_values, 1.0 - first.p)
-            state = _em_pass(grid, f0_values, omega1, cfg,
-                             clamp_iters=_PILOT_CLAMP_ITERS)
-            iterations += state.iterations
+        omega0 = _pilot_omega(f0_values, kde_values, 1.0)
+    state = _em_pass(grid, f0_values, omega0, cfg)
+    iterations = state.iterations
+    if cfg.init == "pilot" and state.degenerate is None:
+        omega1 = _pilot_omega(f0_values, kde_values, 1.0 - state.p)
+        state = _em_pass(grid, f0_values, omega1, cfg,
+                         clamp_iters=_PILOT_CLAMP_ITERS)
+        iterations += state.iterations
 
     p = state.p
     omega = state.omega

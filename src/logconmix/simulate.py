@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .em import EmConfig, classification_error, estimate_mu, run_em
-from .errors import AllReplicationsFailedError, require_int
+from .errors import AllReplicationsFailedError, LogconmixError, require_int
 from .families import (Beta15, Exponential, KnownComponent, Normal,
                        ShiftedChiSq3, ShiftedExponential, ShiftedT5,
                        Uniform, UnknownComponent, sample_mixture)
@@ -96,8 +96,11 @@ def _run_replication(args: Tuple[int, float, int, int, int, EmConfig]
                      ) -> Tuple[int, float, float, float]:
     """One replication: returns (ok, p_hat, mu_hat, cla_error).
 
-    A replication fails (ok = 0) when estimation raises, does not converge,
-    or exits through a degenerate boundary; failed replications carry NaNs.
+    A replication fails (ok = 0) when estimation raises one of the errors
+    that the CLI reports as bad input or a failed fit (a package error, a
+    ValueError or a FloatingPointError), does not converge, or exits
+    through a degenerate boundary; failed replications carry NaNs. Any
+    other exception is a bug and propagates.
     """
     model_id, p, n, seed, rep, config = args
     spec = model_catalog()[model_id]
@@ -109,7 +112,7 @@ def _run_replication(args: Tuple[int, float, int, int, int, EmConfig]
             return (0, float("nan"), float("nan"), float("nan"))
         mu_hat = estimate_mu(values, result.omega)
         cla = classification_error(result.omega, labels)
-    except Exception:
+    except (LogconmixError, ValueError, FloatingPointError):
         return (0, float("nan"), float("nan"), float("nan"))
     return (1, result.p_hat, mu_hat, cla)
 

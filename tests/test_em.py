@@ -83,6 +83,16 @@ def test_e_step_rejects_p_outside_the_unit_interval(p):
         e_step(p, np.array([1.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("f0, f, shapes", [
+    ([1.0, 2.0, 3.0], [2.0], r"\(3,\) vs f_values \(1,\)"),
+    ([[1.0], [2.0]], [2.0, 3.0], r"\(2, 1\) vs f_values \(2,\)")])
+def test_e_step_names_both_shapes_when_they_differ(f0, f, shapes):
+    # unchecked, these broadcast: to 3 posteriors for the first, and to a
+    # 2 x 2 omega with a log-likelihood over 4 terms for the second
+    with pytest.raises(ValueError, match="shape mismatch: f0_values " + shapes):
+        e_step(0.5, f0, f)
+
+
 def test_e_step_takes_both_ends_of_the_unit_interval():
     np.testing.assert_array_equal(e_step(0.0, np.array([1.0]), np.array([2.0]))[0], [1.0])
     np.testing.assert_array_equal(e_step(1.0, np.array([1.0]), np.array([2.0]))[0], [0.0])

@@ -156,3 +156,113 @@ def test_run_em_on_the_catalog_is_pinned_bitwise(python_backend):
                     r.loglik_trace, np.int64(r.iterations)):
             digest.update(_digest(arr).encode())
     assert digest.hexdigest() == EM_DIGEST
+
+
+# Every way out of an EM pass, one digest per case over p_hat, omega, the
+# fit's knots and phi, the trace, iterations, converged and degenerate:
+# - "cap_pilot", "cap_flat": the first cell above at max_iters=3;
+# - "clamp_10", "clamp_50", "clamp_51": the tied model-3 sample of
+#   test_solver under budgets below, at and just above the clamp's cap of
+#   50; each pass converges within 10 iterations, so the three are one run;
+# - "all_known_start": a flat start whose unknown mass is below the
+#   collapse threshold before the first iteration;
+# - "all_unknown": data far outside f0, so the known component collapses.
+# The in-loop AllKnown exit, which no drawn sample was seen to reach, is
+# pinned by test_an_in_loop_all_known_exit_keeps_the_previous_fit below.
+EXIT_DIGESTS = {
+    "cap_pilot":
+        "180f4c661171a0c99a2c26f8a7846671b2314f3ce85335b0a08bd4e53ab8e848",
+    "cap_flat":
+        "d25f98ba8c4812801156d108b1260e580414c384eb3ac1c5f24b8f60d249a598",
+    "clamp_10":
+        "51c9726db3f2e3c2aacb8763ab3535aabdea218f96952fc893cb273cfeb5d502",
+    "clamp_50":
+        "51c9726db3f2e3c2aacb8763ab3535aabdea218f96952fc893cb273cfeb5d502",
+    "clamp_51":
+        "51c9726db3f2e3c2aacb8763ab3535aabdea218f96952fc893cb273cfeb5d502",
+    "all_known_start":
+        "3033e3dd38e15360ae2f4c8c95e34ce35e0826de6727889c2a7e87524a027aa5",
+    "all_unknown":
+        "7cd7cbc76fe116bf74c33aace3b523db7f5b4df0ad33c9a466a4dc20f3f55438",
+    "all_known_in_loop":
+        "2dc97efa8f0a90766beca59b32a25e81ca0328d05b86bcdd82f1e5e0a8911178",
+}
+
+
+def _exit_case(name):
+    from logconmix.em import EmConfig
+    from logconmix.families import Normal
+    from logconmix.rng import child_seed
+    from test_solver import _tied_catalog_sample
+
+    if name.startswith("cap_"):
+        spec = model_catalog()[1]
+        values, _ = sample_mixture(spec.known, spec.unknown, 0.1, 200,
+                                   child_seed(EM_SEED, 0))
+        return values, spec.known, EmConfig(max_iters=3, init=name[4:])
+    if name.startswith("clamp_"):
+        values, f0 = _tied_catalog_sample()
+        return values, f0, EmConfig(max_iters=int(name[6:]))
+    if name == "all_known_start":
+        return (Normal(0.0, 2.0).draw(200, make_rng(1)), Normal(0.0, 2.0),
+                EmConfig(init="flat", p_init=1e-7))
+    return np.random.default_rng(3).normal(50.0, 1.0, 300), Normal(0.0, 1.0), None
+
+
+def _exit_digest(p, omega, fit, trace, iterations, converged, degenerate) -> str:
+    digest = hashlib.sha256()
+    for arr in (np.float64(p), omega, fit.knots, fit.phi,
+                np.asarray(trace, dtype=float), np.int64(iterations)):
+        digest.update(_digest(arr).encode())
+    digest.update(repr((bool(converged), degenerate)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(set(EXIT_DIGESTS) - {"all_known_in_loop"}))
+def test_every_em_exit_is_pinned_bitwise(name, python_backend):
+    from logconmix.em import run_em
+
+    values, f0, config = _exit_case(name)
+    r = run_em(values, f0, config)
+    want = {"cap": (False, None), "clamp": (True, None),
+            "all": (True, "AllKnown" if name == "all_known_start" else "AllUnknown")}
+    assert (r.converged, r.degenerate) == want[name.split("_")[0]]
+    assert _exit_digest(r.p_hat, r.omega, r.fit, r.loglik_trace, r.iterations,
+                        r.converged, r.degenerate) == EXIT_DIGESTS[name]
+
+
+def test_an_in_loop_all_known_exit_keeps_the_previous_fit(monkeypatch, python_backend):
+    # the E-step after the first counted iteration is made to return a
+    # collapsed omega, so the second iteration finds no unknown mass: the
+    # pass keeps the first iteration's fit and f-values, reports p = 0 and
+    # omega = 1, adds no trace entry, and counts the second iteration
+    from logconmix import em
+    from logconmix.families import log_pdf_known
+    from logconmix.logcon import _Grid
+    from test_solver import _tied_catalog_sample
+
+    values, f0 = _tied_catalog_sample()
+    x = np.sort(values)
+    f0_values = np.exp(log_pdf_known(f0, x))
+    e_steps, fits = [], []
+    e_step, m_step_f = em.e_step, em.m_step_f
+
+    def collapsing(p, f0v, fv):
+        omega, loglik = e_step(p, f0v, fv)
+        e_steps.append((fv, loglik))
+        return (np.ones_like(omega) if len(e_steps) == 2 else omega), loglik
+
+    def recorded(*args, **kwargs):
+        fits.append(m_step_f(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(em, "e_step", collapsing)
+    monkeypatch.setattr(em, "m_step_f", recorded)
+    s = em._em_pass(_Grid(x), f0_values, np.full(x.size, 0.5), em.EmConfig(init="flat"))
+    assert (s.converged, s.degenerate, s.iterations) == (True, "AllKnown", 2)
+    assert s.p == 0.0 and np.all(s.omega == 1.0)
+    assert len(fits) == 2 and s.fit is fits[-1]
+    assert len(e_steps) == 2 and s.f_values.tobytes() == e_steps[-1][0].tobytes()
+    assert s.trace == [loglik for _, loglik in e_steps]
+    assert _exit_digest(s.p, s.omega, s.fit, s.trace, s.iterations, s.converged,
+                        s.degenerate) == EXIT_DIGESTS["all_known_in_loop"]

@@ -15,7 +15,7 @@ import pytest
 
 from logconmix import simulate
 from logconmix.em import EmConfig
-from logconmix.errors import AllReplicationsFailedError
+from logconmix.errors import AllReplicationsFailedError, ZeroMixtureDensityError
 from logconmix.families import (Beta15, Exponential, Normal, ShiftedChiSq3,
                                 ShiftedExponential, ShiftedT5, Uniform)
 from logconmix.simulate import (ScenarioSpec, model_catalog, run_scenario,
@@ -191,6 +191,29 @@ def test_failures_are_counted_not_fatal():
     # finite when at least one replication succeeds
     assert math.isfinite(tight.bias_p)
     assert math.isfinite(tight.mean_cla_error)
+
+
+@pytest.mark.parametrize("error, counted", [
+    (ZeroMixtureDensityError("mixture density is zero"), True),
+    (TypeError("a bug"), False)])
+def test_only_estimation_errors_count_as_failures(monkeypatch, error, counted):
+    # the first replication raises; an estimation error is one failure of
+    # two, and any other exception is a bug that must not become a count
+    real, calls = simulate.run_em, []
+
+    def failing_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "run_em", failing_once)
+    spec = ScenarioSpec(model_id=1, p=0.5, n=200, reps=2, seed=5)
+    if counted:
+        assert run_scenario(spec, workers=1).failures == 1
+    else:
+        with pytest.raises(TypeError, match="a bug"):
+            run_scenario(spec, workers=1)
 
 
 def test_summary_table_format_round_trips():

@@ -163,8 +163,8 @@ def test_run_em_runs_one_m_step_per_counted_iteration(monkeypatch, python_backen
 
 def test_run_em_forms_each_trace_entry_in_one_e_step(monkeypatch, python_backend):
     # one pass: an E-step at its start and one after each M-step, one per
-    # polish step of p (every m_step_p call but the pass's first), and a
-    # final one for the last trace entry, which holds only their values
+    # polish step of p (every m_step_p call), and a final one for the last
+    # trace entry, which holds only their values
     values, f0 = _tied_catalog_sample()
     e_steps, p_steps = [], []
     e_step, m_step_p = em.e_step, em.m_step_p
@@ -181,7 +181,7 @@ def test_run_em_forms_each_trace_entry_in_one_e_step(monkeypatch, python_backend
     monkeypatch.setattr(em, "m_step_p", counted_p)
     result = em.run_em(values, f0, em.EmConfig(init="flat"))
     assert result.degenerate is None and result.converged
-    polish = len(p_steps) - 1
+    polish = len(p_steps)
     assert polish >= 1
     assert len(e_steps) == (result.iterations + 1) + polish + 1
     logliks = [loglik for _, loglik in e_steps]
