@@ -16,13 +16,24 @@ Solved as an active-set Newton method in the full coordinate vector
 
 Active constraints (c_i = 0) make x_i a non-knot whose value is linear
 interpolation between knots; the reduced problem over knot values is smooth
-and strictly concave and is solved by a damped Newton iteration. Steps are
-truncated at the first knot whose concavity would flip, which activates that
-constraint; at reduced stationarity the constraint multipliers decide which
-single constraint to release. The method stops when the reduced gradient and
-all multipliers are within ``_TOL_KKT``, an absolute 1e-8. Each point the
-iteration visits costs one ``knot_grad_hess`` call, whose segment masses
-also give the Armijo value, the normalizing integral and the F below.
+and strictly concave. ``fit_weighted_logconcave`` is one loop of at most
+``_MAX_OUTER_ITERS`` rounds, and a round, on the current knot set:
+- aggregates the weights onto the knots and takes up to
+  ``_MAX_NEWTON_ITERS`` Newton steps with Armijo backtracking. A step is
+  truncated at the first knot whose concavity would flip, which activates
+  that constraint: the knot drops out and the shorter set is evaluated
+  afresh. A line search that cannot improve marks the round stalled;
+- normalizes the iterate, evaluates it once more and computes the
+  multipliers;
+- then stops if the reduced gradient and all multipliers are within
+  ``_TOL_KKT``, an absolute 1e-8. At reduced stationarity with a violated
+  multiplier, it releases the single most violated constraint, unless that
+  re-releases the previous round's constraint with no gain in psi, which
+  stops the fit. Otherwise a stalled round stops the fit, and a round that
+  reached the Newton cap is followed by another.
+Each point the iteration visits costs one ``knot_grad_hess`` call, whose
+segment masses also give the Armijo value, the normalizing integral and the
+F below.
 
 The multiplier of the constraint at a point x is the derivative of psi along
 the hinge direction (x - t)_+ (Duembgen, Huesler & Rufibach 2007),
@@ -343,60 +354,6 @@ def _curvatures(v, inv_dt):
     return [left - right for left, right in zip(s, s[1:])]
 
 
-def _knot_weights(grid, kidx, w):
-    """Knot spacings, their reciprocals and the knot weights; the caller
-    keeps no reference to the knot set, so a successor can replace it."""
-    ks = grid.knot_set(kidx)
-    return ks.dt, ks.inv_dt, ks.aggregate(w)
-
-
-def _reduced_solve(grid, w, kidx, phi_k):
-    """Newton with Armijo backtracking on the current knot set.
-
-    Each trial point costs one ``knot_grad_hess`` call: its segment masses
-    give the Armijo value as ``knot_objective`` forms it, and an accepted
-    point's derivatives are the next step's. Truncated steps activate the
-    blocking constraint (the knot drops out), and the shorter knot set is
-    evaluated afresh. Returns ``(kidx, phi_k, stalled, W, mass)``, with
-    ``W`` the weights aggregated onto the returned knots and ``mass`` the
-    segment masses of ``phi_k``.
-    """
-    dt, inv_dt, W = _knot_weights(grid, kidx, w)
-    psi, grad, hd, he, mass = K.knot_grad_hess(dt, phi_k, W)
-    stalled = False
-    for _ in range(_MAX_NEWTON_ITERS):
-        if float(np.abs(grad).max()) <= _TOL_KKT:
-            break
-        step = K.solve_newton_step(hd, he, grad)
-        slope = float(grad.dot(step))
-        if not math.isfinite(slope) or slope <= 0.0:
-            step = grad.copy()               # ascent fallback; H was unusable
-            slope = float(grad.dot(grad))
-        alpha_bar, j_block = _max_feasible_step(inv_dt, phi_k, step)
-        alpha = min(1.0, alpha_bar)
-        if alpha_bar > 1e-300:  # else blocked at once: activate without moving
-            while alpha > 1e-16:
-                cand = step * alpha
-                cand += phi_k
-                point = K.knot_grad_hess(dt, cand, W)
-                value = float(W.dot(cand)) - float(point[4].sum()) + 1.0
-                if value >= psi + _ARMIJO_C * alpha * slope:
-                    break
-                alpha *= 0.5
-            else:
-                stalled = True
-                break
-            phi_k = cand
-        if alpha == alpha_bar:
-            # boundary hit: interior knot j_block turns into an active constraint
-            kidx = np.delete(kidx, j_block)
-            phi_k = np.delete(phi_k, j_block)
-            dt, inv_dt, W = _knot_weights(grid, kidx, w)
-            point = K.knot_grad_hess(dt, phi_k, W)
-        psi, grad, hd, he, mass = point
-    return kidx, phi_k, stalled, W, mass
-
-
 def _knot_integrals(dt, mass, e_k, s):
     """F and Q at each knot, the integrals of e^phi and of (t_j - t) e^phi
     from the first knot up to it, and 1/s^2 per segment (0 where s^2 is 0),
@@ -472,19 +429,55 @@ def fit_weighted_logconcave(sample: WeightedSample,
         phi_k = np.full(2, -math.log(x[-1] - x[0]))
 
     converged = False
-    psi = -math.inf
-    kkt = math.inf
     psi_prev = -math.inf
     released_last = -1
     exp_phi = None  # e^phi at the points, while it matches (kidx, phi_k)
-    for _outer in range(_MAX_OUTER_ITERS):
-        kidx, phi_k, stalled, W, mass = _reduced_solve(grid, w, kidx, phi_k)
+    for _round in range(_MAX_OUTER_ITERS):
+        ks = grid.knot_set(kidx)
+        W = ks.aggregate(w)
+        psi, grad, hd, he, mass = K.knot_grad_hess(ks.dt, phi_k, W)
+        # Newton with Armijo backtracking on this knot set: each trial point
+        # costs one knot_grad_hess call, whose segment masses give the
+        # Armijo value as knot_objective forms it, and an accepted point's
+        # derivatives are the next step's
+        stalled = False
+        for _ in range(_MAX_NEWTON_ITERS):
+            if float(np.abs(grad).max()) <= _TOL_KKT:
+                break
+            step = K.solve_newton_step(hd, he, grad)
+            slope = float(grad.dot(step))
+            if not math.isfinite(slope) or slope <= 0.0:
+                step = grad.copy()               # ascent fallback; H was unusable
+                slope = float(grad.dot(grad))
+            alpha_bar, j_block = _max_feasible_step(ks.inv_dt, phi_k, step)
+            alpha = min(1.0, alpha_bar)
+            if alpha_bar > 1e-300:  # else blocked at once: activate without moving
+                while alpha > 1e-16:
+                    cand = step * alpha
+                    cand += phi_k
+                    point = K.knot_grad_hess(ks.dt, cand, W)
+                    value = float(W.dot(cand)) - float(point[4].sum()) + 1.0
+                    if value >= psi + _ARMIJO_C * alpha * slope:
+                        break
+                    alpha *= 0.5
+                else:
+                    stalled = True  # Armijo cannot improve: machine precision
+                    break
+                phi_k = cand
+            if alpha == alpha_bar:
+                # boundary hit: interior knot j_block turns into an active
+                # constraint, and the shorter knot set is evaluated afresh
+                kidx = np.delete(kidx, j_block)
+                phi_k = np.delete(phi_k, j_block)
+                ks = None  # freed before its successor is built
+                ks = grid.knot_set(kidx)
+                W = ks.aggregate(w)
+                point = K.knot_grad_hess(ks.dt, phi_k, W)
+            psi, grad, hd, he, mass = point
         # Exact normalization: shifting phi by -log(integral) preserves
         # concavity and never lowers psi. The KKT test below runs on the
         # normalized state; if the shift disturbed stationarity beyond the
-        # tolerance, the next outer round re-tightens it (one or two Newton
-        # steps).
-        ks = grid.knot_set(kidx)
+        # tolerance, the next round re-tightens it (one or two Newton steps).
         integral = float(mass.sum())
         if integral > 0.0 and math.isfinite(integral):
             phi_k = phi_k - math.log(integral)
@@ -510,7 +503,7 @@ def fit_weighted_logconcave(sample: WeightedSample,
             psi_prev = psi
             continue
         if stalled:
-            break  # Armijo cannot improve further: machine-precision limit
+            break
         # otherwise the Newton cap was hit mid-solve; keep iterating
 
     fit = LogConcaveFit(knots=x[kidx], phi=phi_k, objective=psi,

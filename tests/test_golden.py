@@ -266,3 +266,72 @@ def test_an_in_loop_all_known_exit_keeps_the_previous_fit(monkeypatch, python_ba
     assert s.trace == [loglik for _, loglik in e_steps]
     assert _exit_digest(s.p, s.omega, s.fit, s.trace, s.iterations, s.converged,
                         s.degenerate) == EXIT_DIGESTS["all_known_in_loop"]
+
+
+# Every way out of a solver round, pinned per fit: one digest over every
+# fit_weighted_logconcave call of a run_em, in call order (knots, phi,
+# objective, kkt_residual, converged), with the knot_grad_hess and
+# solve_newton_step call counts. The cases:
+# - "stalled": model 1, p = 0.1, n = 1000, 312 iterations to p_hat 0.0880;
+#   one of its rounds ends on an exhausted line search and one fit stops
+#   when a released constraint is re-activated without progress, and about
+#   one round in five drops a knot;
+# - "newton_cap": the first cell of EM_SEED with two Newton steps a round,
+#   so most rounds end at the Newton cap;
+# - "rounds_1", "rounds_3": the tied model-3 sample of test_solver with
+#   one and three outer rounds a fit, so fits end at the round cap.
+FIT_DIGESTS = {
+    "stalled": (
+        "c99d06b20470c8a83548b0010bcefdac461a48fcc46a29209abd6172c30a9c3b", 2249, 1111),
+    "newton_cap": (
+        "e7640c19922724d98b7102718961176af906f7069fa6402b935e0c8ec1d1cfde", 12154, 1527),
+    "rounds_1": (
+        "456994031b5fbfcb922748517588a65828193c904bdd73264353ca881690f4fd", 175, 128),
+    "rounds_3": (
+        "02e44286b6083cd5b09d3141adbe4c3b18be3e3db58ded5714d07386e0528147", 179, 127),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIT_DIGESTS))
+def test_every_solver_exit_is_pinned_bitwise(name, monkeypatch, python_backend):
+    from logconmix import em, kernels, logcon
+    from logconmix.rng import child_seed
+    from test_solver import _tied_catalog_sample
+
+    if name.startswith("rounds_"):
+        values, f0 = _tied_catalog_sample()
+        monkeypatch.setattr(logcon, "_MAX_OUTER_ITERS", int(name[7:]))
+    else:
+        spec = model_catalog()[1]
+        n, seed = ((1000, child_seed(2970908266, 1)) if name == "stalled"
+                   else (200, child_seed(EM_SEED, 0)))
+        values, _ = sample_mixture(spec.known, spec.unknown, 0.1, n, seed)
+        f0 = spec.known
+        if name == "newton_cap":
+            monkeypatch.setattr(logcon, "_MAX_NEWTON_ITERS", 2)
+    digest = hashlib.sha256()
+    calls = {"knot_grad_hess": 0, "solve_newton_step": 0}
+
+    def counted(fn):
+        kernel = getattr(kernels, fn)
+
+        def call(*args):
+            calls[fn] += 1
+            return kernel(*args)
+        monkeypatch.setattr(kernels, fn, call)
+
+    def recorded(*args, **kwargs):
+        fit = fit_weighted_logconcave(*args, **kwargs)
+        for arr in (fit.knots, fit.phi, np.float64(fit.objective),
+                    np.float64(fit.kkt_residual)):
+            digest.update(_digest(arr).encode())
+        digest.update(repr(bool(fit.converged)).encode())
+        return fit
+
+    for fn in calls:
+        counted(fn)
+    fit_weighted_logconcave = em.fit_weighted_logconcave
+    monkeypatch.setattr(em, "fit_weighted_logconcave", recorded)
+    em.run_em(values, f0)
+    assert (digest.hexdigest(), calls["knot_grad_hess"],
+            calls["solve_newton_step"]) == FIT_DIGESTS[name]

@@ -1,5 +1,6 @@
 """The density-ratio pilot's binned kernel estimate against the exact O(n^2)
-kernel sum, and the input-order invariance of the sort-once `run_em`."""
+kernel sum, its bandwidth's equivariance at every scale, and the input-order
+invariance of the sort-once `run_em`."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import pytest
 from logconmix import em
 from logconmix.em import run_em
 from logconmix.families import Normal, ShiftedExponential, sample_mixture
+from logconmix.rng import child_seed
+from logconmix.simulate import model_catalog
 
 
 def exact_kde(x, at=None):
@@ -66,6 +69,28 @@ def test_binned_pilot_caps_its_grid_on_cauchy_data():
                           [np.argmin(x), np.argmax(x)]))
     want = exact_kde(x, x[idx])
     assert np.max(np.abs(got[idx] / want - 1.0)) <= 1e-2
+
+
+def _model1_sample():
+    """The model-1 sample of ROADMAP item 2's scale table: Normal(0, 2) null,
+    30% Normal(3, 1), n = 1000."""
+    spec = model_catalog()[1]
+    return sample_mixture(spec.known, spec.unknown, 0.3, 1000, child_seed(5, 0))[0]
+
+
+@pytest.mark.parametrize("k", [-1000, -664, 0, 500, 1000])
+def test_silverman_bandwidth_scales_exactly_by_powers_of_two(k):
+    # at 2^-664 np.std underflows to 0, and at 2^1000 it overflows; the
+    # bandwidth of data scaled by 2^k is still 2^k times the bandwidth
+    x = _model1_sample()
+    assert em._silverman_bandwidth(np.ldexp(x, k)) == math.ldexp(
+        em._silverman_bandwidth(x), k)
+
+
+def test_run_em_does_not_collapse_on_data_of_spread_1e_200():
+    scale = math.ldexp(1.0, -664)
+    r = run_em(_model1_sample() * scale, Normal(0.0, 2.0 * scale))
+    assert r.degenerate is None and r.p_hat > 0.2
 
 
 def test_run_em_is_invariant_to_input_order():

@@ -138,13 +138,21 @@ def _counted_run_em(monkeypatch, values, f0, config=None):
 def test_run_em_runs_one_m_step_per_counted_iteration(monkeypatch, python_backend):
     # each of the two pilot passes runs one cold M-step for its start and
     # one warm M-step per iteration it counts, under budgets below, at and
-    # just above the clamp's cap of 50
-    values, f0 = _tied_catalog_sample()
-    for max_iters in (10, 50, 51):
-        result, steps = _counted_run_em(monkeypatch, values, f0,
+    # just above the clamp's cap of 50, and one that does not bind: on this
+    # sample the second pass's clamp runs to its cap, so the first three
+    # budgets end the run early, each at a different p_hat
+    spec = model_catalog()[1]
+    values, _ = sample_mixture(spec.known, spec.unknown, 0.1, 200,
+                               child_seed(3023998541, 1))
+    p_hats = []
+    for max_iters in (10, 50, 51, 500):
+        result, steps = _counted_run_em(monkeypatch, values, spec.known,
                                         em.EmConfig(max_iters=max_iters))
-        assert result.degenerate is None and result.converged, max_iters
+        assert result.degenerate is None, max_iters
+        assert result.converged == (max_iters == 500), max_iters
         assert len(steps) == result.iterations + 2, max_iters
+        p_hats.append(result.p_hat)
+    assert len(set(p_hats[:3])) == 3
     # a cell whose clamp settles without an exact fixed point: no warm fit
     # returns its start bit for bit, and the second pass ends well inside
     # the clamp's cap, so the clamp ended when the likelihood settled
