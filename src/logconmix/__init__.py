@@ -25,9 +25,8 @@ from .errors import (AllReplicationsFailedError, AllWeightsKnownError,
                      CliInputError, ComponentCollapsedError,
                      DegenerateSampleError, LogconmixError,
                      ZeroMixtureDensityError)
-from .families import (Beta15, Exponential, Normal, ShiftedChiSq3,
-                       ShiftedExponential, ShiftedT5, StudentT, Tabulated,
-                       Uniform, load_tabulated_csv, log_pdf_known,
+from .families import (Beta15, Exponential, Normal, ShiftedChiSq3, StudentT,
+                       Tabulated, Uniform, load_tabulated_csv, log_pdf_known,
                        sample_mixture)
 from .identifiability import (IdentifiabilityClause, IdentifiabilityReport,
                               check_identifiability, report_to_dict)
@@ -50,9 +49,9 @@ __all__ = [
     "AllReplicationsFailedError", "AllWeightsKnownError", "CliInputError",
     "ComponentCollapsedError", "DegenerateSampleError", "LogconmixError",
     "ZeroMixtureDensityError",
-    "Beta15", "Exponential", "Normal", "ShiftedChiSq3", "ShiftedExponential",
-    "ShiftedT5", "StudentT", "Tabulated", "Uniform", "load_tabulated_csv",
-    "log_pdf_known", "sample_mixture",
+    "Beta15", "Exponential", "Normal", "ShiftedChiSq3", "StudentT",
+    "Tabulated", "Uniform", "load_tabulated_csv", "log_pdf_known",
+    "sample_mixture",
     "IdentifiabilityClause", "IdentifiabilityReport", "check_identifiability",
     "report_to_dict",
     "LogConcaveFit", "WeightedSample", "cdf", "eval_log_density",

@@ -7,15 +7,16 @@ of the log density between grid points.
 
 The unknown component only needs to be sampled (for the simulation
 benchmarks) and evaluated (for test oracles); the estimator itself never sees
-these specs. Shifted exponential, Beta(1,5), shifted chi-square(3) and
-shifted t(5) cover the benchmark models alongside the normal family.
+these specs. Normal, shifted Exponential, Beta(1,5), shifted chi-square(3)
+and shifted Student-t cover the benchmark models.
 
-Each family is a frozen dataclass that holds its own formulas: ``log_pdf(x)``
-on a float array (-inf outside the support), ``support`` as a (lo, hi)
-interval that may be unbounded, and ``draw(n, rng)`` from a Generator.
-Exponential and ShiftedExponential share ``_exponential_log_pdf``; StudentT
-and ShiftedT5 share ``_student_t_log_pdf``. ``log_pdf_known`` and
-``sample_mixture`` are the module-level entry points that em and simulate call.
+Each distribution is one frozen dataclass that holds its own formulas:
+``log_pdf(x)`` on a float array (-inf outside the support), ``support`` as a
+(lo, hi) interval that may be unbounded, and ``draw(n, rng)`` from a
+Generator. Exponential and StudentT take a location ``shift`` (default 0),
+so one class serves both as a known null and as a shifted unknown
+component. ``log_pdf_known`` and ``sample_mixture`` are the module-level
+entry points that em and simulate call.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .rng import RngSeed, make_rng
 
 __all__ = [
     "Normal", "Uniform", "Exponential", "StudentT", "Tabulated",
-    "ShiftedExponential", "Beta15", "ShiftedChiSq3", "ShiftedT5",
+    "Beta15", "ShiftedChiSq3",
     "KnownComponent", "UnknownComponent",
     "log_pdf_known", "sample_mixture", "load_tabulated_csv",
 ]
@@ -40,22 +41,11 @@ __all__ = [
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _student_t_log_pdf(x: np.ndarray, df: float) -> np.ndarray:
-    const = (math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
-             - 0.5 * math.log(df * math.pi))
-    return const - 0.5 * (df + 1.0) * np.log1p(x * x / df)
-
-
 def _on_support(inside: np.ndarray, log_f) -> np.ndarray:
     """-inf everywhere except on the ``inside`` mask, which gets ``log_f``."""
     out = np.full(inside.shape, -np.inf)
     out[inside] = log_f
     return out
-
-
-def _exponential_log_pdf(y: np.ndarray, rate: float) -> np.ndarray:
-    inside = y >= 0.0
-    return _on_support(inside, math.log(rate) - rate * y[inside])
 
 
 @dataclass(frozen=True)
@@ -99,35 +89,47 @@ class Uniform:
 
 @dataclass(frozen=True)
 class Exponential:
-    """Exponential with density rate * exp(-rate * x) on [0, inf)."""
+    """Exponential with density rate * exp(-rate * (x - shift)) on [shift, inf)."""
     rate: float
-    support = (0.0, math.inf)
+    shift: float = 0.0
 
     def __post_init__(self):
-        if not (self.rate > 0.0 and math.isfinite(self.rate)):
-            raise ValueError(f"Exponential requires rate > 0, got {self}")
+        if not (self.rate > 0.0 and math.isfinite(self.rate) and math.isfinite(self.shift)):
+            raise ValueError(f"Exponential requires rate > 0 and finite shift, got {self}")
+
+    @property
+    def support(self) -> Tuple[float, float]:
+        return (self.shift, math.inf)
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
-        return _exponential_log_pdf(x, self.rate)
+        y = x - self.shift
+        inside = y >= 0.0
+        return _on_support(inside, math.log(self.rate) - self.rate * y[inside])
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.exponential(1.0 / self.rate, size=n)
+        return self.shift + rng.exponential(1.0 / self.rate, size=n)
 
 
 @dataclass(frozen=True)
 class StudentT:
+    """Student-t with ``df`` degrees of freedom, centred at ``shift``."""
     df: float
+    shift: float = 0.0
     support = (-math.inf, math.inf)
 
     def __post_init__(self):
-        if not (self.df > 0.0 and math.isfinite(self.df)):
-            raise ValueError(f"StudentT requires df > 0, got {self}")
+        if not (self.df > 0.0 and math.isfinite(self.df) and math.isfinite(self.shift)):
+            raise ValueError(f"StudentT requires df > 0 and finite shift, got {self}")
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
-        return _student_t_log_pdf(x, self.df)
+        df = self.df
+        y = x - self.shift
+        const = (math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
+                 - 0.5 * math.log(df * math.pi))
+        return const - 0.5 * (df + 1.0) * np.log1p(y * y / df)
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_t(self.df, size=n)
+        return self.shift + rng.standard_t(self.df, size=n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,26 +192,6 @@ class Tabulated:
 
 
 @dataclass(frozen=True)
-class ShiftedExponential:
-    rate: float
-    shift: float = 0.0
-
-    def __post_init__(self):
-        if not (self.rate > 0.0 and math.isfinite(self.rate) and math.isfinite(self.shift)):
-            raise ValueError(f"ShiftedExponential requires rate > 0 and finite shift, got {self}")
-
-    @property
-    def support(self) -> Tuple[float, float]:
-        return (self.shift, math.inf)
-
-    def log_pdf(self, x: np.ndarray) -> np.ndarray:
-        return _exponential_log_pdf(x - self.shift, self.rate)
-
-    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.shift + rng.exponential(1.0 / self.rate, size=n)
-
-
-@dataclass(frozen=True)
 class Beta15:
     """Beta(1, 5): density 5 (1 - x)^4 on [0, 1]."""
     support = (0.0, 1.0)
@@ -246,24 +228,8 @@ class ShiftedChiSq3:
         return self.shift + rng.gamma(1.5, 2.0, size=n)
 
 
-@dataclass(frozen=True)
-class ShiftedT5:
-    shift: float = 0.0
-    support = (-math.inf, math.inf)
-
-    def __post_init__(self):
-        if not math.isfinite(self.shift):
-            raise ValueError(f"ShiftedT5 requires finite shift, got {self}")
-
-    def log_pdf(self, x: np.ndarray) -> np.ndarray:
-        return _student_t_log_pdf(x - self.shift, 5.0)
-
-    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.shift + rng.standard_t(5.0, size=n)
-
-
 KnownComponent = Union[Normal, Uniform, Exponential, StudentT, Tabulated]
-UnknownComponent = Union[Normal, ShiftedExponential, Beta15, ShiftedChiSq3, ShiftedT5]
+UnknownComponent = Union[Normal, Exponential, Beta15, ShiftedChiSq3, StudentT]
 
 
 def log_pdf_known(spec: KnownComponent, x) -> np.ndarray:

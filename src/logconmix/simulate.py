@@ -23,8 +23,8 @@ import numpy as np
 from .em import EmConfig, classification_error, estimate_mu, run_em
 from .errors import AllReplicationsFailedError, LogconmixError, require_int
 from .families import (Beta15, Exponential, KnownComponent, Normal,
-                       ShiftedChiSq3, ShiftedExponential, ShiftedT5,
-                       Uniform, UnknownComponent, sample_mixture)
+                       ShiftedChiSq3, StudentT, Uniform, UnknownComponent,
+                       sample_mixture)
 from .rng import child_seed
 
 __all__ = [
@@ -48,10 +48,10 @@ def model_catalog() -> Dict[int, MixtureModelSpec]:
     return {
         1: MixtureModelSpec(Normal(0.0, 2.0), Normal(3.0, 1.0), 3.0),
         2: MixtureModelSpec(Uniform(0.0, 1.0), Beta15(), 1.0 / 6.0),
-        3: MixtureModelSpec(Exponential(1.0), ShiftedExponential(1.0, 2.0), 3.0),
+        3: MixtureModelSpec(Exponential(1.0), Exponential(1.0, 2.0), 3.0),
         4: MixtureModelSpec(Normal(0.0, 1.0), ShiftedChiSq3(2.0), 5.0),
-        5: MixtureModelSpec(Normal(0.0, 1.0), ShiftedExponential(0.5, 3.0), 5.0),
-        6: MixtureModelSpec(Normal(0.0, 1.0), ShiftedT5(3.0), 3.0),
+        5: MixtureModelSpec(Normal(0.0, 1.0), Exponential(0.5, 3.0), 5.0),
+        6: MixtureModelSpec(Normal(0.0, 1.0), StudentT(5.0, 3.0), 3.0),
     }
 
 

@@ -13,9 +13,8 @@ import scipy.stats as st
 from scipy.integrate import quad
 
 from logconmix.families import (Beta15, Exponential, Normal, ShiftedChiSq3,
-                                ShiftedExponential, ShiftedT5, StudentT,
-                                Tabulated, Uniform, load_tabulated_csv,
-                                sample_mixture)
+                                StudentT, Tabulated, Uniform,
+                                load_tabulated_csv, sample_mixture)
 from logconmix.rng import child_seed, make_rng
 
 # (family instance, scipy frozen distribution)
@@ -27,10 +26,10 @@ CASES = [
     (Exponential(0.25), st.expon(scale=4.0)),
     (StudentT(5.0), st.t(5.0)),
     (Beta15(), st.beta(1.0, 5.0)),
-    (ShiftedExponential(1.0, 2.0), st.expon(loc=2.0, scale=1.0)),
-    (ShiftedExponential(0.5, 3.0), st.expon(loc=3.0, scale=2.0)),
+    (Exponential(1.0, 2.0), st.expon(loc=2.0, scale=1.0)),
+    (Exponential(0.5, 3.0), st.expon(loc=3.0, scale=2.0)),
     (ShiftedChiSq3(2.0), st.chi2(3.0, loc=2.0)),
-    (ShiftedT5(3.0), st.t(5.0, loc=3.0)),
+    (StudentT(5.0, 3.0), st.t(5.0, loc=3.0)),
 ]
 
 
@@ -96,7 +95,7 @@ def test_support_metadata():
 
 def test_mixture_sampling_labels_and_components():
     f0 = Normal(0.0, 2.0)
-    f = ShiftedExponential(1.0, 2.0)
+    f = Exponential(1.0, 2.0)
     values, labels = sample_mixture(f0, f, 0.3, 200_000, 99)
     assert values.shape == labels.shape == (200_000,)
     assert set(np.unique(labels)) == {0.0, 1.0}
@@ -110,8 +109,8 @@ def test_mixture_sampling_labels_and_components():
 
 
 def test_mixture_sampling_deterministic():
-    v1, l1 = sample_mixture(Normal(0, 1), ShiftedT5(3.0), 0.5, 100, 5)
-    v2, l2 = sample_mixture(Normal(0, 1), ShiftedT5(3.0), 0.5, 100, 5)
+    v1, l1 = sample_mixture(Normal(0, 1), StudentT(5.0, 3.0), 0.5, 100, 5)
+    v2, l2 = sample_mixture(Normal(0, 1), StudentT(5.0, 3.0), 0.5, 100, 5)
     np.testing.assert_array_equal(v1, v2)
     np.testing.assert_array_equal(l1, l2)
 
@@ -120,12 +119,12 @@ def test_mixture_sampling_deterministic():
 def test_mixture_sampling_rejects_counts_that_are_not_integers(n):
     # unchecked, numpy raised a TypeError that named no argument
     with pytest.raises(ValueError, match="n must be an integer"):
-        sample_mixture(Normal(0, 1), ShiftedT5(3.0), 0.5, n, 5)
+        sample_mixture(Normal(0, 1), StudentT(5.0, 3.0), 0.5, n, 5)
 
 
 def test_mixture_sampling_takes_numpy_integer_counts_as_their_value():
-    got = sample_mixture(Normal(0, 1), ShiftedT5(3.0), 0.5, np.int64(100), 5)
-    want = sample_mixture(Normal(0, 1), ShiftedT5(3.0), 0.5, 100, 5)
+    got = sample_mixture(Normal(0, 1), StudentT(5.0, 3.0), 0.5, np.int64(100), 5)
+    want = sample_mixture(Normal(0, 1), StudentT(5.0, 3.0), 0.5, 100, 5)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
 
@@ -139,6 +138,10 @@ def test_validation_rejects_bad_parameters():
         Exponential(-2.0)
     with pytest.raises(ValueError):
         StudentT(0.0)
+    with pytest.raises(ValueError):
+        Exponential(1.0, math.inf)
+    with pytest.raises(ValueError):
+        StudentT(5.0, math.nan)
 
 
 def test_tabulated_uniform_density():

@@ -16,8 +16,8 @@ from logconmix.em import (EmConfig, classification_error, e_step,
                           posterior_unknown, run_em)
 from logconmix.errors import (ComponentCollapsedError, DegenerateSampleError,
                               ZeroMixtureDensityError)
-from logconmix.families import (Normal, ShiftedExponential, Uniform,
-                                log_pdf_known, sample_mixture)
+from logconmix.families import (Exponential, Normal, Uniform, log_pdf_known,
+                                sample_mixture)
 from logconmix.logcon import cdf
 from logconmix.rng import make_rng
 
@@ -122,7 +122,7 @@ def test_m_step_f_raises_when_unknown_mass_collapses():
 
 def test_run_em_mixture_recovery_and_invariants():
     f0 = Normal(0.0, 2.0)
-    values, labels = sample_mixture(f0, ShiftedExponential(1.0, 2.0),
+    values, labels = sample_mixture(f0, Exponential(1.0, 2.0),
                                     0.4, 500, 17)
     result = run_em(values, f0)
     assert result.converged
@@ -144,7 +144,7 @@ def test_run_em_mixture_recovery_and_invariants():
 
 def test_run_em_posterior_complements_omega():
     f0 = Normal(0.0, 2.0)
-    values, _ = sample_mixture(f0, ShiftedExponential(1.0, 2.0), 0.4, 300, 3)
+    values, _ = sample_mixture(f0, Exponential(1.0, 2.0), 0.4, 300, 3)
     result = run_em(values, f0)
     post = posterior_unknown(result, values, f0)
     np.testing.assert_allclose(post, 1.0 - result.omega, atol=1e-10)

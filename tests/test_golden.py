@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from logconmix.families import (Beta15, Exponential, Normal, ShiftedChiSq3,
-                                ShiftedExponential, ShiftedT5, StudentT,
-                                Tabulated, Uniform, sample_mixture)
+                                StudentT, Tabulated, Uniform, sample_mixture)
 from logconmix.rng import make_rng
 from logconmix.simulate import model_catalog
 
@@ -35,10 +34,10 @@ FAMILIES = {
     "exponential": Exponential(0.25),
     "student_t": StudentT(5.0),
     "tabulated": _tabulated(),
-    "shifted_exponential": ShiftedExponential(0.5, 3.0),
+    "shifted_exponential": Exponential(0.5, 3.0),
     "beta15": Beta15(),
     "shifted_chisq3": ShiftedChiSq3(2.0),
-    "shifted_t5": ShiftedT5(3.0),
+    "shifted_t5": StudentT(5.0, 3.0),
 }
 
 # A grid that crosses every support edge above, plus each edge exactly.

@@ -17,7 +17,7 @@ from logconmix import simulate
 from logconmix.em import EmConfig
 from logconmix.errors import AllReplicationsFailedError, ZeroMixtureDensityError
 from logconmix.families import (Beta15, Exponential, Normal, ShiftedChiSq3,
-                                ShiftedExponential, ShiftedT5, Uniform)
+                                StudentT, Uniform)
 from logconmix.simulate import (ScenarioSpec, model_catalog, run_scenario,
                                 summary_table)
 
@@ -30,8 +30,8 @@ def test_model_catalog_contents():
     true_mu = {mid: entry.true_mu for mid, entry in catalog.items()}
     assert f0_types == {1: Normal, 2: Uniform, 3: Exponential, 4: Normal,
                         5: Normal, 6: Normal}
-    assert f_types == {1: Normal, 2: Beta15, 3: ShiftedExponential,
-                       4: ShiftedChiSq3, 5: ShiftedExponential, 6: ShiftedT5}
+    assert f_types == {1: Normal, 2: Beta15, 3: Exponential,
+                       4: ShiftedChiSq3, 5: Exponential, 6: StudentT}
     assert true_mu[1] == 3.0
     assert true_mu[2] == pytest.approx(1.0 / 6.0)
     assert true_mu[3] == 3.0
