@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import fields
 from typing import List, Optional, Sequence, Tuple
@@ -49,6 +50,9 @@ _F0_USAGE = " | ".join([f"{name}:{','.join(params)}"
                        + ["table:PATH"])
 # a tstats matrix whose first header field is this names its genes in that column
 _GENE_ID = "gene"
+# a gene id holding one of these is written quoted, its quotes doubled
+# (RFC 4180), as read_csv reads it back
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def parse_f0_spec(text: str) -> KnownComponent:
@@ -230,6 +234,8 @@ def _cmd_tstats(args: argparse.Namespace) -> int:
     p_values = student_t_two_sided_p(t_values, float(n_data - 2))
     lines = ["gene,t,p_value"]
     for gene, t, p in zip(genes, t_values.tolist(), p_values.tolist()):
+        if _NEEDS_QUOTES.search(gene):
+            gene = '"' + gene.replace('"', '""') + '"'
         lines.append(f"{gene},{t!r},{p!r}")
     text = "\n".join(lines) + "\n"
     if args.out:

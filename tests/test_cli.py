@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from logconmix import cli
+from logconmix._readcsv import read_csv
 from logconmix.cli import main
 from logconmix.em import EmConfig
 from logconmix.errors import LogconmixError
@@ -393,6 +394,22 @@ def test_tstats_numbers_genes_without_id_column(tmp_path):
     row = out.read_text(encoding="utf-8").strip().split("\n")[1].split(",")
     assert row[0] == "1"
     assert float(row[1]) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+
+
+def test_tstats_gene_ids_round_trip_through_read_csv(tmp_path):
+    # an id holding a comma or a quote is written quoted, its quotes doubled
+    src = tmp_path / "expr.csv"
+    src.write_text('gene,a,b,c,d\n"x,1",1.0,2.0,3.0,4.5\n'
+                   '"say ""hi""",1.0,2.0,0.0,1.0\nplain,2.0,1.0,0.0,1.0\n',
+                   encoding="utf-8")
+    out = tmp_path / "t.csv"
+    assert main(["tstats", str(src), "--group1-cols", "2",
+                 "--out", str(out)]) == 0
+    header, genes, values = read_csv(out, key="gene")
+    assert header == ["gene", "t", "p_value"]
+    assert genes == ["x,1", 'say "hi"', "plain"]
+    assert values.shape == (3, 2)
+    assert out.read_text(encoding="utf-8").splitlines()[3].startswith("plain,")
 
 
 def test_tstats_group_too_small_exits_2(tmp_path, capsys):
