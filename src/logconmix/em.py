@@ -9,14 +9,14 @@ probabilities for the known component,
 the M-step updates p to the mean posterior mass of the unknown component
 and refits f by a weighted log-concave MLE with weights proportional to
 1 - omega; iteration stops when the likelihood change falls below a
-relative tolerance. An exact M-step could not decrease the observed-data
-log-likelihood, but this one lifts tiny weights to a floor
-(``logcon.WEIGHT_FLOOR_SCALE``), so a trace can fall by a little. In
-``tests/test_acceptance.py``, no step of the 100 traces of
-``test_em_likelihood_never_decreases_across_all_models`` falls by more than
-1e-8, while the two model-5 samples of the strict xfail
-``test_em_likelihood_never_decreases_on_model5_at_n1000`` fall by 1.2e-7
-and 3.9e-8 nats.
+relative tolerance. The M-step maximizes the EM surrogate itself: its
+weights are the normalized 1 - omega, of which only the two end weights are
+lifted to a floor (``logcon.WEIGHT_FLOOR_SCALE`` / m), so, as for exact EM,
+the observed-data log-likelihood does not fall beyond the solver's
+tolerance. In ``tests/test_acceptance.py``, no step falls by more than 1e-8
+on the 100 traces of ``test_em_likelihood_never_decreases_across_all_models``
+or on the two model-5 samples at n = 1000 of
+``test_em_likelihood_never_decreases_on_model5_at_n1000``.
 
 Initialization matters more here than in textbook EM: the empirical
 likelihood typically has a spurious maximum at the boundary p = 1, where a
@@ -58,7 +58,7 @@ check, and one ``solve_newton_step`` per step:
   log-likelihood, and p is the unknown mass already summed for the
   degenerate tests;
 - the M-step's weights: one bincount over the tie groups (only when there
-  are ties), then about 7 passes to normalize and floor them;
+  are ties), then about 6 passes to normalize them;
 - the fit: per knot set, about 12 passes to find each point's segment (by
   ``np.repeat`` of the knot indices, without a search) and its interpolation
   shares, reused while the knots stay; per aggregation onto the knots, one

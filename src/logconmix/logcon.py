@@ -79,7 +79,7 @@ __all__ = [
     "load_weighted_csv",
 ]
 
-WEIGHT_FLOOR_SCALE = 1e-10  # per-point floor is WEIGHT_FLOOR_SCALE / m
+WEIGHT_FLOOR_SCALE = 1e-10  # the end points' floor is WEIGHT_FLOOR_SCALE / m
 # _hinge_tail's series in z replaces its closed form for |z| below this
 _TAIL_SERIES_RADIUS = 0.1
 # its coefficients 1/(k+2)! for k = 0..7, lowest power first, as
@@ -103,10 +103,11 @@ class WeightedSample:
 
     Build with :meth:`from_observations`, which sorts the observations and
     hands them to a grid; its ``sample`` merges tied points (adding their
-    weights), lifts any weight below the floor 1e-10/m up to it (vanishing
-    responsibilities would otherwise drop points from the fitted support
-    entirely), and renormalizes. A sample built directly is checked and gets
-    a grid of its own.
+    weights), normalizes, lifts the two end weights to the floor 1e-10/m
+    when below it (a zero end weight would send phi there to -inf) and
+    renormalizes. Interior weights keep their values, zeros included. A
+    sample built directly is checked, with every weight strictly positive,
+    and gets a grid of its own.
     """
 
     points: np.ndarray
@@ -266,8 +267,12 @@ class _Grid:
     def sample(self, weights) -> WeightedSample:
         """The weighted sample of the points, one weight per observation:
         one bincount merges the ties, summing in ``np.add.at``'s order, and
-        the merged weights are normalized, lifted to the floor
-        WEIGHT_FLOOR_SCALE / m and normalized again."""
+        the merged weights are normalized. Only the two end weights are
+        lifted to the floor WEIGHT_FLOOR_SCALE / m, and the weights are
+        normalized again: a zero weight at x_1 or x_m would send the
+        optimal phi there to -inf, while concavity bounds phi at an
+        interior point. Interior weights, zeros included, stay as given,
+        so an EM M-step maximizes the EM surrogate itself."""
         m = self.points.size
         if m < 2:
             raise DegenerateSampleError(f"need at least 2 distinct points, got {m}")
@@ -275,8 +280,9 @@ class _Grid:
         total = float(w.sum())
         if total <= 0.0:
             raise ValueError("total weight must be positive")
-        clipped = np.maximum(w / total, WEIGHT_FLOOR_SCALE / m)
-        return WeightedSample(self.points, clipped / clipped.sum(), self)
+        w = w / total
+        w[[0, -1]] = np.maximum(w[[0, -1]], WEIGHT_FLOOR_SCALE / m)
+        return WeightedSample(self.points, w / w.sum(), self)
 
     def knot_set(self, kidx) -> _KnotSet:
         if self._knots is None or not _same_bits(self._knots.kidx, kidx):

@@ -116,16 +116,13 @@ def test_em_likelihood_never_decreases_across_all_models():
     assert time.monotonic() - t0 < 300.0
 
 
-@pytest.mark.xfail(strict=True, reason="the M-step maximizes the weights that "
-                   "logcon._Grid.sample floors at WEIGHT_FLOOR_SCALE / m, not the "
-                   "EM surrogate, so the trace can drop")
 @pytest.mark.parametrize("rep", [0, 1])
 def test_em_likelihood_never_decreases_on_model5_at_n1000(python_backend, rep):
-    # Model 5, p = 0.5, n = 1000: the traces fall by -1.22e-7 (rep 0) and
-    # -3.93e-8 (rep 1) at the last iteration of the second pass, step 14 of
-    # 15 and 13 of 14, and both runs report converged=True. The n = 300
-    # samples above do not reach this; when the M-step maximizes exactly the
-    # EM surrogate, this test passes and its xfail marker must go.
+    # Model 5, p = 0.5, n = 1000. When every weight of the M-step was lifted
+    # to the floor WEIGHT_FLOOR_SCALE / m, the M-step maximized a slightly
+    # different objective from the EM surrogate, and these traces fell by
+    # -1.22e-7 (rep 0) and -3.93e-8 (rep 1) with converged=True; the n = 300
+    # samples above do not reach this.
     spec = model_catalog()[5]
     x, _ = sample_mixture(spec.known, spec.unknown, 0.5, 1000,
                           child_seed(4164515825, rep))

@@ -472,7 +472,7 @@ def test_tstats_and_fit_output_bytes_are_pinned(tmp_path, capsys, python_backend
     assert hashlib.sha256(tcsv.read_bytes()).hexdigest() == (
         "f864da4d6045fd91c6b9c641d8b6e33706ecf29dfb17f619224d089ab19d5993")
     assert hashlib.sha256(mix.read_bytes()).hexdigest() == (
-        "844a6b1eeec3ff6d602e8745ac0f1612cb0e5fb9b75de8244c86293e8bca630c")
+        "6c04f429333a4858e31f3797a9b48bda2a940e92a534dd17420c9a60879203cd")
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -137,7 +137,7 @@ def test_sample_mixture_digest(model_id):
 # every run's p_hat, omega, fit knots and phi, likelihood trace and iteration
 # count pins the whole EM path, solver included, to the bit.
 EM_SEED = 20190326
-EM_DIGEST = "68d288df41e37499384112ef41963446e5a83bf934bedd04087f2989c7f8e90a"
+EM_DIGEST = "34c73317d80ce9345d0cfae219b3bc19a7caae27289c476866a2fcc8ac8515e9"
 
 
 def test_run_em_on_the_catalog_is_pinned_bitwise(python_backend):
@@ -170,15 +170,15 @@ def test_run_em_on_the_catalog_is_pinned_bitwise(python_backend):
 # pinned by test_an_in_loop_all_known_exit_keeps_the_previous_fit below.
 EXIT_DIGESTS = {
     "cap_pilot":
-        "180f4c661171a0c99a2c26f8a7846671b2314f3ce85335b0a08bd4e53ab8e848",
+        "e902a331d3ea1eef2cce566e77c6f93752b4e1890395eb30b67e1c38e74200c2",
     "cap_flat":
         "d25f98ba8c4812801156d108b1260e580414c384eb3ac1c5f24b8f60d249a598",
     "clamp_10":
-        "51c9726db3f2e3c2aacb8763ab3535aabdea218f96952fc893cb273cfeb5d502",
+        "9b17bfeaf40c0af54ee55a0bdc25512a4f7a97b199003be3ed0a87f083039f99",
     "clamp_50":
-        "51c9726db3f2e3c2aacb8763ab3535aabdea218f96952fc893cb273cfeb5d502",
+        "9b17bfeaf40c0af54ee55a0bdc25512a4f7a97b199003be3ed0a87f083039f99",
     "clamp_51":
-        "51c9726db3f2e3c2aacb8763ab3535aabdea218f96952fc893cb273cfeb5d502",
+        "9b17bfeaf40c0af54ee55a0bdc25512a4f7a97b199003be3ed0a87f083039f99",
     "all_known_start":
         "3033e3dd38e15360ae2f4c8c95e34ce35e0826de6727889c2a7e87524a027aa5",
     "all_unknown":
@@ -271,23 +271,23 @@ def test_an_in_loop_all_known_exit_keeps_the_previous_fit(monkeypatch, python_ba
 # fit_weighted_logconcave call of a run_em, in call order (knots, phi,
 # objective, kkt_residual, converged), with the knot_grad_hess and
 # solve_newton_step call counts. The cases:
-# - "stalled": model 1, p = 0.1, n = 1000, 312 iterations to p_hat 0.0880;
-#   one of its rounds ends on an exhausted line search and one fit stops
-#   when a released constraint is re-activated without progress, and about
-#   one round in five drops a knot;
+# - "stalled": model 1, p = 0.1, n = 1000, child_seed(2197521499, 0), 296
+#   iterations to p_hat 0.1356; 17 of its 862 rounds end on an exhausted
+#   line search, three fits stop when a released constraint is re-activated
+#   without progress, two reach the round cap, and 549 knots are dropped;
 # - "newton_cap": the first cell of EM_SEED with two Newton steps a round,
 #   so most rounds end at the Newton cap;
 # - "rounds_1", "rounds_3": the tied model-3 sample of test_solver with
 #   one and three outer rounds a fit, so fits end at the round cap.
 FIT_DIGESTS = {
     "stalled": (
-        "c99d06b20470c8a83548b0010bcefdac461a48fcc46a29209abd6172c30a9c3b", 2249, 1111),
+        "dac9f7bf5b992e7763aa1e58baaecc2b30f1268918e3bc3e7e83f0c8066d2276", 3482, 1460),
     "newton_cap": (
-        "e7640c19922724d98b7102718961176af906f7069fa6402b935e0c8ec1d1cfde", 12154, 1527),
+        "2a60c8e2ef9e64280f410971eb7ce967ad3ead386857817537ca0bdc387dd8fe", 1771, 740),
     "rounds_1": (
-        "456994031b5fbfcb922748517588a65828193c904bdd73264353ca881690f4fd", 175, 128),
+        "a1be0c66c5eceac820a9638d3c2b1f9643a8c49fde06b5a5b1669cc3b54138b6", 180, 132),
     "rounds_3": (
-        "02e44286b6083cd5b09d3141adbe4c3b18be3e3db58ded5714d07386e0528147", 179, 127),
+        "9430401ac0c4f55cbb5ee20e5359fbe6c8274d5e406760ff69cb76b516f3650a", 183, 131),
 }
 
 
@@ -302,7 +302,7 @@ def test_every_solver_exit_is_pinned_bitwise(name, monkeypatch, python_backend):
         monkeypatch.setattr(logcon, "_MAX_OUTER_ITERS", int(name[7:]))
     else:
         spec = model_catalog()[1]
-        n, seed = ((1000, child_seed(2970908266, 1)) if name == "stalled"
+        n, seed = ((1000, child_seed(2197521499, 0)) if name == "stalled"
                    else (200, child_seed(EM_SEED, 0)))
         values, _ = sample_mixture(spec.known, spec.unknown, 0.1, n, seed)
         f0 = spec.known

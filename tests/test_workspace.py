@@ -258,13 +258,16 @@ def test_workspace_sample_equals_from_observations_bitwise(rng, ties):
     want = WeightedSample.from_observations(x, residual)
     assert np.array_equal(got.points, want.points)
     assert np.array_equal(got.weights, want.weights)
-    # the tie merge sums as np.add.at does, and the floor lifts the zeros
+    # the tie merge sums as np.add.at does, and the floor lifts only the
+    # two end weights: the interior zeros stay zero
     keep = np.concatenate(([True], np.diff(x) > 0.0))
     assert np.array_equal(grid.points, np.unique(x))
     merged = np.zeros(int(keep.sum()))
     np.add.at(merged, np.cumsum(keep) - 1, residual)
     merged = merged / merged.sum()
-    floored = np.maximum(merged, logcon.WEIGHT_FLOOR_SCALE / merged.size)
+    floored = merged.copy()
+    for end in (0, -1):
+        floored[end] = max(merged[end], logcon.WEIGHT_FLOOR_SCALE / merged.size)
     assert np.array_equal(got.weights, floored / floored.sum())
 
 
