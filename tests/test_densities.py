@@ -31,15 +31,18 @@ CASES = [
     (ShiftedChiSq3(2.0), st.chi2(3.0, loc=2.0)),
     (StudentT(5.0, 3.0), st.t(5.0, loc=3.0)),
 ]
+# each case's id: the distribution it draws and its index in CASES
+CASE_IDS = [f"{name}{i}" for i, name in enumerate(
+    ["Normal", "Normal", "Uniform", "Exponential", "Exponential", "StudentT",
+     "Beta15", "ShiftedExponential", "ShiftedExponential", "ShiftedChiSq3",
+     "ShiftedT5"])]
 
 
 def _sample(spec, n, seed):
     return spec.draw(n, make_rng(seed))
 
 
-@pytest.mark.parametrize("spec,frozen", CASES,
-                         ids=[type(c[0]).__name__ + str(i)
-                              for i, c in enumerate(CASES)])
+@pytest.mark.parametrize("spec,frozen", CASES, ids=CASE_IDS)
 def test_log_pdf_matches_scipy(spec, frozen):
     lo, hi = frozen.ppf(0.001), frozen.ppf(0.999)
     x = np.linspace(lo + 1e-9, hi - 1e-9, 50)
@@ -48,9 +51,7 @@ def test_log_pdf_matches_scipy(spec, frozen):
     np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10)
 
 
-@pytest.mark.parametrize("spec,frozen", CASES,
-                         ids=[type(c[0]).__name__ + str(i)
-                              for i, c in enumerate(CASES)])
+@pytest.mark.parametrize("spec,frozen", CASES, ids=CASE_IDS)
 def test_density_integrates_to_one(spec, frozen):
     lo, hi = frozen.support()
     val, err = quad(lambda u: math.exp(spec.log_pdf(np.array([u]))[0]),
@@ -58,18 +59,14 @@ def test_density_integrates_to_one(spec, frozen):
     assert val == pytest.approx(1.0, abs=max(1e-8, 10 * err))
 
 
-@pytest.mark.parametrize("spec,frozen", CASES,
-                         ids=[type(c[0]).__name__ + str(i)
-                              for i, c in enumerate(CASES)])
+@pytest.mark.parametrize("spec,frozen", CASES, ids=CASE_IDS)
 def test_sampling_distribution_ks(spec, frozen):
     draws = _sample(spec, 100_000, 123)
     stat = st.kstest(draws, frozen.cdf)
     assert stat.pvalue > 1e-3, stat
 
 
-@pytest.mark.parametrize("spec,frozen", CASES,
-                         ids=[type(c[0]).__name__ + str(i)
-                              for i, c in enumerate(CASES)])
+@pytest.mark.parametrize("spec,frozen", CASES, ids=CASE_IDS)
 def test_sampling_is_deterministic_per_seed(spec, frozen):
     a = _sample(spec, 64, 7)
     b = _sample(spec, 64, 7)
