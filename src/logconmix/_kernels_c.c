@@ -1,8 +1,10 @@
 /* Compiled kernels for the weighted log-concave solver: the two functions
    that logcon.py calls at every Newton point. They use the formulas of
    _kernels_py (see there for the math and the stability notes) one segment
-   at a time, with libm's exp and expm1, and sum left to right; so they agree
-   with the python backend to rounding, not to the bit.
+   at a time, with libm's exp and expm1, and sum left to right. The python
+   kernels do the same operations in the same order, and setup.py builds
+   this file with -ffp-contract=off, so no multiply-add is fused: the two
+   backends agree to the bit.
 
    Each kernel takes three 1-d float64 arrays, or arguments that convert
    safely to them, on R >= 2 knots: dt and hess_off have length R - 1 and

@@ -3,9 +3,10 @@
 This module is the reference implementation of the two kernels that the
 solver in ``logcon`` calls at every Newton point, ``knot_grad_hess`` and
 ``solve_newton_step``; the C extension built from ``_kernels_c.c``
-implements the same two with the same formulas. ``knot_grad_hess`` also
-returns the segment masses, from which ``logcon`` forms the objective at a
-trial point as ``knot_objective`` does. ``segment_integrals``, which
+implements the same two with the same operations in the same order, so the
+two backends return the same bits. ``knot_grad_hess`` also returns the
+segment masses, from which ``logcon`` forms the objective at a trial point
+by ``knot_objective``'s formula. ``segment_integrals``, which
 ``logcon.cdf`` calls on every backend to evaluate a finished fit, has no
 compiled twin; nor have ``knot_objective`` (which ``logcon.objective``
 calls), ``integral_grad_terms`` and the other per-point kernels at the end
@@ -23,7 +24,8 @@ gradient, and (tridiagonal) Hessian of the fitting problem.
 Stability notes, used identically in both backends:
 - values and partials are anchored at max(a, b), so the G-functions below
   are always evaluated at eps = -|b - a| <= 0 and stay in (0, 1]; overflow
-  can then only happen when exp(max(a, b)) itself overflows.
+  can then only happen when exp(max(a, b)) itself overflows, which gives
+  inf.
 - G1(eps) = expm1(eps)/eps is cancellation-free as written.
 - G2, G3 (the t- and t^2-moments of e^{t eps}) cancel at the eps^2/2 and
   eps^3/3 level, so closed forms lose ~eps_mach/|eps| relative accuracy;
@@ -38,30 +40,30 @@ Two layouts of the same formulas:
 - ``knot_grad_hess`` works on the R - 1 segments of one knot set, and the
   solver calls it at every Newton point. R is small (about 6 in a
   Monte-Carlo M-step, about 16 at n = 1e5), and one numpy call (~0.5-1 us)
-  costs about as much as the ~40 flops of a whole segment. It therefore
-  runs one segment at a time on Python floats, at about 1.5-2 us per
-  segment, with a few numpy calls per kernel call. It is the only place
-  where J's partials are formed: ``integral_grad_terms`` reads its
-  gradient.
+  costs about as much as the ~40 flops of a whole segment, so it runs one
+  segment at a time on Python floats. It is a line-for-line twin of the C
+  kernel and returns its bits:
+  - ``math.exp`` and ``math.expm1`` call the C library's exp and expm1,
+    as the C does. Where exp overflows, ``math.exp`` raises OverflowError
+    and the C's exp gives inf; the python kernel then takes inf.
+  - + - * / and comparisons on Python floats are the C's double
+    operations; every expression keeps the C's order of operations, and
+    the build keeps the compiler from fusing a multiply and an add
+    (``-ffp-contract=off`` in setup.py).
+  - Sums run left to right in explicit loops, as the C's do: the builtin
+    ``sum`` compensates its rounding on Python >= 3.12, and ``ndarray.dot``
+    and ``ndarray.sum`` do not add left to right.
+  - Python raises ZeroDivisionError where C returns inf, so the float code
+    divides only by values that cannot be zero: by eps only where
+    |eps| >= 1e-5.
+  It is the only place where J's partials are formed: ``integral_grad_terms``
+  reads its gradient.
 - J's value alone (``j_values``, and ``segment_integrals`` and
   ``knot_objective`` through it) takes arrays of any shape, one numpy call
-  per step of the formula for all entries.
-
-Both layouts give the bits of the oracle in ``tests/test_kernels.py``,
-which evaluates one G-function per moment on whole arrays:
-- exp and expm1 stay numpy calls, one each per kernel call with every
-  argument stacked: numpy's exp and expm1 differ from ``math.exp`` and
-  ``math.expm1`` on a few percent of arguments, and numpy's value for an
-  entry depends neither on the array's length nor on the entry's position.
-- Sums over segments stay ``ndarray.dot`` and ``ndarray.sum`` on arrays:
-  BLAS and numpy's pairwise summation do not add left to right.
-- + - * / and comparisons on finite Python floats round as numpy's float64
-  does, so every expression keeps numpy's order of operations, and
-  ``0.0 - x`` stands where numpy subtracts from zeros, which keeps the sign
-  of a zero.
-- Python raises ZeroDivisionError where numpy returns inf, so the float
-  code divides only by values that cannot be zero: the closed forms run at
-  |eps| >= 1e-5 only.
+  per step of the formula for all entries, with numpy's exp and expm1 and
+  numpy's sums. These give the bits of the array oracle in
+  ``tests/test_kernels.py`` and agree with ``knot_grad_hess``'s masses to
+  about 1e-13.
 """
 
 from __future__ import annotations
@@ -167,74 +169,67 @@ def knot_grad_hess(dt, phi, weights):
     Returns ``(psi, grad, hess_diag, hess_off, mass)`` where the Hessian of
     psi is symmetric tridiagonal with diagonal ``hess_diag`` (length R) and
     off-diagonal ``hess_off`` (length R-1). It is negative definite.
-    ``mass`` holds dt_j J(phi_j, phi_{j+1}), the bits of
-    ``segment_integrals(dt, phi[:-1], phi[1:])``, so that
-    ``float(weights.dot(phi)) - float(mass.sum()) + 1.0`` is
-    ``knot_objective`` to the bit.
+    ``mass`` holds dt_j J(phi_j, phi_{j+1}), and psi is
+    ``sum(W phi) - sum(mass) + 1`` with both sums taken left to right.
 
     Per segment: with ehi = exp(max(a, b)) and gk as in ``j_values``, J =
     ehi g1; the partials wrt the smaller argument are ehi g2 and ehi g3,
     those wrt the larger ehi (g1 - g2) and ehi ((g1 - 2 g2) + g3), and
-    d2J/dadb = ehi (g2 - g3). Knot i takes the terms of segment i before
-    those of segment i - 1, in the order of the array code it replaced.
+    d2J/dadb = ehi (g2 - g3). The gradient starts from the weights and the
+    Hessian diagonal from zeros, and each segment subtracts its terms from
+    its two knots, so knot i takes segment i - 1's terms before segment
+    i's. Every operation is that of ``knot_grad_hess`` in _kernels_c.c, in
+    its order.
     """
     dt, phi, weights = _vectors("knot_grad_hess", _KNOT_ARGS, (dt, phi, weights))
     p = phi.tolist()
-    q = p[1:]
-    hi = []
-    eps = []
-    for a, b in zip(p, q):  # max(a, b) and -|b - a| as min - max
-        if b < a:
-            hi.append(a)
-            eps.append(b - a)
-        else:
-            hi.append(b)
-            eps.append(a - b)
-    closed = [e for e in eps if not e > -_SERIES_RADIUS]  # G2, G3 closed forms
-    ex = np.exp(hi + closed).tolist()
-    ehi, ee = ex[:len(hi)], iter(ex[len(hi):])
-    em = iter(np.expm1([e for e in eps if not e > -_VALUE_SERIES_RADIUS]).tolist())
-    w = weights.tolist()
-    jv = []
-    mass = []
-    grad = []
-    hd = []
+    grad = weights.tolist()  # the weights, until the segment loop subtracts
+    lin = 0.0
+    for wi, x in zip(grad, p):
+        lin += wi * x
+    hd = [0.0] * len(p)
     he = []
-    carry_g = carry_h = 0.0  # segment i - 1's terms at knot i; x - 0.0 is x
-    # one pass per segment; the last knot's weight is taken after it
-    for a, b, e, x, d, wi in zip(p, q, eps, ehi, dt.tolist(), w):
-        if e > -_SERIES_RADIUS:
-            g1 = _series(_G1_COEF, e) if e > -_VALUE_SERIES_RADIUS else next(em) / e
-            g2 = _series(_G2_COEF, e)
-            g3 = _series(_G3_COEF, e)
+    mass = []
+    integral = 0.0
+    for i, d in enumerate(dt.tolist()):
+        a = p[i]
+        b = p[i + 1]
+        try:
+            ehi = math.exp(a if a >= b else b)
+        except OverflowError:  # libm's exp gives inf
+            ehi = math.inf
+        eps = -abs(b - a)
+        if eps > -_SERIES_RADIUS:
+            g1 = (_series(_G1_COEF, eps) if eps > -_VALUE_SERIES_RADIUS
+                  else math.expm1(eps) / eps)
+            g2 = _series(_G2_COEF, eps)
+            g3 = _series(_G3_COEF, eps)
         else:
-            m = next(em)
-            y = next(ee)
-            g1 = m / e
-            num = e * y - m
-            ss = e * e
-            g2 = num / ss
-            g3 = (ss * y - 2.0 * num) / (ss * e)
-        j = g1 * x
-        jv.append(j)
-        mass.append(d * j)
-        near1 = (g1 - g2) * x * d
-        far1 = g2 * x * d
-        near2 = (g1 - g2 * 2.0 + g3) * x * d
-        far2 = g3 * x * d
-        if b < a:
-            grad.append(wi - near1 - carry_g)
-            hd.append(0.0 - near2 - carry_h)
-            carry_g, carry_h = far1, far2
+            ee = math.exp(eps)
+            em = math.expm1(eps)
+            g1 = em / eps
+            g2 = (eps * ee - em) / (eps * eps)
+            g3 = (eps * eps * ee - 2.0 * (eps * ee - em)) / (eps * eps * eps)
+        # partials wrt the larger argument (near) and the smaller (far)
+        near1 = ehi * (g1 - g2)
+        far1 = ehi * g2
+        near2 = ehi * (g1 - 2.0 * g2 + g3)
+        far2 = ehi * g3
+        m = d * (ehi * g1)
+        mass.append(m)
+        integral += m
+        if b >= a:
+            grad[i] -= d * far1
+            grad[i + 1] -= d * near1
+            hd[i] -= d * far2
+            hd[i + 1] -= d * near2
         else:
-            grad.append(wi - far1 - carry_g)
-            hd.append(0.0 - far2 - carry_h)
-            carry_g, carry_h = near1, near2
-        he.append(-((g2 - g3) * x * d))
-    grad.append(w[-1] - carry_g)
-    hd.append(0.0 - carry_h)
-    psi = float(weights.dot(phi)) - float(dt.dot(np.array(jv))) + 1.0
-    return psi, np.array(grad), np.array(hd), np.array(he), np.array(mass)
+            grad[i] -= d * near1
+            grad[i + 1] -= d * far1
+            hd[i] -= d * near2
+            hd[i + 1] -= d * far2
+        he.append(-d * (ehi * (g2 - g3)))
+    return lin - integral + 1.0, np.array(grad), np.array(hd), np.array(he), np.array(mass)
 
 
 def solve_newton_step(hess_diag, hess_off, grad):

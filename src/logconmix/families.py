@@ -159,16 +159,16 @@ class Tabulated:
         if not np.all(np.isfinite(logf)):
             raise ValueError("Tabulated log_density values must be finite")
         dens = np.exp(logf)
-        total = float(np.trapezoid(dens, grid))
+        # cumulative trapezoid masses, rescaled to end at exactly 1 for sampling
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))))
+        total = float(cum[-1])
         if abs(total - 1.0) > 1e-3:
             raise ValueError(
                 f"Tabulated density integrates to {total:.6g} by trapezoid rule; "
                 f"must be 1 within 1e-3")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "log_density", logf)
-        # cumulative trapezoid masses, rescaled to end at exactly 1 for sampling
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))))
-        object.__setattr__(self, "_cdf_grid", cum / cum[-1])
+        object.__setattr__(self, "_cdf_grid", cum / total)
 
     def cdf(self, x) -> np.ndarray:
         """Trapezoid-grid CDF with linear interpolation between grid points."""

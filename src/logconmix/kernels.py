@@ -6,9 +6,9 @@ takes them from ``_kernels_c``, the C extension that ``setup.py`` builds
 from ``_kernels_c.c``, and is selected when that module imports; the
 ``"python"`` backend takes them from ``_kernels_py``, their reference, and
 is selected otherwise. The python knot kernels run one knot segment at a
-time on Python floats, with numpy's exp, expm1, dot products and sums, and
-give the bits of the array formulation; the compiled ones agree with them
-to rounding. :func:`set_backend` switches at runtime.
+time on Python floats, with the C library's exp and expm1 through ``math``
+and sums taken left to right, as the compiled ones do; the two backends
+agree to the bit. :func:`set_backend` switches at runtime.
 
 ``knot_grad_hess`` hands back each segment's mass with its derivatives, so
 ``logcon`` forms the Armijo value and the normalizing integral from one

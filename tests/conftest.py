@@ -105,8 +105,8 @@ def rng():
 
 @pytest.fixture
 def python_backend():
-    """Run the test on the python kernels, whose bits the pinned digests
-    hold; the backend that was active comes back afterwards."""
+    """Start the test on the python kernels, for a test that runs both
+    backends in turn; the backend that was active comes back afterwards."""
     from logconmix import kernels
 
     active = kernels.BACKEND

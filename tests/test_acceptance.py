@@ -117,7 +117,7 @@ def test_em_likelihood_never_decreases_across_all_models():
 
 
 @pytest.mark.parametrize("rep", [0, 1])
-def test_em_likelihood_never_decreases_on_model5_at_n1000(python_backend, rep):
+def test_em_likelihood_never_decreases_on_model5_at_n1000(rep):
     # Model 5, p = 0.5, n = 1000. When every weight of the M-step was lifted
     # to the floor WEIGHT_FLOOR_SCALE / m, the M-step maximized a slightly
     # different objective from the EM surrogate, and these traces fell by

@@ -135,7 +135,7 @@ def _counted_run_em(monkeypatch, values, f0, config=None):
     return em.run_em(values, f0, config), steps
 
 
-def test_run_em_runs_one_m_step_per_counted_iteration(monkeypatch, python_backend):
+def test_run_em_runs_one_m_step_per_counted_iteration(monkeypatch):
     # each of the two pilot passes runs one cold M-step for its start and
     # one warm M-step per iteration it counts, under budgets below, at and
     # just above the clamp's cap of 50, and one that does not bind: on this
@@ -157,7 +157,7 @@ def test_run_em_runs_one_m_step_per_counted_iteration(monkeypatch, python_backen
     # returns its start bit for bit, and the second pass ends well inside
     # the clamp's cap, so the clamp ended when the likelihood settled
     spec = model_catalog()[5]
-    values, _ = sample_mixture(spec.known, spec.unknown, 0.5, 200, child_seed(3200, 1))
+    values, _ = sample_mixture(spec.known, spec.unknown, 0.5, 200, child_seed(3200, 2))
     result, steps = _counted_run_em(monkeypatch, values, spec.known)
     assert result.degenerate is None and result.converged
     assert len(steps) == result.iterations + 2
@@ -169,7 +169,7 @@ def test_run_em_runs_one_m_step_per_counted_iteration(monkeypatch, python_backen
                    for init, fit in steps if init is not None)
 
 
-def test_run_em_forms_each_trace_entry_in_one_e_step(monkeypatch, python_backend):
+def test_run_em_forms_each_trace_entry_in_one_e_step(monkeypatch):
     # one pass: an E-step at its start and one after each M-step, one per
     # polish step of p (every m_step_p call), and a final one for the last
     # trace entry, which holds only their values

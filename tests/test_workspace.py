@@ -113,11 +113,10 @@ def _ref_knot_integrals(dt, mass, e_k, s):
     return F, Q, inv_s2
 
 
-def _ref_kkt_state(grid, w, ks, phi_k):
+def _ref_kkt_state(grid, w, ks, phi_k, mass):
     phi, s, z = ks.phi_at(phi_k)
     exp_phi = np.exp(phi, out=phi)
     e_k = np.exp(phi_k)
-    mass = kpy.segment_integrals(ks.dt, phi_k[:-1], phi_k[1:])
     F, Q, inv_s2 = _ref_knot_integrals(ks.dt, mass, e_k, s)
     seg = ks.seg
     inside = F[seg]
@@ -139,7 +138,7 @@ def _check_kkt_state_bits(sample, kidx, phi_k):
     ks = grid.knot_set(kidx)
     mass = kpy.knot_grad_hess(ks.dt, phi_k, ks.aggregate(w))[4]
     got = logcon._kkt_state(grid, w, ks, phi_k, mass)
-    want = _ref_kkt_state(grid, w, ks, phi_k)
+    want = _ref_kkt_state(grid, w, ks, phi_k, mass)
     e_k = np.exp(phi_k)
     s = (phi_k[1:] - phi_k[:-1]) / ks.dt
     knot_got = logcon._knot_integrals(ks.dt.tolist(), mass.tolist(), e_k.tolist(), s.tolist())
