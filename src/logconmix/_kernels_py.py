@@ -156,7 +156,8 @@ def segment_integrals(dx, pa, pb):
 
 def knot_objective(dt, phi, weights) -> float:
     """psi = sum(W phi) - integral(e^phi) + 1 on the knot grid, from the
-    segment masses, which have the bits of ``knot_grad_hess``'s."""
+    segment masses of ``segment_integrals``, which agree with
+    ``knot_grad_hess``'s to rounding."""
     dt, phi, weights = _vectors("knot_objective", _KNOT_ARGS, (dt, phi, weights))
     return (float(weights.dot(phi))
             - float(segment_integrals(dt, phi[:-1], phi[1:]).sum()) + 1.0)

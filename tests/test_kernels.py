@@ -80,6 +80,15 @@ def impl(request):
     return request.getfixturevalue("compiled_kernels")
 
 
+def _both_backends(request):
+    """The python kernels, then the compiled ones, for a test that loops
+    over both last. The compiled module is fetched only after the python
+    pass, so where it cannot be built the skip comes after that pass has
+    run its assertions."""
+    yield kpy
+    yield request.getfixturevalue("compiled_kernels")
+
+
 def _chain(impl, dx, a, b):
     """``knot_grad_hess`` on the pairs (a[i], b[i]) as the segments, of
     widths dx, of one knot chain, joined by segments of zero width, with
@@ -194,10 +203,15 @@ def test_knot_objective_matches_independent_evaluation(impl, rng):
     phi = np.cumsum(rng.uniform(-0.5, 0.5, 12)) - 1.0
     w = rng.uniform(0.0, 1.0, 12)
     w /= w.sum()
-    got = _armijo_value(impl, np.diff(x), phi, w)
+    dt = np.diff(x)
+    got = _armijo_value(impl, dt, phi, w)
     assert got == pytest.approx(independent_objective(x, w, phi), rel=1e-12)
-    if impl is kpy:
-        assert kpy.knot_objective(np.diff(x), phi, w) == got
+    # knot_objective takes numpy's exp, the knot masses the C library's: the
+    # two agree to rounding, and knot_objective has the array oracle's bits
+    value = kpy.knot_objective(dt, phi, w)
+    assert value == _ref_knot_objective(dt, phi, w)
+    lin, mass = float(w.dot(phi)), impl.knot_grad_hess(dt, phi, w)[4]
+    assert abs(got - value) <= 1e-13 * (abs(lin) + float(mass.sum()) + 1.0)
 
 
 def test_knot_grad_hess_matches_finite_differences(impl, rng):
@@ -465,7 +479,7 @@ def _seam_pairs(rng):
     return a, b
 
 
-def test_kernels_bit_identical_to_oracle(rng, compiled_kernels):
+def test_kernels_bit_identical_to_oracle(rng, request):
     a, b = _seam_pairs(rng)
     zeros = np.zeros((3, 3))
     cases = [(a, b),
@@ -476,16 +490,6 @@ def test_kernels_bit_identical_to_oracle(rng, compiled_kernels):
     for a, b in cases:
         dx = rng.uniform(0.01, 2.0, a.shape)
         np.testing.assert_array_equal(kpy.j_values(a, b), _ref_j_values(a, b))
-        # the knot kernels: the scalar oracle's bits, the array oracle's
-        # values to rounding (just outside the series radius the closed
-        # forms of the second partials turn one ulp of exp into ~7e-13)
-        parts = _scalar_parts(a.ravel(), b.ravel())
-        full = _ref_j_all_partials(a, b)
-        for impl in (kpy, compiled_kernels):
-            np.testing.assert_array_equal(_j(impl, a.ravel(), b.ravel()), parts[0])
-            for got, want, near in zip(_partials(impl, a.ravel(), b.ravel()), parts[1:], full):
-                np.testing.assert_array_equal(got, want)
-                np.testing.assert_allclose(got, near.ravel(), rtol=1e-12)
         np.testing.assert_array_equal(kpy.segment_integrals(dx, a, b),
                                       dx * _ref_j_values(a, b))
     # 1-d knot values whose neighbours are the pairs above and the gaps
@@ -499,10 +503,21 @@ def test_kernels_bit_identical_to_oracle(rng, compiled_kernels):
         np.testing.assert_array_equal(kpy.segment_integrals(dt, phi[:-1], phi[1:]),
                                       dt * _ref_j_values(phi[:-1], phi[1:]))
         assert kpy.knot_objective(dt, phi, w) == _ref_knot_objective(dt, phi, w)
+    # the knot kernels: the scalar oracle's bits, the array oracle's values
+    # to rounding (just outside the series radius the closed forms of the
+    # second partials turn one ulp of exp into ~7e-13)
+    for impl in _both_backends(request):
+        for a, b in cases:
+            parts = _scalar_parts(a.ravel(), b.ravel())
+            full = _ref_j_all_partials(a, b)
+            np.testing.assert_array_equal(_j(impl, a.ravel(), b.ravel()), parts[0])
+            for got, want, near in zip(_partials(impl, a.ravel(), b.ravel()), parts[1:], full):
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_allclose(got, near.ravel(), rtol=1e-12)
 
 
 @pytest.mark.parametrize("knots", [2, 8, 200])
-def test_grad_hess_and_newton_step_bit_identical_to_oracle(rng, compiled_kernels, knots):
+def test_grad_hess_and_newton_step_bit_identical_to_oracle(rng, request, knots):
     x = np.sort(rng.uniform(-3.0, 3.0, knots))
     phi = -0.5 * x * x - 0.9
     phi[knots // 2:knots // 2 + 2] = phi[knots // 2]      # one flat segment
@@ -517,7 +532,7 @@ def test_grad_hess_and_newton_step_bit_identical_to_oracle(rng, compiled_kernels
     for r, n in zip(want[1:], near[1:]):
         np.testing.assert_allclose(r, n, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(want[4], dt * _ref_j_values(phi[:-1], phi[1:]), rtol=1e-13)
-    for impl in (kpy, compiled_kernels):
+    for impl in _both_backends(request):
         got = impl.knot_grad_hess(dt, phi, w)
         assert got[0] == want[0]
         for g, r in zip(got[1:], want[1:]):
@@ -552,17 +567,17 @@ def test_newton_step_regularized_and_failing_systems_match_oracle():
 
 
 @pytest.mark.parametrize("diff", [3e-6, 0.02, 0.7])   # G1 series, G2/G3 series, closed
-def test_scalar_and_0d_inputs_in_each_branch(compiled_kernels, diff):
+def test_scalar_and_0d_inputs_in_each_branch(request, diff):
     a, b = -1.25, -1.25 + diff
-    want = list(_c_parts(a, b)[1:])
     assert float(kpy.j_values(a, b)) == float(_ref_j_values(a, b))
     assert float(kpy.j_values(b, a)) == float(_ref_j_values(b, a))
-    for impl in (kpy, compiled_kernels):
-        assert [float(v[0]) for v in _partials(impl, a, b)] == want
     a0, b0 = np.array(a), np.array(b)
     assert np.shape(kpy.j_values(a0, b0)) == ()
     assert kpy.j_values(a0, b0) == float(_ref_j_values(a, b))
     assert np.shape(kpy.segment_integrals(2.0, a0, b0)) == ()
+    want = list(_c_parts(a, b)[1:])
+    for impl in _both_backends(request):
+        assert [float(v[0]) for v in _partials(impl, a, b)] == want
 
 
 # The hand-written Horner forms that ``_kernels_py._series`` replaced, kept
@@ -654,11 +669,21 @@ def _flat(widths, phi):
     return np.array(widths), np.array(phi), np.zeros(len(phi))
 
 
+def _assert_knot_kernels_match_oracle(impl, dt, phi, w):
+    want = _c_knot_grad_hess(dt, phi, w)
+    got = impl.knot_grad_hess(dt, phi, w)
+    assert got[0] == want[0]
+    for g, r in zip(got[1:], want[1:]):
+        assert g.tobytes() == r.tobytes()
+
+
 # Shrunk counterexamples that hypothesis found for deliberately broken
 # kernels, kept as fixed cases: the sign of a zero Hessian entry, the
 # partials of a > b swapped with those of a < b, G3's series with G2's
 # coefficients, a long chain, where a sum taken in another order shows, and
-# a wide segment, where numpy's exp and the C library's differ.
+# a wide segment, where numpy's exp and the C library's differ. The
+# compiled kernels meet the same cases in
+# ``test_backends_agree_to_the_bit_property``.
 @example(_flat([0.5, 0.5, 0.0], [0.0] * 4))
 @example(_flat([0.5], [0.0, 1e-5]))
 @example(_flat([0.5], [0.0, 0.0]))
@@ -666,14 +691,9 @@ def _flat(widths, phi):
 @example(_flat([0.5], [0.0, 22.0]))
 @settings(max_examples=150, deadline=None)
 @given(_knot_problems())
-def test_knot_kernels_bit_identical_to_oracle_property(compiled_kernels, problem):
+def test_knot_kernels_bit_identical_to_oracle_property(problem):
     dt, phi, w = problem
-    want = _c_knot_grad_hess(dt, phi, w)
-    for impl in (kpy, compiled_kernels):
-        got = impl.knot_grad_hess(dt, phi, w)
-        assert got[0] == want[0]
-        for g, r in zip(got[1:], want[1:]):
-            assert g.tobytes() == r.tobytes()
+    _assert_knot_kernels_match_oracle(kpy, dt, phi, w)
     assert kpy.knot_objective(dt, phi, w) == _ref_knot_objective(dt, phi, w)
 
 
@@ -760,21 +780,25 @@ def test_max_feasible_step_matches_oracle_property(problem):
 # 710.0: exp(phi) overflows, where math.exp raises and the C library's exp
 # gives inf
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 710.0])
-def test_knot_kernels_match_oracle_on_non_finite_values(rng, compiled_kernels, bad):
+def test_knot_kernels_match_oracle_on_non_finite_values(rng, request, bad):
     dt = rng.uniform(0.1, 1.0, 7)
     w = rng.uniform(0.0, 1.0, 8)
+    phis = []
     for at in ([0], [3], [7], [3, 4], [0, 7]):
         phi = np.cumsum(rng.uniform(-1.0, 1.0, 8))
         phi[at] = bad
-        with np.errstate(all="ignore"):
-            want = _c_knot_grad_hess(dt, phi, w)
-            objectives = (kpy.knot_objective(dt, phi, w), _ref_knot_objective(dt, phi, w))
-            for impl in (kpy, compiled_kernels):
+        phis.append(phi)
+    with np.errstate(all="ignore"):
+        for phi in phis:
+            np.testing.assert_array_equal(kpy.knot_objective(dt, phi, w),
+                                          _ref_knot_objective(dt, phi, w))
+        for impl in _both_backends(request):
+            for phi in phis:
+                want = _c_knot_grad_hess(dt, phi, w)
                 got = impl.knot_grad_hess(dt, phi, w)
                 np.testing.assert_array_equal(got[0], want[0])
                 for g, r in zip(got[1:], want[1:]):
                     np.testing.assert_array_equal(g, r)   # NaN payloads aside
-        np.testing.assert_array_equal(*objectives)
 
 
 def test_backends_agree_to_the_bit(rng, compiled_kernels):
@@ -809,12 +833,21 @@ def _newton_step_bytes(impl, hess_diag, hess_off, grad):
         return None
 
 
+# the fixed cases of test_knot_kernels_bit_identical_to_oracle_property
+@example(_flat([0.5, 0.5, 0.0], [0.0] * 4))
+@example(_flat([0.5], [0.0, 1e-5]))
+@example(_flat([0.5], [0.0, 0.0]))
+@example(_flat([0.5] * 48, [0.0] * 48 + [1e-5]))
+@example(_flat([0.5], [0.0, 22.0]))
 @settings(max_examples=150, deadline=None)
 @given(_knot_problems())
 def test_backends_agree_to_the_bit_property(compiled_kernels, problem):
     # both knot kernels, at a knot chain and at the Newton system it gives
-    # (zero widths can make that singular, so that the sweep needs delta)
+    # (zero widths can make that singular, so that the sweep needs delta);
+    # the compiled knot_grad_hess has the scalar oracle's bits, as the
+    # python one has in test_knot_kernels_bit_identical_to_oracle_property
     dt, phi, w = problem
+    _assert_knot_kernels_match_oracle(compiled_kernels, dt, phi, w)
     py, c = (impl.knot_grad_hess(dt, phi, w) for impl in (kpy, compiled_kernels))
     assert py[0] == c[0]
     for py_part, c_part in zip(py[1:], c[1:]):
