@@ -4,13 +4,14 @@ This module is the reference implementation of the two kernels that the
 solver in ``logcon`` calls at every Newton point, ``knot_grad_hess`` and
 ``solve_newton_step``; the C extension built from ``_kernels_c.c``
 implements the same two with the same operations in the same order, so the
-two backends return the same bits. ``knot_grad_hess`` also returns the
-segment masses, from which ``logcon`` forms the objective at a trial point
-by ``knot_objective``'s formula. ``segment_integrals``, which
-``logcon.cdf`` calls on every backend to evaluate a finished fit, has no
-compiled twin; nor have ``knot_objective`` (which ``logcon.objective``
-calls), ``integral_grad_terms`` and the other per-point kernels at the end
-of the module, which stay as test oracles and for the benchmark's tracer.
+two backends return the same bits. The psi of ``knot_grad_hess`` is the
+only formula of the objective; the solver's Armijo value and
+``logcon.objective`` read it.
+``segment_integrals``, which ``logcon.cdf`` calls on every backend to
+evaluate a finished fit, has no compiled twin; nor have the views
+``knot_objective`` and ``integral_grad_terms`` and the per-point kernels at
+the end of the module, which stay as test oracles and for the benchmark's
+tracer.
 
 Central object: the exponential-segment integral
 
@@ -56,14 +57,13 @@ Two layouts of the same formulas:
   - Python raises ZeroDivisionError where C returns inf, so the float code
     divides only by values that cannot be zero: by eps only where
     |eps| >= 1e-5.
-  It is the only place where J's partials are formed: ``integral_grad_terms``
-  reads its gradient.
-- J's value alone (``j_values``, and ``segment_integrals`` and
-  ``knot_objective`` through it) takes arrays of any shape, one numpy call
-  per step of the formula for all entries, with numpy's exp and expm1 and
-  numpy's sums. These give the bits of the array oracle in
-  ``tests/test_kernels.py`` and agree with ``knot_grad_hess``'s masses to
-  about 1e-13.
+  It is the only place where J's partials and psi are formed:
+  ``integral_grad_terms`` reads its gradient and ``knot_objective`` its psi.
+- J's value alone (``j_values``, and ``segment_integrals`` through it)
+  takes arrays of any shape, one numpy call per step of the formula for all
+  entries, with numpy's exp and expm1. These give the bits of the array
+  oracle in ``tests/test_kernels.py`` and agree with ``knot_grad_hess``'s
+  masses to about 1e-13.
 """
 
 from __future__ import annotations
@@ -155,12 +155,9 @@ def segment_integrals(dx, pa, pb):
 
 
 def knot_objective(dt, phi, weights) -> float:
-    """psi = sum(W phi) - integral(e^phi) + 1 on the knot grid, from the
-    segment masses of ``segment_integrals``, which agree with
-    ``knot_grad_hess``'s to rounding."""
-    dt, phi, weights = _vectors("knot_objective", _KNOT_ARGS, (dt, phi, weights))
-    return (float(weights.dot(phi))
-            - float(segment_integrals(dt, phi[:-1], phi[1:]).sum()) + 1.0)
+    """psi = sum(W phi) - integral(e^phi) + 1 on the knot grid: the psi of
+    ``knot_grad_hess``."""
+    return knot_grad_hess(dt, phi, weights)[0]
 
 
 def knot_grad_hess(dt, phi, weights):

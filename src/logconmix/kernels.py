@@ -10,34 +10,29 @@ time on Python floats, with the C library's exp and expm1 through ``math``
 and sums taken left to right, as the compiled ones do; the two backends
 agree to the bit. :func:`set_backend` switches at runtime.
 
-``knot_grad_hess`` hands back each segment's mass with its derivatives, so
-``logcon`` forms the Armijo value and the normalizing integral from one
-kernel call per Newton point. Two layouts of the same formulas run on the
-python backend: ``knot_grad_hess`` per knot segment on Python floats, and
-J's value alone on arrays (``segment_integrals``); see ``_kernels_py``.
+``knot_grad_hess`` hands back psi and each segment's mass with its
+derivatives, so one kernel call per Newton point gives ``logcon`` the
+Armijo value, the normalizing integral and ``objective``; psi has no other
+formula. Two layouts of the same formulas run on the python backend:
+``knot_grad_hess`` per knot segment on Python floats, and J's value alone
+on arrays (``segment_integrals``); see ``_kernels_py``.
 """
 
 from __future__ import annotations
 
 from . import _kernels_py
 
-# Six python kernels outside the contract, from _kernels_py on every
-# backend. ``segment_integrals`` is what ``logcon.cdf`` calls to evaluate a
-# finished fit, and ``knot_objective`` what ``logcon.objective`` calls, from
-# ``segment_integrals``; ``integral_grad_terms`` is a one-line view of the
-# python ``knot_grad_hess``, the only code that forms J's partials. The four
-# per-point ones did logcon's per-point work, which now runs on its point
-# grid. They stay here as test oracles and for the benchmark tracer, which
-# wraps them by name.
+# Six python names outside the contract and __all__, which nothing in the
+# package calls through this module: they stay bound only because the
+# benchmark tracer (perfbench/layers.KERNEL_FNS) wraps them by name, and
+# tests/test_perfbench_tracer.py loads it. They go with its next change.
 from ._kernels_py import (aggregate_weights, integral_grad_terms,  # noqa: F401
                           interp_to_points, knot_objective, multipliers,
                           segment_integrals)
 
 _CONTRACT = ["knot_grad_hess", "solve_newton_step"]
 
-__all__ = _CONTRACT + ["segment_integrals", "knot_objective", "interp_to_points",
-                       "aggregate_weights", "integral_grad_terms", "multipliers",
-                       "BACKEND", "set_backend", "available_backends"]
+__all__ = _CONTRACT + ["BACKEND", "set_backend", "available_backends"]
 
 BACKEND = "python"
 

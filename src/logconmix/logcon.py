@@ -22,18 +22,22 @@ and strictly concave. ``fit_weighted_logconcave`` is one loop of at most
   ``_MAX_NEWTON_ITERS`` Newton steps with Armijo backtracking. A step is
   truncated at the first knot whose concavity would flip, which activates
   that constraint: the knot drops out and the shorter set is evaluated
-  afresh. A line search that cannot improve marks the round stalled;
+  afresh. A line search that cannot improve, or a step it accepts without a
+  gain in psi (short of a boundary hit), marks the round stalled, and that
+  step is not taken;
 - normalizes the iterate, evaluates it once more and computes the
   multipliers;
 - then stops if the reduced gradient and all multipliers are within
   ``_TOL_KKT``, an absolute 1e-8. At reduced stationarity with a violated
-  multiplier, it releases the single most violated constraint, unless that
-  re-releases the previous round's constraint with no gain in psi, which
-  stops the fit. Otherwise a stalled round stops the fit, and a round that
-  reached the Newton cap is followed by another.
-Each point the iteration visits costs one ``knot_grad_hess`` call, whose
-segment masses also give the Armijo value, the normalizing integral and the
-F below.
+  multiplier, and another round to come, it releases the single most
+  violated constraint, unless that re-releases the previous round's
+  constraint with no gain in psi, which stops the fit. Otherwise a stalled
+  round stops the fit, and a round that reached the Newton cap is followed
+  by another.
+Each point the iteration visits costs one ``knot_grad_hess`` call. Its psi
+is the Armijo value, the fit's ``objective`` and what :func:`objective`
+returns, so they are one formula with one rounding; its segment masses give
+the normalizing integral and the F below.
 
 The multiplier of the constraint at a point x is the derivative of psi along
 the hinge direction (x - t)_+ (Duembgen, Huesler & Rufibach 2007),
@@ -68,7 +72,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels as K
-from ._kernels_py import _series, knot_objective, segment_integrals
+from ._kernels_py import _series, segment_integrals
 from ._readcsv import read_csv
 from .errors import DegenerateSampleError
 
@@ -443,9 +447,8 @@ def fit_weighted_logconcave(sample: WeightedSample,
         W = ks.aggregate(w)
         psi, grad, hd, he, mass = K.knot_grad_hess(ks.dt, phi_k, W)
         # Newton with Armijo backtracking on this knot set: each trial point
-        # costs one knot_grad_hess call, whose segment masses give the
-        # Armijo value as knot_objective forms it, and an accepted point's
-        # derivatives are the next step's
+        # costs one knot_grad_hess call, whose psi is the Armijo value, and
+        # an accepted point's derivatives are the next step's
         stalled = False
         for _ in range(_MAX_NEWTON_ITERS):
             if float(np.abs(grad).max()) <= _TOL_KKT:
@@ -462,12 +465,14 @@ def fit_weighted_logconcave(sample: WeightedSample,
                     cand = step * alpha
                     cand += phi_k
                     point = K.knot_grad_hess(ks.dt, cand, W)
-                    value = float(W.dot(cand)) - float(point[4].sum()) + 1.0
-                    if value >= psi + _ARMIJO_C * alpha * slope:
+                    if point[0] >= psi + _ARMIJO_C * alpha * slope:
                         break
                     alpha *= 0.5
                 else:
                     stalled = True  # Armijo cannot improve: machine precision
+                    break
+                if point[0] <= psi and alpha != alpha_bar:
+                    stalled = True  # accepted without a gain in psi: no progress
                     break
                 phi_k = cand
             if alpha == alpha_bar:
@@ -495,7 +500,9 @@ def fit_weighted_logconcave(sample: WeightedSample,
         if ginf <= _TOL_KKT and lam_min >= -_TOL_KKT:
             converged = True
             break
-        if ginf <= _TOL_KKT and lam_min < -_TOL_KKT:
+        # a release only when another round follows, so that a capped fit
+        # returns the knot set that psi and kkt describe
+        if ginf <= _TOL_KKT and lam_min < -_TOL_KKT and _round + 1 < _MAX_OUTER_ITERS:
             k_rel = int(ks.active[lam.argmin()])
             if k_rel == released_last and psi <= psi_prev + 1e-15 * (1.0 + abs(psi_prev)):
                 break  # released, re-activated, no progress: numerically done
@@ -558,7 +565,8 @@ def cdf(fit: LogConcaveFit, x) -> np.ndarray:
 
 
 def objective(sample: WeightedSample, knots, phi) -> float:
-    """psi for a candidate concave-candidate phi given at ``knots``.
+    """psi for a candidate phi given at ``knots``, as ``knot_grad_hess``
+    forms it, so a fit's ``objective`` is what this returns for it.
 
     ``knots`` must be sample points and include both sample endpoints.
     Concavity of the candidate is not required here (the value is defined
@@ -578,7 +586,7 @@ def objective(sample: WeightedSample, knots, phi) -> float:
         raise ValueError("knots must include both sample endpoints")
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi values must be finite")
-    return knot_objective(np.diff(knots), phi, _KnotSet(x, kidx).aggregate(sample.weights))
+    return K.knot_grad_hess(np.diff(knots), phi, _KnotSet(x, kidx).aggregate(sample.weights))[0]
 
 
 def fit_to_dict(fit: LogConcaveFit) -> dict:

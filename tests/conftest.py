@@ -48,6 +48,14 @@ def independent_integral(knots, phi) -> float:
     return integral
 
 
+def trapezoid(y, x) -> float:
+    """The trapezoid rule over 1-d samples y at points x, in the arithmetic
+    of numpy's ``trapezoid`` (numpy >= 2.0) and ``trapz``, so it gives
+    their bits on any numpy the package supports."""
+    y = np.asarray(y, dtype=float)
+    return float((np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum())
+
+
 def reference_concave_mle(points, weights):
     """Grid-start + polish reference maximizer for small point sets.
 

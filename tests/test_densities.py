@@ -17,6 +17,8 @@ from logconmix.families import (Beta15, Exponential, Normal, ShiftedChiSq3,
                                 load_tabulated_csv, sample_mixture)
 from logconmix.rng import child_seed, make_rng
 
+from conftest import trapezoid
+
 # (family instance, scipy frozen distribution)
 CASES = [
     (Normal(0.0, 2.0), st.norm(0.0, 2.0)),
@@ -160,7 +162,7 @@ def test_tabulated_interpolates_log_density():
     # arrive trapezoid-normalized, so shift a raw table by log of its total
     grid = np.array([0.0, 1.0, 2.0])
     raw = np.array([0.0, -1.0, -2.0])
-    total = float(np.trapezoid(np.exp(raw), grid))
+    total = trapezoid(np.exp(raw), grid)
     logd = raw - math.log(total)
     tab = Tabulated(grid, logd)
     got = tab.log_pdf(np.array([0.5, 1.5]))
@@ -171,7 +173,7 @@ def test_tabulated_interpolates_log_density():
 def test_tabulated_csv_round_trip(tmp_path):
     grid = np.linspace(-1.0, 3.0, 21)
     raw = -0.5 * grid ** 2
-    logd = raw - math.log(float(np.trapezoid(np.exp(raw), grid)))
+    logd = raw - math.log(trapezoid(np.exp(raw), grid))
     path = tmp_path / "table.csv"
     lines = ["x,log_density"]
     lines += [f"{float(g)!r},{float(v)!r}" for g, v in zip(grid, logd)]
@@ -193,7 +195,7 @@ def test_tabulated_cdf_is_the_normalized_cumulative_trapezoid():
     # one that skipped the rescaling would too
     grid = np.array([-1.0, -0.4, 0.0, 0.3, 1.1, 2.0, 3.0])
     raw = -0.5 * (grid - 0.5) ** 2 + 0.3 * grid
-    logd = raw - math.log(float(np.trapezoid(np.exp(raw), grid)) / 1.0005)
+    logd = raw - math.log(trapezoid(np.exp(raw), grid) / 1.0005)
     tab = Tabulated(grid, logd)
     assert tab.cdf(-1.0 - 1e-9) == 0.0 and tab.cdf(-50.0) == 0.0
     assert tab.cdf(3.0 + 1e-9) == 1.0 and tab.cdf(50.0) == 1.0

@@ -20,11 +20,13 @@ from logconmix.families import (Beta15, Exponential, Normal, ShiftedChiSq3,
 from logconmix.rng import make_rng
 from logconmix.simulate import model_catalog
 
+from conftest import trapezoid
+
 
 def _tabulated() -> Tabulated:
     grid = np.linspace(-1.0, 3.0, 21)
     raw = -0.5 * (grid - 0.5) ** 2
-    return Tabulated(grid, raw - math.log(float(np.trapezoid(np.exp(raw), grid))))
+    return Tabulated(grid, raw - math.log(trapezoid(np.exp(raw), grid)))
 
 
 FAMILIES = {
@@ -181,7 +183,7 @@ EXIT_DIGESTS = {
     "clamp_51":
         "31113a2f5ca8a4a3f8a1a9c8393fc1e1cffb0f3847634e0f12e48a94e2efc1f6",
     "all_known_start":
-        "253bd9e70504ea4309f674187cfdb705e131420220d7cd72a7e448f5d50e41b5",
+        "e2d5c0890b3d988ff6dbff1f37ddafe8bab80cfb98ff1794eb23f67e41f80f91",
     "all_unknown":
         "69feaec083f10f3a474ca11c16bcd10068d6ae6d638b8f0dfab195f3905b946b",
     "all_known_in_loop":
@@ -273,22 +275,28 @@ def test_an_in_loop_all_known_exit_keeps_the_previous_fit(monkeypatch):
 # objective, kkt_residual, converged), with the knot_grad_hess and
 # solve_newton_step call counts. The cases:
 # - "stalled": model 1, p = 0.1, n = 1000, child_seed(2197521499, 0), 296
-#   iterations to p_hat 0.1356; 18 of its 862 rounds end on an exhausted
+#   iterations to p_hat 0.1356; 17 of its 1055 rounds end on an exhausted
 #   line search, two fits stop when a released constraint is re-activated
-#   without progress, two reach the round cap, and 549 knots are dropped;
+#   without progress, three reach the round cap, and 741 knots are dropped;
+# - "no_gain": the heavy-tailed sample of test_solver, 46 iterations; 6 of
+#   its 205 rounds end on a step that the line search accepts without a
+#   gain in psi, and 9 on an exhausted line search;
 # - "newton_cap": the first cell of EM_SEED with two Newton steps a round,
 #   so most rounds end at the Newton cap;
 # - "rounds_1", "rounds_3": the tied model-3 sample of test_solver with
-#   one and three outer rounds a fit, so fits end at the round cap.
+#   one and three outer rounds a fit, so fits end at the round cap, with
+#   no release in their last round.
 FIT_DIGESTS = {
     "stalled": (
-        "3bcb965d028c13d253ebf74d5f5c0ad6420734959a28fa1e33d9176691f5012e", 3434, 1459),
+        "ea039d7006c89f0e139a8dca55354e4ab665741af769002ef6e10f87eaabd5bf", 4087, 1650),
+    "no_gain": (
+        "3ebf95bda785881b53eda71edf3b1952746be0f99ed40e078ee884c2492198f2", 951, 446),
     "newton_cap": (
         "c61dd57b2e2fdeadcf3c1e2ec3e5a85a4f73a63648d322cb42ed8362a20f6824", 1766, 740),
     "rounds_1": (
-        "b7ba3eda183529ed94440b6a94c60e2ef37dd9723c1b160d2cb1ed12a6b60cb1", 179, 132),
+        "bab1cf715186484e4c9dcc518a418cd9017bc4387f8e16df9c90271cdeaeda17", 81, 37),
     "rounds_3": (
-        "a8d2b9ec54cd5a9a075d7ab1db1fbf7581b593e4d8a22c9ed9cc382d494bd422", 183, 131),
+        "8c5ddb111a63e9bfeea77a7ec0ffe537dc870319bf488fd2130ab0216ef15a99", 192, 136),
 }
 
 
@@ -296,11 +304,13 @@ FIT_DIGESTS = {
 def test_every_solver_exit_is_pinned_bitwise(name, monkeypatch):
     from logconmix import em, kernels, logcon
     from logconmix.rng import child_seed
-    from test_solver import _tied_catalog_sample
+    from test_solver import _heavy_tailed_sample, _tied_catalog_sample
 
     if name.startswith("rounds_"):
         values, f0 = _tied_catalog_sample()
         monkeypatch.setattr(logcon, "_MAX_OUTER_ITERS", int(name[7:]))
+    elif name == "no_gain":
+        values, f0 = _heavy_tailed_sample()
     else:
         spec = model_catalog()[1]
         n, seed = ((1000, child_seed(2197521499, 0)) if name == "stalled"

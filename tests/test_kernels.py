@@ -7,16 +7,16 @@ J(a, b) = integral_0^1 exp((1-t) a + t b) dt, so that a segment of width dx
 with endpoint log-values (a, b) contributes dx * J(a, b) to integral(e^phi).
 Both backends are checked through the two kernels that logcon's solver
 calls; J and its partials are read off ``knot_grad_hess`` (see ``_masses``
-and ``_partials``), and the objective is formed from its segment masses as
-logcon's line search forms it (``_armijo_value``). The knot kernels of both
-backends, and the python ``integral_grad_terms`` that reads them, are
-checked bit for bit against the formulas of ``_kernels_c.c`` on Python
-floats (``_c_parts`` and ``_c_knot_grad_hess``), and ``solve_newton_step``
-against an LDL^T sweep on numpy scalars. The python ``j_values``,
-``segment_integrals`` and ``knot_objective``, which evaluate arrays and
-have no compiled twin, are checked bit for bit against an array oracle,
-which also checks the knot kernels to rounding. Fixed seams and
-hypothesis-drawn knot chains feed both oracles.
+and ``_partials``), and the objective is its psi, which logcon's line
+search reads (``_armijo_value``). The knot kernels of both backends, and
+the python views ``integral_grad_terms`` and ``knot_objective`` that read
+them, are checked bit for bit against the formulas of ``_kernels_c.c`` on
+Python floats (``_c_parts`` and ``_c_knot_grad_hess``), and
+``solve_newton_step`` against an LDL^T sweep on numpy scalars. The python
+``j_values`` and ``segment_integrals``, which evaluate arrays and have no
+compiled twin, are checked bit for bit against an array oracle, which also
+checks the knot kernels to rounding. Fixed seams and hypothesis-drawn knot
+chains feed both oracles.
 """
 
 from __future__ import annotations
@@ -120,10 +120,8 @@ def _partials(impl, a, b):
 
 
 def _armijo_value(impl, dt, phi, w):
-    """psi as logcon's line search forms it from ``knot_grad_hess``'s
-    segment masses; ``knot_objective``'s value to rounding."""
-    mass = impl.knot_grad_hess(dt, phi, w)[4]
-    return float(w.dot(phi)) - float(mass.sum()) + 1.0
+    """psi as logcon's line search reads it: that of ``knot_grad_hess``."""
+    return impl.knot_grad_hess(dt, phi, w)[0]
 
 
 def test_j_values_match_quadrature(impl):
@@ -206,12 +204,11 @@ def test_knot_objective_matches_independent_evaluation(impl, rng):
     dt = np.diff(x)
     got = _armijo_value(impl, dt, phi, w)
     assert got == pytest.approx(independent_objective(x, w, phi), rel=1e-12)
-    # knot_objective takes numpy's exp, the knot masses the C library's: the
-    # two agree to rounding, and knot_objective has the array oracle's bits
+    # knot_objective is a view of the python knot_grad_hess: the scalar
+    # oracle's psi, and so the Armijo value of either backend, to the bit
     value = kpy.knot_objective(dt, phi, w)
-    assert value == _ref_knot_objective(dt, phi, w)
-    lin, mass = float(w.dot(phi)), impl.knot_grad_hess(dt, phi, w)[4]
-    assert abs(got - value) <= 1e-13 * (abs(lin) + float(mass.sum()) + 1.0)
+    assert value == _c_knot_grad_hess(dt, phi, w)[0]
+    assert got == value
 
 
 def test_knot_grad_hess_matches_finite_differences(impl, rng):
@@ -287,9 +284,9 @@ def test_aggregate_weights_conserves_mass_and_splits_linearly(impl):
 # Array oracle: the earlier formulation, with one G-function per moment, each
 # evaluating its closed form and its series on every entry with numpy's exp
 # and expm1, and the LDL^T sweep on numpy scalars. ``j_values``,
-# ``segment_integrals``, ``knot_objective`` and both backends'
-# ``solve_newton_step`` must reproduce it to the last bit; so must logcon's
-# step bound, against ``test_solver._ref_max_feasible_step``. The knot
+# ``segment_integrals`` and both backends' ``solve_newton_step`` must
+# reproduce it to the last bit; so must logcon's step bound, against
+# ``test_solver._ref_max_feasible_step``. The knot
 # kernels take the C library's exp and expm1 and sum left to right, so they
 # agree with it to rounding only.
 
@@ -361,11 +358,6 @@ def _ref_knot_grad_hess(dt, phi, weights):
     hd[:-1] -= dt * jaa
     hd[1:] -= dt * jbb
     return psi, grad, hd, -dt * jab
-
-
-def _ref_knot_objective(dt, phi, weights):
-    integral = float(np.sum(dt * _ref_j_values(phi[:-1], phi[1:])))
-    return float(np.dot(weights, phi)) - integral + 1.0
 
 
 def _ref_ldl(adiag, aoff, rhs):
@@ -502,7 +494,7 @@ def test_kernels_bit_identical_to_oracle(rng, request):
         w = rng.uniform(0.0, 1.0, phi.size)
         np.testing.assert_array_equal(kpy.segment_integrals(dt, phi[:-1], phi[1:]),
                                       dt * _ref_j_values(phi[:-1], phi[1:]))
-        assert kpy.knot_objective(dt, phi, w) == _ref_knot_objective(dt, phi, w)
+        assert kpy.knot_objective(dt, phi, w) == _c_knot_grad_hess(dt, phi, w)[0]
     # the knot kernels: the scalar oracle's bits, the array oracle's values
     # to rounding (just outside the series radius the closed forms of the
     # second partials turn one ulp of exp into ~7e-13)
@@ -694,7 +686,7 @@ def _assert_knot_kernels_match_oracle(impl, dt, phi, w):
 def test_knot_kernels_bit_identical_to_oracle_property(problem):
     dt, phi, w = problem
     _assert_knot_kernels_match_oracle(kpy, dt, phi, w)
-    assert kpy.knot_objective(dt, phi, w) == _ref_knot_objective(dt, phi, w)
+    assert kpy.knot_objective(dt, phi, w) == _c_knot_grad_hess(dt, phi, w)[0]
 
 
 @example(_flat([0.5, 0.5, 0.0], [0.0] * 4))
@@ -704,21 +696,19 @@ def test_knot_kernels_bit_identical_to_oracle_property(problem):
 @settings(max_examples=150, deadline=None)
 @given(_knot_problems())
 def test_knot_grad_hess_masses_are_segment_integrals_property(compiled_kernels, problem):
-    # the segment masses that logcon's line search, normalization and
-    # multipliers read from knot_grad_hess agree to rounding with the python
-    # segment_integrals that logcon.cdf and logcon.objective call, where a
-    # mass below the normal range keeps fewer bits than rtol asks for; so
-    # the Armijo value formed from them agrees with knot_objective
+    # the segment masses that logcon's normalization and multipliers read
+    # from knot_grad_hess agree to rounding with the python
+    # segment_integrals that logcon.cdf calls, where a mass below the normal
+    # range keeps fewer bits than rtol asks for; the Armijo value is
+    # knot_objective's psi to the bit
     dt, phi, w = problem
     layout = kpy.segment_integrals(dt, phi[:-1], phi[1:])
-    lin = float(w.dot(phi))
     value = kpy.knot_objective(dt, phi, w)
-    assert value == _ref_knot_objective(dt, phi, w)
+    assert value == _c_knot_grad_hess(dt, phi, w)[0]
     for impl in (kpy, compiled_kernels):
         mass = impl.knot_grad_hess(dt, phi, w)[4]
         np.testing.assert_allclose(mass, layout, rtol=1e-13, atol=np.finfo(float).tiny)
-        armijo = lin - float(mass.sum()) + 1.0
-        assert abs(armijo - value) <= 1e-13 * (abs(lin) + float(layout.sum()) + 1.0)
+        assert _armijo_value(impl, dt, phi, w) == value
 
 
 def _ref_integral_grad_terms(x, phi):
@@ -745,13 +735,14 @@ def _ref_integral_grad_terms(x, phi):
 @settings(max_examples=150, deadline=None)
 @given(_knot_problems())
 def test_knot_views_bit_identical_to_array_formulas_property(problem):
-    # integral_grad_terms and knot_objective are views of knot_grad_hess;
-    # they give the bits of the array formulas they replaced
+    # integral_grad_terms and knot_objective are views of knot_grad_hess:
+    # the bits of the array formula that integral_grad_terms replaced, and
+    # the scalar oracle's psi
     dt, phi, w = problem
     x = np.concatenate(([0.0], np.cumsum(dt)))
     got = kpy.integral_grad_terms(x, phi)
     assert got.tobytes() == _ref_integral_grad_terms(x, phi).tobytes()
-    assert kpy.knot_objective(dt, phi, w) == _ref_knot_objective(dt, phi, w)
+    assert kpy.knot_objective(dt, phi, w) == _c_knot_grad_hess(dt, phi, w)[0]
 
 
 _STEPS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-10.0, 10.0))
@@ -791,7 +782,7 @@ def test_knot_kernels_match_oracle_on_non_finite_values(rng, request, bad):
     with np.errstate(all="ignore"):
         for phi in phis:
             np.testing.assert_array_equal(kpy.knot_objective(dt, phi, w),
-                                          _ref_knot_objective(dt, phi, w))
+                                          _c_knot_grad_hess(dt, phi, w)[0])
         for impl in _both_backends(request):
             for phi in phis:
                 want = _c_knot_grad_hess(dt, phi, w)
@@ -889,7 +880,9 @@ def test_compiled_kernels_bit_identical_to_scalar_formulas(rng, compiled_kernels
 
 # (kernel, arguments, the argument that the error names); the first two
 # read past the end of an input before the lengths were checked. The python
-# knot_objective has no compiled twin, so the compiled tests skip its rows.
+# knot_objective has no compiled twin, so the compiled tests skip its rows;
+# it is a view, so the kernel it reads names the argument.
+VIEW_OF = {"knot_objective": "knot_grad_hess"}
 BAD_CALLS = [
     ("knot_grad_hess", (np.ones(4), np.zeros(5), np.ones(2)), "weights"),
     ("knot_objective", (np.ones(1), np.zeros(5), np.ones(5)), "dt"),
@@ -916,7 +909,7 @@ def test_compiled_kernels_reject_wrong_shapes(compiled_kernels, fn, args, name):
 @pytest.mark.parametrize("fn, args, name", BAD_CALLS,
                          ids=[f"{fn}-{name}" for fn, _, name in BAD_CALLS])
 def test_python_knot_kernels_reject_wrong_shapes(fn, args, name):
-    with pytest.raises(ValueError, match=f"{fn}: {name} "):
+    with pytest.raises(ValueError, match=f"{VIEW_OF.get(fn, fn)}: {name} "):
         getattr(kpy, fn)(*args)
 
 

@@ -90,8 +90,32 @@ def test_objective_function_matches_independent_form(rng):
     sample = WeightedSample(pts, w)
     fit = fit_weighted_logconcave(sample)
     got = objective(sample, fit.knots, fit.phi)
-    # the public objective evaluates knots that are a subset of the points
-    assert got == pytest.approx(fit.objective, abs=1e-12)
+    # the public objective evaluates knots that are a subset of the points,
+    # with the solver's own formula of psi
+    assert got == fit.objective
+    assert got == pytest.approx(independent_objective(
+        sample.points, sample.weights, eval_log_density(fit, sample.points)), abs=1e-12)
+
+
+@pytest.mark.parametrize("rounds", [None, 1, 2, 3], ids=["uncapped", "rounds_1",
+                                                         "rounds_2", "rounds_3"])
+def test_objective_is_the_fits_psi_to_the_bit(request, python_backend, monkeypatch,
+                                              rounds):
+    # a fit's objective is psi at the knots and phi it returns, on either
+    # backend, also when the round cap ends the fit right after a release
+    if rounds is not None:
+        monkeypatch.setattr(logcon, "_MAX_OUTER_ITERS", rounds)
+    for backend in ("python", "compiled"):
+        if backend == "compiled":  # fetched after the python pass has run
+            request.getfixturevalue("compiled_kernels")
+        kernels.set_backend(backend)
+        rng = np.random.default_rng(26)
+        for _ in range(40):
+            m = int(rng.integers(5, 301))
+            sample = WeightedSample.from_observations(rng.normal(0.0, 1.0, m),
+                                                      rng.uniform(0.0, 1.0, m))
+            fit = fit_weighted_logconcave(sample)
+            assert objective(sample, fit.knots, fit.phi) == fit.objective, (backend, m)
 
 
 def test_affine_equivariance(rng):
