@@ -293,7 +293,6 @@ class _EmState:
     p: float
     omega: np.ndarray
     fit: LogConcaveFit
-    f_values: np.ndarray
     trace: List[float]
     iterations: int
     converged: bool
@@ -320,14 +319,13 @@ def _em_pass(grid: _Grid, f0_values: np.ndarray, omega0: np.ndarray,
     comes at step 0, before any fit.
     """
     n = f0_values.size
-    omega, fit, f_values, trace = omega0, None, None, []
+    omega, fit, trace = omega0, None, []
     for step in range(cfg.max_iters + 1):
         unknown_mass = float((1.0 - omega).sum())
         if step and n - unknown_mass < _MIN_COMPONENT_MASS * n:
             omega = np.zeros_like(omega)
             fit = m_step_f(grid, omega, init=fit)
-            return _EmState(1.0, omega, fit, grid.f_values(fit), trace, step,
-                            True, "AllUnknown")
+            return _EmState(1.0, omega, fit, trace, step, True, "AllUnknown")
         if not 0 < step <= clamp_iters:
             p = unknown_mass / n  # m_step_p(omega): np.mean is this sum / n
         try:
@@ -337,18 +335,15 @@ def _em_pass(grid: _Grid, f0_values: np.ndarray, omega0: np.ndarray,
             # fit slot still needs a density; before any fit, the pooled MLE.
             if fit is None:
                 fit = fit_weighted_logconcave(grid.sample(np.full(n, 1.0 / n)))
-                f_values = grid.f_values(fit)
-                trace.append(e_step(0.0, f0_values, f_values)[1])
-            return _EmState(0.0, np.ones(n), fit, f_values, trace, step, True,
-                            "AllKnown")
-        f_values = grid.f_values(fit)
-        omega, loglik = e_step(p, f0_values, f_values)
+                trace.append(e_step(0.0, f0_values, grid.f_values(fit))[1])
+            return _EmState(0.0, np.ones(n), fit, trace, step, True, "AllKnown")
+        omega, loglik = e_step(p, f0_values, grid.f_values(fit))
         trace.append(loglik)
         if step and abs(loglik - trace[-2]) <= cfg.tol_loglik * (1.0 + abs(trace[-2])):
             if step > clamp_iters:
-                return _EmState(p, omega, fit, f_values, trace, step, True, None)
+                return _EmState(p, omega, fit, trace, step, True, None)
             clamp_iters = step  # f has settled with p held: release p
-    return _EmState(p, omega, fit, f_values, trace, cfg.max_iters, False, None)
+    return _EmState(p, omega, fit, trace, cfg.max_iters, False, None)
 
 
 def run_em(points: Sequence[float], f0: KnownComponent,
@@ -399,14 +394,15 @@ def run_em(points: Sequence[float], f0: KnownComponent,
     if state.degenerate is None:
         # Polish p to its fixed point under the final fit so that
         # p_hat == mean(1 - omega) holds exactly on the returned result.
+        f_values = grid.f_values(state.fit)
         for _ in range(_P_POLISH_MAX):
-            omega = e_step(p, f0_values, state.f_values)[0]
+            omega = e_step(p, f0_values, f_values)[0]
             p_new = m_step_p(omega)
             shift = abs(p_new - p)
             p = p_new
             if shift <= _P_POLISH_TOL:
                 break
-        trace = trace + [e_step(p, f0_values, state.f_values)[1]]
+        trace = trace + [e_step(p, f0_values, f_values)[1]]
 
     report = check_identifiability(f0, state.fit)
     omega_in_order = np.empty_like(omega)

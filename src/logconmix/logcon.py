@@ -55,9 +55,11 @@ replaces the closed form for small |z|), and that e^phi at the points is
 also what an EM E-step needs.
 
 Per-point work runs on the sample's ``_Grid``, which holds the sorted
-observations: the segment of each point comes from the knot indices by
-``np.repeat``, the latest knot set's per-point data is reused until the
-knots change, and e^phi of the latest fit is kept for the observations.
+observations and maps knots to point indices (``knot_indices``): the
+segment of each point comes from the knot indices by ``np.repeat``, the
+latest knot set's per-point data is reused until the knots change, and
+``_Grid.f_values`` hands over e^phi at the observations from the latest fit
+and reads any other fit with :func:`eval_log_density`, to the same bits.
 """
 
 from __future__ import annotations
@@ -180,22 +182,28 @@ class LogConcaveFit:
     converged: bool
 
     def __post_init__(self):
-        kn = np.asarray(self.knots, dtype=float)
-        ph = np.asarray(self.phi, dtype=float)
-        if kn.ndim != 1 or ph.ndim != 1 or kn.size != ph.size or kn.size < 2:
-            raise ValueError("knots and phi must be 1-D arrays of equal length >= 2")
-        if not np.isfinite(kn).all():
-            raise ValueError("knots must be finite")
-        if not (kn[1:] > kn[:-1]).all():
-            raise ValueError("knots must be strictly ascending")
-        if not np.isfinite(ph).all():
-            raise ValueError("phi values must be finite")
+        kn, ph = _knots_phi(self.knots, self.phi)
         object.__setattr__(self, "knots", kn)
         object.__setattr__(self, "phi", ph)
 
     @property
     def support(self):
         return float(self.knots[0]), float(self.knots[-1])
+
+
+def _knots_phi(knots, phi):
+    """``knots`` and ``phi`` as float arrays, checked as a fit holds them."""
+    kn = np.asarray(knots, dtype=float)
+    ph = np.asarray(phi, dtype=float)
+    if kn.ndim != 1 or ph.ndim != 1 or kn.size != ph.size or kn.size < 2:
+        raise ValueError("knots and phi must be 1-D arrays of equal length >= 2")
+    if not np.isfinite(kn).all():
+        raise ValueError("knots must be finite")
+    if not (kn[1:] > kn[:-1]).all():
+        raise ValueError("knots must be strictly ascending")
+    if not np.isfinite(ph).all():
+        raise ValueError("phi values must be finite")
+    return kn, ph
 
 
 class _KnotSet:
@@ -247,9 +255,9 @@ class _KnotSet:
         return phi, s, z
 
     def lerp(self, phi_k, k):
-        """phi at point k as ``kernels.interp_to_points`` computes it, so
-        that a released knot starts at the same value as before the grid
-        code and the fits stay bit-identical."""
+        """phi at point k, bit for bit what ``kernels.interp_to_points``
+        gives there (``tests/test_workspace.py`` pins it): the value a
+        released knot starts at."""
         j = self.seg[k]
         return phi_k[j] + self.frac[k] * (phi_k[j + 1] - phi_k[j])
 
@@ -258,7 +266,7 @@ class _Grid:
     """Sorted observations that several fits share: their distinct values
     ``points``, on which every fit runs, each observation's tie group
     ``group`` (None when there are no ties), the spacings, the latest knot
-    set's per-point data, and e^phi at the points of the latest fit."""
+    set's per-point data, and the latest fit with its e^phi at the points."""
 
     def __init__(self, observations):
         keep = np.concatenate(([True], np.diff(observations) > 0.0))
@@ -288,6 +296,16 @@ class _Grid:
         w[[0, -1]] = np.maximum(w[[0, -1]], WEIGHT_FLOOR_SCALE / m)
         return WeightedSample(self.points, w / w.sum(), self)
 
+    def knot_indices(self, knots) -> np.ndarray:
+        """Indices of the ascending ``knots`` among the points, which must
+        hold them all, both end points included."""
+        x = self.points
+        kidx = x.searchsorted(knots)
+        if (kidx[0] != 0 or kidx[-1] != x.size - 1
+                or np.count_nonzero(x[kidx] != knots)):
+            raise ValueError("knots must be sample points, both end points included")
+        return kidx
+
     def knot_set(self, kidx) -> _KnotSet:
         if self._knots is None or not _same_bits(self._knots.kidx, kidx):
             self._knots = None  # freed before its successor is built
@@ -295,16 +313,12 @@ class _Grid:
         return self._knots
 
     def f_values(self, fit) -> np.ndarray:
-        """f = e^phi of ``fit`` at every observation; its knots must be
-        points. The latest fit here hands over the values its multiplier
-        check computed."""
+        """f = e^phi of ``fit`` at every observation, 0 outside its support:
+        the values the latest fit's multiplier check left here, or for any
+        other fit ``eval_log_density``'s, the same bits, knot set untouched."""
         known, values = self._density
         if known is not fit:
-            kidx = np.searchsorted(self.points, fit.knots)
-            if np.any(kidx >= self.points.size) or not np.array_equal(
-                    self.points[kidx], fit.knots):
-                raise ValueError("fit knots must be grid points")
-            values = np.exp(self.knot_set(kidx).phi_at(fit.phi)[0])
+            values = np.exp(eval_log_density(fit, self.points))
         return values if self.group is None else values[self.group]
 
 
@@ -419,23 +433,19 @@ def fit_weighted_logconcave(sample: WeightedSample,
     """Weighted log-concave MLE on the span of the sample points.
 
     ``init`` warm-starts from an earlier fit on the same point grid (its
-    knots must all be sample points, endpoints included); the default is the
+    knots must be sample points, both end points included); the default is the
     best log-linear density, i.e. the solution with every interior
     constraint active.
     """
     grid = sample._grid
     x = grid.points
     w = sample.weights
-    m = x.size
 
     if init is not None:
-        kidx = x.searchsorted(init.knots)
-        if (kidx[0] != 0 or kidx[-1] != m - 1
-                or np.count_nonzero(x[kidx] != init.knots)):
-            raise ValueError("warm start knots must be sample points, endpoints included")
+        kidx = grid.knot_indices(init.knots)
         phi_k = init.phi.copy()
     else:
-        kidx = np.array([0, m - 1], dtype=np.intp)
+        kidx = np.array([0, x.size - 1], dtype=np.intp)
         phi_k = np.full(2, -math.log(x[-1] - x[0]))
 
     converged = False
@@ -521,8 +531,7 @@ def fit_weighted_logconcave(sample: WeightedSample,
 
     fit = LogConcaveFit(knots=x[kidx], phi=phi_k, objective=psi,
                         kkt_residual=kkt, converged=converged)
-    if exp_phi is not None:
-        grid._density = (fit, exp_phi)
+    grid._density = (fit, exp_phi)
     return fit
 
 
@@ -568,25 +577,14 @@ def objective(sample: WeightedSample, knots, phi) -> float:
     """psi for a candidate phi given at ``knots``, as ``knot_grad_hess``
     forms it, so a fit's ``objective`` is what this returns for it.
 
-    ``knots`` must be sample points and include both sample endpoints.
-    Concavity of the candidate is not required here (the value is defined
-    either way); the fitting routine enforces it.
+    ``knots`` and ``phi`` are checked as a fit's, and every knot must be a
+    sample point, both end points included; concavity is not required (the
+    value is defined either way), the fitting routine enforces it.
     """
-    knots = np.asarray(knots, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if knots.ndim != 1 or phi.ndim != 1 or knots.size != phi.size or knots.size < 2:
-        raise ValueError("knots and phi must be 1-D arrays of equal length >= 2")
-    if not np.all(np.diff(knots) > 0.0):
-        raise ValueError("knots must be strictly ascending")
-    x = sample.points
-    kidx = np.searchsorted(x, knots)
-    if np.any(kidx >= x.size) or not np.array_equal(x[kidx], knots):
-        raise ValueError("knots must be a subset of the sample points")
-    if knots[0] != x[0] or knots[-1] != x[-1]:
-        raise ValueError("knots must include both sample endpoints")
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("phi values must be finite")
-    return K.knot_grad_hess(np.diff(knots), phi, _KnotSet(x, kidx).aggregate(sample.weights))[0]
+    knots, phi = _knots_phi(knots, phi)
+    grid = sample._grid
+    ks = grid.knot_set(grid.knot_indices(knots))
+    return K.knot_grad_hess(ks.dt, phi, ks.aggregate(sample.weights))[0]
 
 
 def fit_to_dict(fit: LogConcaveFit) -> dict:
@@ -614,6 +612,8 @@ def _doc_field(doc: dict, name: str, kinds: str, want: str, scalar: bool = True)
 
 def fit_from_dict(doc: dict) -> LogConcaveFit:
     """The fit that ``fit_to_dict`` wrote as ``doc``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a fit document must be a JSON object, got {type(doc).__name__}")
     knots, phi = (_doc_field(doc, k, "iuf", "numbers", scalar=False)
                   for k in ("knots", "phi"))
     objective, kkt = (float(_doc_field(doc, k, "iuf", "a number"))

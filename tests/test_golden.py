@@ -260,11 +260,12 @@ def test_an_in_loop_all_known_exit_keeps_the_previous_fit(monkeypatch):
 
     monkeypatch.setattr(em, "e_step", collapsing)
     monkeypatch.setattr(em, "m_step_f", recorded)
-    s = em._em_pass(_Grid(x), f0_values, np.full(x.size, 0.5), em.EmConfig(init="flat"))
+    grid = _Grid(x)
+    s = em._em_pass(grid, f0_values, np.full(x.size, 0.5), em.EmConfig(init="flat"))
     assert (s.converged, s.degenerate, s.iterations) == (True, "AllKnown", 2)
     assert s.p == 0.0 and np.all(s.omega == 1.0)
     assert len(fits) == 2 and s.fit is fits[-1]
-    assert len(e_steps) == 2 and s.f_values.tobytes() == e_steps[-1][0].tobytes()
+    assert len(e_steps) == 2 and grid.f_values(s.fit).tobytes() == e_steps[-1][0].tobytes()
     assert s.trace == [loglik for _, loglik in e_steps]
     assert _exit_digest(s.p, s.omega, s.fit, s.trace, s.iterations, s.converged,
                         s.degenerate) == EXIT_DIGESTS["all_known_in_loop"]

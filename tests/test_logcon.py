@@ -343,6 +343,39 @@ def test_fit_from_dict_names_a_missing_field():
                        "kkt_residual": 0.0, "converged": True})
 
 
+@pytest.mark.parametrize("doc", [[], "x", None, 1.5],
+                         ids=["array", "string", "null", "number"])
+def test_fit_document_that_is_not_an_object_is_named(tmp_path, doc):
+    # unchecked, indexing [] by a field name raised a TypeError: "list
+    # indices must be integers or slices, not str"
+    message = "a fit document must be a JSON object"
+    with pytest.raises(ValueError, match=message):
+        fit_from_dict(doc)
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_fit_json(str(path))
+
+
+@pytest.mark.parametrize("knots", [[0.0, 0.5, 3.0], [1.0, 2.0, 3.0], [0.0, 1.0, 2.0],
+                                   [0.0, 1.0, 4.0]],
+                         ids=["not_a_point", "no_left_end", "no_right_end",
+                              "beyond_the_right_end"])
+@pytest.mark.parametrize("use", ["warm_start", "objective"])
+def test_one_knot_lookup_serves_warm_starts_and_objective(use, knots):
+    # both map knots to sample points through _Grid.knot_indices, with its
+    # one message
+    sample = WeightedSample.from_observations([0.0, 1.0, 2.0, 3.0])
+    fit = LogConcaveFit(knots=np.array(knots), phi=np.full(3, -1.0), objective=0.0,
+                        kkt_residual=0.0, converged=True)
+    with pytest.raises(ValueError, match="^knots must be sample points, both end "
+                                         "points included$"):
+        if use == "warm_start":
+            fit_weighted_logconcave(sample, init=fit)
+        else:
+            objective(sample, fit.knots, fit.phi)
+
+
 def test_json_file_round_trip(tmp_path, rng):
     pts, w = random_small_sample(rng, 5)
     fit = fit_weighted_logconcave(WeightedSample(pts, w))

@@ -285,6 +285,18 @@ def test_e_step_density_equals_eval_log_density(rng, ties):
     other = LogConcaveFit(knots=fit.knots, phi=fit.phi.copy(), objective=fit.objective,
                           kkt_residual=fit.kkt_residual, converged=fit.converged)
     assert np.array_equal(grid.f_values(other), want)
+    # and so is a fit of another sample, whose knots are not grid points and
+    # whose support is narrower: the points outside it read 0, and the read
+    # leaves the solver's knot set cached
+    cached = grid._knots
+    inner = x[(x > np.quantile(x, 0.2)) & (x < np.quantile(x, 0.8))] + 1e-3
+    foreign = fit_weighted_logconcave(WeightedSample.from_observations(inner))
+    assert not np.isin(foreign.knots, grid.points).any()
+    got = grid.f_values(foreign)
+    assert np.array_equal(got, np.exp(eval_log_density(foreign, x)))
+    outside = (x < foreign.knots[0]) | (x > foreign.knots[-1])
+    assert outside.any() and np.all(got[outside] == 0.0) and np.all(got[~outside] > 0.0)
+    assert grid._knots is cached
 
 
 def test_m_step_f_workspace_and_array_paths_agree(rng):
