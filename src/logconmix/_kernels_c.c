@@ -1,15 +1,18 @@
 /* Compiled kernels for the weighted log-concave solver: the two functions
-   that logcon.py calls at every Newton point. They use the formulas of
-   _kernels_py (see there for the math and the stability notes) one segment
-   at a time, with libm's exp and expm1, and sum left to right. The python
-   kernels do the same operations in the same order, and setup.py builds
-   this file with -ffp-contract=off, so no multiply-add is fused: the two
-   backends agree to the bit.
+   that logcon.py calls. newton_solve runs the Newton loop on one knot set
+   (gradient test, tridiagonal step, ascent fallback, step bound, Armijo
+   halving, first blocking knot) in one call; knot_grad_hess evaluates one
+   point. Both evaluate points with grad_hess, the formulas of _kernels_py
+   (see there for the math and the stability notes) one segment at a time,
+   with libm's exp and expm1, and sum left to right, the Armijo slope g.d
+   included. The python kernels do the same operations in the same order,
+   and setup.py builds this file with -ffp-contract=off, so no multiply-add
+   is fused: the two backends agree to the bit.
 
    Each kernel takes three 1-d float64 arrays, or arguments that convert
-   safely to them, on R >= 2 knots: dt and hess_off have length R - 1 and
-   the rest length R. Any other shape raises ValueError naming the
-   argument. */
+   safely to them, on R >= 2 knots: dt of length R - 1, phi and the
+   weights of length R. Any other shape raises ValueError naming the
+   argument. newton_solve also takes its budget of steps, an integer. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -19,6 +22,8 @@
 
 #define SERIES_RADIUS 0.05       /* G2, G3 switch to series inside this |b - a| */
 #define VALUE_SERIES_RADIUS 1e-5 /* G1 switches to series inside this |b - a| */
+#define TOL_GRAD 1e-8            /* newton_solve's gradient test, _kernels_py's _TOL_GRAD */
+#define ARMIJO_C 0.25            /* its Armijo constant, _kernels_py's _ARMIJO_C */
 
 /* series coefficients through eps^8: 1/(k! (k+2)) for G2, 1/(k! (k+3)) for G3 */
 static const double G2C[9] = {1.0 / 2, 1.0 / 3, 1.0 / 8, 1.0 / 30, 1.0 / 144,
@@ -52,55 +57,46 @@ static void gfuns(double eps, double *g)
     g[2] = (eps * eps * ee - 2.0 * (eps * ee - em)) / (eps * eps * eps);
 }
 
-#define NARGS 3 /* every kernel takes three arrays */
-#define RMIN 2  /* on at least two knots */
+#define NARRAYS 3 /* every kernel takes three arrays first */
+#define RMIN 2    /* on at least two knots */
 
-/* The arguments of one kernel, as C-contiguous float64 arrays. */
+/* The arguments of one kernel: NARRAYS arrays, then nargs - NARRAYS
+   others. */
 typedef struct {
     const char *fn;
-    int ref;              /* the argument whose length is r */
-    const char *names[NARGS];
-    int off[NARGS];       /* argument i has length r + off[i] */
+    int nargs;
+    const char *names[NARRAYS];
+    int off[NARRAYS];     /* array i has length r + off[i] */
 } Spec;
 
 typedef struct {
-    PyArrayObject *arr[NARGS];
-    const double *p[NARGS];
-    npy_intp r;
+    PyArrayObject *arr[NARRAYS];
+    const double *p[NARRAYS];
+    npy_intp r;           /* the length of phi, the number of knots */
 } Args;
 
 static const Spec KNOT_GRAD_HESS = {
-    "knot_grad_hess", 1, {"dt", "phi", "weights"}, {-1, 0, 0}};
-static const Spec SOLVE_NEWTON_STEP = {
-    "solve_newton_step", 0, {"hess_diag", "hess_off", "grad"}, {0, -1, 0}};
+    "knot_grad_hess", 3, {"dt", "phi", "weights"}, {-1, 0, 0}};
+static const Spec NEWTON_SOLVE = {
+    "newton_solve", 4, {"dt", "phi", "weights"}, {-1, 0, 0}};
 
 static void release(Args *a)
 {
-    for (int i = 0; i < NARGS; i++)
+    for (int i = 0; i < NARRAYS; i++)
         Py_XDECREF(a->arr[i]);
 }
 
-/* Releases the arguments and the outputs made so far; NULL to return. */
-static PyObject *drop(Args *a, PyObject *o1, PyObject *o2, PyObject *o3)
-{
-    Py_XDECREF(o1);
-    Py_XDECREF(o2);
-    Py_XDECREF(o3);
-    release(a);
-    return NULL;
-}
-
-/* Fills a from the call's arguments; -1 with an exception set on a wrong
-   count, dtype, shape or length. */
+/* Fills a from the call's arrays, as C-contiguous float64; -1 with an
+   exception set on a wrong count, dtype, shape or length. */
 static int load(Args *a, const Spec *s, PyObject *const *args, Py_ssize_t nargs)
 {
     memset(a, 0, sizeof *a);
-    if (nargs != NARGS) {
+    if (nargs != s->nargs) {
         PyErr_Format(PyExc_TypeError, "%s() takes %d arguments (%zd given)",
-                     s->fn, NARGS, nargs);
+                     s->fn, s->nargs, nargs);
         return -1;
     }
-    for (int i = 0; i < NARGS; i++) {
+    for (int i = 0; i < NARRAYS; i++) {
         a->arr[i] = (PyArrayObject *)PyArray_FROM_OTF(args[i], NPY_DOUBLE,
                                                       NPY_ARRAY_IN_ARRAY);
         if (a->arr[i] == NULL)
@@ -112,13 +108,13 @@ static int load(Args *a, const Spec *s, PyObject *const *args, Py_ssize_t nargs)
         }
         a->p[i] = (const double *)PyArray_DATA(a->arr[i]);
     }
-    a->r = PyArray_DIM(a->arr[s->ref], 0);
+    a->r = PyArray_DIM(a->arr[1], 0);
     if (a->r < RMIN) {
         PyErr_Format(PyExc_ValueError, "%s: %s has length %zd, needs at least %d",
-                     s->fn, s->names[s->ref], (Py_ssize_t)a->r, RMIN);
+                     s->fn, s->names[1], (Py_ssize_t)a->r, RMIN);
         goto fail;
     }
-    for (int i = 0; i < NARGS; i++) {
+    for (int i = 0; i < NARRAYS; i++) {
         npy_intp want = a->r + s->off[i], got = PyArray_DIM(a->arr[i], 0);
         if (got != want) {
             PyErr_Format(PyExc_ValueError, "%s: %s has length %zd, expected %zd",
@@ -141,34 +137,19 @@ static PyObject *new_vector(npy_intp n, double **data)
     return out;
 }
 
-static double linear_term(const Args *a)
+/* psi at phi on r knots, with the gradient, the Hessian's diagonal and
+   off-diagonal, and mass[i] = dt[i] J(phi[i], phi[i+1]), J = exp(max) G1
+   as in _kernels_py; psi sums w phi and the masses left to right. */
+static double grad_hess(npy_intp r, const double *dt, const double *phi,
+                        const double *w, double *grad, double *hd, double *he,
+                        double *mass)
 {
-    double lin = 0.0;
-    for (npy_intp i = 0; i < a->r; i++)
-        lin += a->p[2][i] * a->p[1][i];
-    return lin;
-}
-
-/* (psi, grad, hess_diag, hess_off, mass), with mass[i] = dt[i] J(phi[i],
-   phi[i+1]), J = exp(max) G1 as in _kernels_py; psi sums mass left to
-   right. */
-static PyObject *knot_grad_hess(ARGS)
-{
-    Args a;
-    double *grad, *hd, *he, *mass, g[3];
-    if (load(&a, &KNOT_GRAD_HESS, args, nargs) < 0)
-        return NULL;
-    const double *dt = a.p[0], *phi = a.p[1];
-    PyObject *grad_o = new_vector(a.r, &grad), *hd_o = new_vector(a.r, &hd);
-    PyObject *he_o = new_vector(a.r - 1, &he), *mass_o = new_vector(a.r - 1, &mass);
-    if (grad_o == NULL || hd_o == NULL || he_o == NULL || mass_o == NULL) {
-        Py_XDECREF(mass_o);
-        return drop(&a, grad_o, hd_o, he_o);
-    }
-    memcpy(grad, a.p[2], a.r * sizeof(double));
-    memset(hd, 0, a.r * sizeof(double));
-    double integral = 0.0, lin = linear_term(&a);
-    for (npy_intp i = 0; i < a.r - 1; i++) {
+    double integral = 0.0, lin = 0.0, g[3];
+    for (npy_intp i = 0; i < r; i++)
+        lin += w[i] * phi[i];
+    memcpy(grad, w, r * sizeof(double));
+    memset(hd, 0, r * sizeof(double));
+    for (npy_intp i = 0; i < r - 1; i++) {
         double pa = phi[i], pb = phi[i + 1];
         double ehi = exp(pa >= pb ? pa : pb);
         gfuns(-fabs(pb - pa), g);
@@ -184,16 +165,37 @@ static PyObject *knot_grad_hess(ARGS)
         hd[i + 1] -= dt[i] * (b_hi ? near2 : far2);
         he[i] = -dt[i] * (ehi * (g[1] - g[2]));
     }
-    release(&a);
-    return Py_BuildValue("(dNNNN)", lin - integral + 1.0, grad_o, hd_o, he_o, mass_o);
+    return lin - integral + 1.0;
 }
 
-/* LDL^T sweep of (-H + delta I) y = grad into y, with dref and lsub as
-   scratch; 0 on a non-positive or non-finite pivot or result. */
-static int ldl_solve(const Args *a, double delta, double *dref, double *lsub, double *y)
+static PyObject *knot_grad_hess(ARGS)
 {
-    const double *diag = a->p[0], *off = a->p[1];
-    npy_intp n = a->r, i;
+    Args a;
+    double *grad, *hd, *he, *mass;
+    if (load(&a, &KNOT_GRAD_HESS, args, nargs) < 0)
+        return NULL;
+    PyObject *grad_o = new_vector(a.r, &grad), *hd_o = new_vector(a.r, &hd);
+    PyObject *he_o = new_vector(a.r - 1, &he), *mass_o = new_vector(a.r - 1, &mass);
+    if (grad_o == NULL || hd_o == NULL || he_o == NULL || mass_o == NULL) {
+        Py_XDECREF(grad_o);
+        Py_XDECREF(hd_o);
+        Py_XDECREF(he_o);
+        Py_XDECREF(mass_o);
+        release(&a);
+        return NULL;
+    }
+    double psi = grad_hess(a.r, a.p[0], a.p[1], a.p[2], grad, hd, he, mass);
+    release(&a);
+    return Py_BuildValue("(dNNNN)", psi, grad_o, hd_o, he_o, mass_o);
+}
+
+/* LDL^T sweep of (-H + delta I) y = grad into y on n knots, with dref and
+   lsub as scratch; 0 on a non-positive or non-finite pivot or result. */
+static int ldl_solve(npy_intp n, const double *diag, const double *off,
+                     const double *grad, double delta, double *dref,
+                     double *lsub, double *y)
+{
+    npy_intp i;
     dref[0] = -diag[0] + delta;
     if (!(dref[0] > 0.0 && isfinite(dref[0])))
         return 0;
@@ -204,7 +206,7 @@ static int ldl_solve(const Args *a, double delta, double *dref, double *lsub, do
         if (!(dref[i + 1] > 0.0 && isfinite(dref[i + 1])))
             return 0;
     }
-    memcpy(y, a->p[2], n * sizeof(double));
+    memcpy(y, grad, n * sizeof(double));
     for (i = 1; i < n; i++)
         y[i] -= lsub[i - 1] * y[i - 1];
     for (i = 0; i < n; i++)
@@ -217,28 +219,174 @@ static int ldl_solve(const Args *a, double delta, double *dref, double *lsub, do
     return 1;
 }
 
-static PyObject *solve_newton_step(ARGS)
+/* (-H) y = grad, with delta = 1e-12 (1 + max|diag|) added to -H's
+   diagonal, doubling, after a failed sweep; scratch holds 2n doubles.
+   -1 with FloatingPointError set when 60 sweeps fail. */
+static int newton_step(npy_intp n, const double *hd, const double *he,
+                       const double *grad, double *scratch, double *y)
 {
-    Args a;
-    double *y, *scratch, base = 0.0, delta = 0.0;
-    if (load(&a, &SOLVE_NEWTON_STEP, args, nargs) < 0)
-        return NULL;
-    PyObject *res = new_vector(a.r, &y), *tmp = new_vector(2 * a.r, &scratch);
-    if (res == NULL || tmp == NULL)
-        return drop(&a, res, tmp, NULL);
-    for (npy_intp i = 0; i < a.r; i++)
-        base = fmax(base, fabs(a.p[0][i]));  /* a NaN entry is skipped */
+    double base = 0.0, delta = 0.0;
+    for (npy_intp i = 0; i < n; i++)
+        base = fmax(base, fabs(hd[i]));  /* a NaN entry is skipped */
     base = 1e-12 * (1.0 + base);
-    int ok = 0;
-    for (int attempt = 0; attempt < 60 && !ok; attempt++) {
-        ok = ldl_solve(&a, delta, scratch, scratch + a.r, y);
+    for (int attempt = 0; attempt < 60; attempt++) {
+        if (ldl_solve(n, hd, he, grad, delta, scratch, scratch + n, y))
+            return 0;
         delta = delta == 0.0 ? base : 2.0 * delta;
     }
-    if (!ok)
-        PyErr_SetString(PyExc_FloatingPointError,
-                        "tridiagonal Newton system could not be stabilized");
-    drop(&a, tmp, ok ? NULL : res, NULL);
-    return ok ? res : NULL;
+    PyErr_SetString(PyExc_FloatingPointError,
+                    "tridiagonal Newton system could not be stabilized");
+    return -1;
+}
+
+/* The largest alpha that keeps the slopes of phi + alpha dir nonincreasing,
+   INFINITY if none bounds it, with the interior knot that blocks it in
+   *block (-1 if none). As _step_bound in _kernels_py: the least ratio of
+   the clamped curvature to the direction's, over the knots where the
+   direction's is below -1e-300, the first of ties; a NaN ratio frees the
+   step. */
+static double step_bound(npy_intp r, const double *inv, const double *phi,
+                         const double *dir, npy_intp *block)
+{
+    double alpha = INFINITY;
+    *block = -1;
+    for (npy_intp j = 0; j + 2 < r; j++) {
+        double c_dir = (dir[j + 1] - dir[j]) * inv[j]
+                       - (dir[j + 2] - dir[j + 1]) * inv[j + 1];
+        if (!(c_dir < -1e-300))
+            continue;
+        double c = (phi[j + 1] - phi[j]) * inv[j]
+                   - (phi[j + 2] - phi[j + 1]) * inv[j + 1];
+        double ratio = (c <= 0.0 ? 0.0 : c) / -c_dir;
+        if (isnan(ratio)) {
+            *block = -1;
+            return INFINITY;
+        }
+        if (ratio < alpha) {
+            alpha = ratio;
+            *block = j + 1;  /* constraint j sits at interior knot j + 1 */
+        }
+    }
+    return alpha;
+}
+
+static double inner(npy_intp n, const double *a, const double *b)
+{
+    double acc = 0.0;
+    for (npy_intp i = 0; i < n; i++)
+        acc += a[i] * b[i];
+    return acc;
+}
+
+/* One knot set's point: psi with its derivatives and segment masses. */
+typedef struct {
+    double psi, *grad, *hd, *he, *mass;
+} Point;
+
+/* (phi, mass, stalled, block, steps, evals): Newton's method with Armijo
+   backtracking from phi, as newton_solve in _kernels_py, which documents
+   it. */
+static PyObject *newton_solve(ARGS)
+{
+    Args a;
+    if (load(&a, &NEWTON_SOLVE, args, nargs) < 0)
+        return NULL;
+    Py_ssize_t max_steps = PyNumber_AsSsize_t(args[3], PyExc_OverflowError);
+    if (max_steps == -1 && PyErr_Occurred()) {
+        release(&a);
+        return NULL;
+    }
+    npy_intp r = a.r;
+    const double *dt = a.p[0], *w = a.p[2];
+    /* per knot: p, cand, step, two points' grad and hd, and 2 for the
+       sweep; per segment: inv and two points' he and mass */
+    double *buf = PyMem_Malloc((9 * r + 5 * (r - 1)) * sizeof(double));
+    if (buf == NULL) {
+        release(&a);
+        return PyErr_NoMemory();
+    }
+    double *p = buf, *cand = p + r, *step = cand + r, *scratch = step + r;
+    double *inv = scratch + 2 * r;
+    Point cur = {0.0, inv + (r - 1), NULL, NULL, NULL}, trial = cur;
+    cur.hd = cur.grad + r;
+    trial.grad = cur.hd + r;
+    trial.hd = trial.grad + r;
+    cur.he = trial.hd + r;
+    cur.mass = cur.he + (r - 1);
+    trial.he = cur.mass + (r - 1);
+    trial.mass = trial.he + (r - 1);
+
+    for (npy_intp i = 0; i < r - 1; i++)
+        inv[i] = 1.0 / dt[i];
+    memcpy(p, a.p[1], r * sizeof(double));
+    cur.psi = grad_hess(r, dt, p, w, cur.grad, cur.hd, cur.he, cur.mass);
+    Py_ssize_t steps = 0, evals = 1;
+    npy_intp block = -1;
+    int stalled = 0;
+    while (steps < max_steps) {
+        npy_intp i = 0;
+        while (i < r && fabs(cur.grad[i]) <= TOL_GRAD)
+            i++;
+        if (i == r)
+            break;
+        steps++;
+        if (newton_step(r, cur.hd, cur.he, cur.grad, scratch, step) < 0) {
+            PyMem_Free(buf);
+            release(&a);
+            return NULL;
+        }
+        double slope = inner(r, cur.grad, step);
+        if (!(0.0 < slope && slope < INFINITY)) {
+            memcpy(step, cur.grad, r * sizeof(double));  /* ascent fallback */
+            slope = inner(r, cur.grad, cur.grad);
+        }
+        npy_intp j_block;
+        double alpha_bar = step_bound(r, inv, p, step, &j_block);
+        double alpha = alpha_bar < 1.0 ? alpha_bar : 1.0;
+        if (alpha_bar > 1e-300) {  /* else blocked at once: activate without moving */
+            while (alpha > 1e-16) {
+                for (i = 0; i < r; i++)
+                    cand[i] = step[i] * alpha + p[i];
+                trial.psi = grad_hess(r, dt, cand, w, trial.grad, trial.hd,
+                                      trial.he, trial.mass);
+                evals++;
+                if (trial.psi >= cur.psi + ARMIJO_C * alpha * slope)
+                    break;
+                alpha *= 0.5;
+            }
+            if (!(alpha > 1e-16) || (trial.psi <= cur.psi && alpha != alpha_bar)) {
+                stalled = 1;  /* no alpha improves, or no gain in psi: not taken */
+                break;
+            }
+            double *swap = p;
+            p = cand;
+            cand = swap;
+            Point held = cur;
+            cur = trial;
+            trial = held;
+        }
+        if (alpha == alpha_bar) {
+            block = j_block;  /* boundary hit: this constraint turns active */
+            break;
+        }
+    }
+    release(&a);
+    double *phi_out, *mass_out;
+    PyObject *phi_o = new_vector(r, &phi_out), *mass_o = new_vector(r - 1, &mass_out);
+    if (phi_o == NULL || mass_o == NULL) {
+        Py_XDECREF(phi_o);
+        Py_XDECREF(mass_o);
+        PyMem_Free(buf);
+        return NULL;
+    }
+    memcpy(phi_out, p, r * sizeof(double));
+    memcpy(mass_out, cur.mass, (r - 1) * sizeof(double));
+    PyMem_Free(buf);
+    if (block < 0)
+        return Py_BuildValue("(NNOOnn)", phi_o, mass_o, stalled ? Py_True : Py_False,
+                             Py_None, steps, evals);
+    return Py_BuildValue("(NNOnnn)", phi_o, mass_o, stalled ? Py_True : Py_False,
+                         (Py_ssize_t)block, steps, evals);
 }
 
 #define KERNEL(name, doc) \
@@ -247,7 +395,9 @@ static PyObject *solve_newton_step(ARGS)
 static PyMethodDef methods[] = {
     KERNEL(knot_grad_hess,
            "knot_grad_hess(dt, phi, weights) -> (psi, grad, hd, he, mass)."),
-    KERNEL(solve_newton_step, "solve_newton_step(hd, he, grad): d with (-H) d = grad."),
+    KERNEL(newton_solve,
+           "newton_solve(dt, phi, weights, max_steps) -> "
+           "(phi, mass, stalled, block, steps, evals)."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,17 +1,20 @@
 """Reference kernels for the weighted log-concave solver.
 
 This module is the reference implementation of the two kernels that the
-solver in ``logcon`` calls at every Newton point, ``knot_grad_hess`` and
-``solve_newton_step``; the C extension built from ``_kernels_c.c``
-implements the same two with the same operations in the same order, so the
-two backends return the same bits. The psi of ``knot_grad_hess`` is the
-only formula of the objective; the solver's Armijo value and
-``logcon.objective`` read it.
+solver in ``logcon`` calls: ``newton_solve``, the Newton loop on one knot
+set in one call, and ``knot_grad_hess``, the objective with its
+derivatives at one point, which logcon calls once per round. The C
+extension built from ``_kernels_c.c`` implements the same two with the
+same operations in the same order, so the two backends return the same
+bits. Both run on list cores: ``_grad_hess`` at every point,
+``_newton_step`` for every step and ``_step_bound`` for its bound. The
+psi of ``_grad_hess`` is the only formula of the objective; the Armijo
+test and ``logcon.objective`` read it.
 ``segment_integrals``, which ``logcon.cdf`` calls on every backend to
-evaluate a finished fit, has no compiled twin; nor have the views
-``knot_objective`` and ``integral_grad_terms`` and the per-point kernels at
-the end of the module, which stay as test oracles and for the benchmark's
-tracer.
+evaluate a finished fit, has no compiled twin; nor have the array views
+``knot_objective``, ``integral_grad_terms``, ``solve_newton_step`` and
+``_max_feasible_step`` and the per-point kernels at the end of the module,
+which stay as test oracles and for the benchmark's tracer.
 
 Central object: the exponential-segment integral
 
@@ -38,12 +41,14 @@ Stability notes, used identically in both backends:
   ``logcon``'s hinge tail, on floats and on arrays.
 
 Two layouts of the same formulas:
-- ``knot_grad_hess`` works on the R - 1 segments of one knot set, and the
-  solver calls it at every Newton point. R is small (about 6 in a
-  Monte-Carlo M-step, about 16 at n = 1e5), and one numpy call (~0.5-1 us)
-  costs about as much as the ~40 flops of a whole segment, so it runs one
-  segment at a time on Python floats. It is a line-for-line twin of the C
-  kernel and returns its bits:
+- ``_grad_hess`` works on the R - 1 segments of one knot set, and
+  ``newton_solve`` calls it at every point it visits. R is small (about 6
+  in a Monte-Carlo M-step, about 16 at n = 1e5), and one numpy call
+  (~0.5-1 us) costs about as much as the ~40 flops of a whole segment, so
+  it runs one segment at a time on Python floats, and ``newton_solve``
+  keeps phi, the gradient, the Hessian and the step as lists from its one
+  argument check to its return. They are line-for-line twins of the C
+  kernels and return their bits:
   - ``math.exp`` and ``math.expm1`` call the C library's exp and expm1,
     as the C does. Where exp overflows, ``math.exp`` raises OverflowError
     and the C's exp gives inf; the python kernel then takes inf.
@@ -51,14 +56,18 @@ Two layouts of the same formulas:
     operations; every expression keeps the C's order of operations, and
     the build keeps the compiler from fusing a multiply and an add
     (``-ffp-contract=off`` in setup.py).
-  - Sums run left to right in explicit loops, as the C's do: the builtin
-    ``sum`` compensates its rounding on Python >= 3.12, and ``ndarray.dot``
-    and ``ndarray.sum`` do not add left to right.
+  - Sums run left to right in explicit loops, as the C's do, the Armijo
+    slope g.d included: the builtin ``sum`` compensates its rounding on
+    Python >= 3.12, ``ndarray.sum`` sums pairwise, and ``ndarray.dot``
+    goes through BLAS, whose order depends on the kernel that OpenBLAS
+    selects for the CPU.
   - Python raises ZeroDivisionError where C returns inf, so the float code
     divides only by values that cannot be zero: by eps only where
-    |eps| >= 1e-5.
-  It is the only place where J's partials and psi are formed:
-  ``integral_grad_terms`` reads its gradient and ``knot_objective`` its psi.
+    |eps| >= 1e-5, by pivots that are positive, and 1/dt is taken as the
+    C takes it, an infinity of dt's sign at a zero width.
+  ``_grad_hess`` is the only place where J's partials and psi are formed:
+  ``knot_grad_hess`` returns them as arrays, ``integral_grad_terms`` reads
+  its gradient and ``knot_objective`` its psi.
 - J's value alone (``j_values``, and ``segment_integrals`` through it)
   takes arrays of any shape, one numpy call per step of the formula for all
   entries, with numpy's exp and expm1. These give the bits of the array
@@ -69,11 +78,17 @@ Two layouts of the same formulas:
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 _SERIES_RADIUS = 0.05  # G2, G3 switch to series inside this |b - a|
 _VALUE_SERIES_RADIUS = 1e-5  # G1 switches to series inside this |b - a|
+# newton_solve stops at a gradient within _TOL_GRAD of zero in every entry
+# (logcon's KKT tolerance), and its line search asks for a rise in psi of
+# at least _ARMIJO_C times the slope's
+_TOL_GRAD = 1e-8
+_ARMIJO_C = 0.25
 
 # series coefficients, lowest power first: G1_k = 1/(k+1)! through eps^3,
 # G2_k = 1/(k! (k+2)) and G3_k = 1/(k! (k+3)) through eps^8
@@ -82,7 +97,8 @@ _G2_COEF = [1.0 / (math.factorial(k) * (k + 2)) for k in range(9)]
 _G3_COEF = [1.0 / (math.factorial(k) * (k + 3)) for k in range(9)]
 
 # (names, the argument whose length R sets the others, their offsets from
-# R) of the knot kernels' arguments, as _kernels_c.c checks them
+# R) of the arrays that the knot kernels take, as _kernels_c.c checks them,
+# and of those of the view solve_newton_step
 _KNOT_ARGS = (("dt", "phi", "weights"), 1, (-1, 0, 0))
 _NEWTON_ARGS = (("hess_diag", "hess_off", "grad"), 0, (0, -1, 0))
 
@@ -169,6 +185,16 @@ def knot_grad_hess(dt, phi, weights):
     off-diagonal ``hess_off`` (length R-1). It is negative definite.
     ``mass`` holds dt_j J(phi_j, phi_{j+1}), and psi is
     ``sum(W phi) - sum(mass) + 1`` with both sums taken left to right.
+    An array view of ``_grad_hess``, which ``newton_solve`` calls at every
+    point it visits.
+    """
+    dt, phi, weights = _vectors("knot_grad_hess", _KNOT_ARGS, (dt, phi, weights))
+    psi, grad, hd, he, mass = _grad_hess(dt.tolist(), phi.tolist(), weights.tolist())
+    return psi, np.array(grad), np.array(hd), np.array(he), np.array(mass)
+
+
+def _grad_hess(dt, p, w):
+    """``knot_grad_hess`` on lists, returning lists.
 
     Per segment: with ehi = exp(max(a, b)) and gk as in ``j_values``, J =
     ehi g1; the partials wrt the smaller argument are ehi g2 and ehi g3,
@@ -176,20 +202,18 @@ def knot_grad_hess(dt, phi, weights):
     d2J/dadb = ehi (g2 - g3). The gradient starts from the weights and the
     Hessian diagonal from zeros, and each segment subtracts its terms from
     its two knots, so knot i takes segment i - 1's terms before segment
-    i's. Every operation is that of ``knot_grad_hess`` in _kernels_c.c, in
-    its order.
+    i's. Every operation is that of ``grad_hess`` in _kernels_c.c, in its
+    order.
     """
-    dt, phi, weights = _vectors("knot_grad_hess", _KNOT_ARGS, (dt, phi, weights))
-    p = phi.tolist()
-    grad = weights.tolist()  # the weights, until the segment loop subtracts
+    grad = list(w)  # the weights, until the segment loop subtracts
     lin = 0.0
-    for wi, x in zip(grad, p):
+    for wi, x in zip(w, p):
         lin += wi * x
     hd = [0.0] * len(p)
     he = []
     mass = []
     integral = 0.0
-    for i, d in enumerate(dt.tolist()):
+    for i, d in enumerate(dt):
         a = p[i]
         b = p[i + 1]
         try:
@@ -227,61 +251,183 @@ def knot_grad_hess(dt, phi, weights):
             hd[i] -= d * near2
             hd[i + 1] -= d * far2
         he.append(-d * (ehi * (g2 - g3)))
-    return lin - integral + 1.0, np.array(grad), np.array(hd), np.array(he), np.array(mass)
+    return lin - integral + 1.0, grad, hd, he, mass
 
 
 def solve_newton_step(hess_diag, hess_off, grad):
-    """Solve (-H) d = grad for the ascent direction d.
+    """Solve (-H) d = grad for the ascent direction d: an array view of
+    ``_newton_step``, which ``newton_solve`` calls at every step."""
+    hess_diag, hess_off, grad = _vectors("solve_newton_step", _NEWTON_ARGS,
+                                         (hess_diag, hess_off, grad))
+    return np.array(_newton_step(hess_diag.tolist(), hess_off.tolist(), grad.tolist()))
+
+
+def _newton_step(hd, he, grad):
+    """``solve_newton_step`` on lists, returning a list.
 
     -H is symmetric tridiagonal and positive definite in exact arithmetic.
     If the LDL^T sweep hits a non-positive or non-finite pivot (possible when
     a segment's density mass underflows), the diagonal is regularized by
-    delta = 1e-12 * (1 + max|diag|), doubling until the sweep succeeds.
+    delta = 1e-12 * (1 + max|diag|), doubling until the sweep succeeds. A
+    diagonal that holds a NaN or an infinity fails every sweep, whatever
+    delta is, so the C's max, which skips a NaN, gives the same result.
     """
-    hess_diag, hess_off, grad = _vectors("solve_newton_step", _NEWTON_ARGS,
-                                         (hess_diag, hess_off, grad))
-    adiag = (-hess_diag).tolist()
-    aoff = (-hess_off).tolist()
-    rhs = grad.tolist()
     delta = 0.0
     for _ in range(60):
-        d = _ldl_tridiag_solve([v + delta for v in adiag] if delta else adiag,
-                               aoff, rhs)
+        d = _ldl_tridiag_solve(hd, he, grad, delta)
         if d is not None:
             return d
-        delta = 2.0 * delta if delta else 1e-12 * (1.0 + float(np.max(np.abs(adiag))))
+        delta = 2.0 * delta if delta else 1e-12 * (1.0 + max(map(abs, hd)))
     raise FloatingPointError("tridiagonal Newton system could not be stabilized")
 
 
-def _ldl_tridiag_solve(diag, off, rhs):
-    """LDL^T solve of the tridiagonal system, given as lists; None on a bad
+def _ldl_tridiag_solve(hd, he, rhs, delta):
+    """LDL^T solve of (-H + delta I) y = rhs, with H given by the lists of
+    its diagonal and off-diagonal; None on a non-positive or non-finite
     pivot or result.
 
     The recurrences are serial, so they run on Python floats: the same IEEE
-    double operations, in the same order, as on numpy scalars.
+    double operations, in the same order, as ``ldl_solve`` in _kernels_c.c.
     """
-    n = len(diag)
-    piv = diag[0]
-    if not (piv > 0.0 and math.isfinite(piv)):
+    piv = -hd[0] + delta
+    if not 0.0 < piv < math.inf:
         return None
     dref = [piv]
     lsub = []
-    for i in range(n - 1):
-        lo = off[i] / piv
-        piv = diag[i + 1] - off[i] * lo
-        if not (piv > 0.0 and math.isfinite(piv)):
+    for i in range(len(hd) - 1):
+        aoff = -he[i]
+        lo = aoff / piv
+        piv = -hd[i + 1] + delta - aoff * lo
+        if not 0.0 < piv < math.inf:
             return None
         lsub.append(lo)
         dref.append(piv)
     y = list(rhs)
-    for i in range(1, n):
+    for i in range(1, len(y)):
         y[i] -= lsub[i - 1] * y[i - 1]
     y = [v / d for v, d in zip(y, dref)]
-    for i in range(n - 2, -1, -1):
+    for i in range(len(y) - 2, -1, -1):
         y[i] -= lsub[i] * y[i + 1]
     if not all(map(math.isfinite, y)):
         return None
-    return np.array(y)
+    return y
+
+
+def _inverses(dt):
+    """1 / dt_j per segment as the C divides: a zero width gives an
+    infinity of its sign, where Python would raise."""
+    return [1.0 / d if d else math.copysign(math.inf, d) for d in dt]
+
+
+def _max_feasible_step(dt, phi, direction):
+    """The step bound of ``newton_solve`` on arrays: an array view of
+    ``_step_bound`` at 1 / dt, for the tests."""
+    return _step_bound(_inverses(np.asarray(dt, dtype=float).tolist()),
+                       np.asarray(phi, dtype=float).tolist(),
+                       np.asarray(direction, dtype=float).tolist())
+
+
+def _step_bound(inv_dt, p, direction):
+    """Largest alpha keeping the knot slopes of p + alpha direction
+    nonincreasing, with the interior knot that blocks it; (inf, None) if
+    free. From lists of 1 / dt, the knot values and the direction.
+
+    Over the interior knots in order, where the direction's curvature (the
+    slope decrease) is below -1e-300, the least ratio of the curvature of
+    p, clamped at 0, to minus the direction's blocks; the first of tied
+    ratios wins, and a NaN ratio frees the step, as the argmin of an array
+    holding them would. One pass, as ``step_bound`` in _kernels_c.c.
+    """
+    alpha, j_block = math.inf, None
+    for j in range(len(p) - 2):
+        c_dir = ((direction[j + 1] - direction[j]) * inv_dt[j]
+                 - (direction[j + 2] - direction[j + 1]) * inv_dt[j + 1])
+        if c_dir < -1e-300:
+            c = (p[j + 1] - p[j]) * inv_dt[j] - (p[j + 2] - p[j + 1]) * inv_dt[j + 1]
+            # a roundoff-negative slack (and -0.0) is clamped to 0.0
+            ratio = (0.0 if c <= 0.0 else c) / -c_dir
+            if ratio != ratio:
+                return math.inf, None
+            if ratio < alpha:
+                alpha, j_block = ratio, j + 1  # constraint j sits at interior knot j + 1
+    return alpha, j_block
+
+
+def _inner(a, b):
+    """sum_i a_i b_i, left to right, as the C sums: ``ndarray.dot`` goes
+    through BLAS, whose summation order depends on the CPU it selects."""
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
+
+
+def newton_solve(dt, phi, weights, max_steps):
+    """Newton's method with Armijo backtracking on one knot set, from phi.
+
+    Returns ``(phi, mass, stalled, block, steps, evals)``: the last point
+    accepted and its segment masses (arrays), whether the round stalled,
+    the interior knot whose constraint the last step activated (None if
+    none did), and the counts of Newton steps and of ``_grad_hess`` points
+    evaluated, the start included. The solve stops
+
+    - when every gradient entry is within ``_TOL_GRAD`` of zero, or after
+      ``max_steps`` steps (the start is then returned as it was evaluated,
+      so 0 steps gives its masses);
+    - as stalled, when no alpha above 1e-16 meets the Armijo condition,
+      or the line search accepts a point no higher in psi short of a
+      boundary hit; that step is not taken;
+    - at a boundary hit: the step is truncated at alpha_bar, the largest
+      alpha that keeps phi concave, and ``block`` is the knot that
+      bounds it. A step bounded below 1e-300 activates the knot without
+      moving. The caller drops the knot and calls again with what is left
+      of its budget.
+
+    A step is the solution of (-H) d = grad, or the gradient itself when
+    the slope g.d is not positive and finite (H was unusable); the slope
+    is summed left to right. Every operation is that of ``newton_solve``
+    in _kernels_c.c, in its order.
+    """
+    dt, phi, weights = _vectors("newton_solve", _KNOT_ARGS, (dt, phi, weights))
+    max_steps = operator.index(max_steps)
+    d = dt.tolist()
+    w = weights.tolist()
+    inv_dt = _inverses(d)
+    p = phi.tolist()
+    psi, grad, hd, he, mass = _grad_hess(d, p, w)
+    steps, evals = 0, 1
+    stalled, block = False, None
+    while steps < max_steps:
+        if all(-_TOL_GRAD <= g <= _TOL_GRAD for g in grad):
+            break
+        steps += 1
+        step = _newton_step(hd, he, grad)
+        slope = _inner(grad, step)
+        if not 0.0 < slope < math.inf:
+            step = grad  # ascent fallback; H was unusable
+            slope = _inner(grad, grad)
+        alpha_bar, j_block = _step_bound(inv_dt, p, step)
+        alpha = alpha_bar if alpha_bar < 1.0 else 1.0
+        if alpha_bar > 1e-300:  # else blocked at once: activate without moving
+            while alpha > 1e-16:
+                cand = [s * alpha + v for s, v in zip(step, p)]
+                point = _grad_hess(d, cand, w)
+                evals += 1
+                if point[0] >= psi + _ARMIJO_C * alpha * slope:
+                    break
+                alpha *= 0.5
+            else:
+                stalled = True  # Armijo cannot improve: machine precision
+                break
+            if point[0] <= psi and alpha != alpha_bar:
+                stalled = True  # accepted without a gain in psi: no progress
+                break
+            p = cand
+            psi, grad, hd, he, mass = point
+        if alpha == alpha_bar:
+            block = j_block  # boundary hit: this constraint turns active
+            break
+    return np.array(p), np.array(mass), stalled, block, steps, evals
 
 
 # The four per-point kernels below are not called by logcon, which does this

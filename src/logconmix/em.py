@@ -50,9 +50,10 @@ Cost per iteration. ``run_em`` sorts the sample once and builds one logcon
 grid from it: the distinct points, on which every M-step fits, and each
 observation's tie group. An iteration then makes a fixed number of
 elementwise passes over the n points (m <= n distinct ones), plus O(R) work
-on the R knots: one ``knot_grad_hess`` call per Newton point, whose segment
-masses also serve the Armijo test, the normalization and the multiplier
-check, and one ``solve_newton_step`` per step:
+on the R knots: one ``newton_solve`` kernel call per knot set, which
+evaluates psi with its derivatives and segment masses at every Newton
+point (the masses also serve the normalization), and one
+``knot_grad_hess`` call per round for the multiplier check:
 - the E-step and the mixing weight: about 10 passes with one ``log``, as
   the E-step forms the mixture density once for both omega and the
   log-likelihood, and p is the unknown mass already summed for the
@@ -447,7 +448,9 @@ def estimate_mu(points: Sequence[float], omega: np.ndarray) -> float:
         raise AllWeightsKnownError(
             "all posterior mass is on the known component; "
             "the unknown-component mean is undefined")
-    return float(np.dot(residual, x) / total)
+    # an elementwise product and numpy's sum: the same bits whichever BLAS
+    # kernel the CPU selects, which np.dot's would not be
+    return float((residual * x).sum() / total)
 
 
 def classification_error(omega_hat: np.ndarray, labels: np.ndarray) -> float:

@@ -19,14 +19,16 @@ interpolation between knots; the reduced problem over knot values is smooth
 and strictly concave. ``fit_weighted_logconcave`` is one loop of at most
 ``_MAX_OUTER_ITERS`` rounds, and a round, on the current knot set:
 - aggregates the weights onto the knots and takes up to
-  ``_MAX_NEWTON_ITERS`` Newton steps with Armijo backtracking. A step is
-  truncated at the first knot whose concavity would flip, which activates
-  that constraint: the knot drops out and the shorter set is evaluated
-  afresh. A line search that cannot improve, or a step it accepts without a
-  gain in psi (short of a boundary hit), marks the round stalled, and that
-  step is not taken;
-- normalizes the iterate, evaluates it once more and computes the
-  multipliers;
+  ``_MAX_NEWTON_ITERS`` Newton steps with Armijo backtracking, in one
+  ``newton_solve`` kernel call per knot set. A step is truncated at the
+  first knot whose concavity would flip, which activates that constraint:
+  the kernel returns that knot, which drops out, and the shorter set runs
+  on in the next call with what is left of the round's steps. A line
+  search that cannot improve, or a step it accepts without a gain in psi
+  (short of a boundary hit), marks the round stalled, and that step is not
+  taken;
+- normalizes the iterate, evaluates it once more with ``knot_grad_hess``
+  and computes the multipliers;
 - then stops if the reduced gradient and all multipliers are within
   ``_TOL_KKT``, an absolute 1e-8. At reduced stationarity with a violated
   multiplier, and another round to come, it releases the single most
@@ -34,10 +36,11 @@ and strictly concave. ``fit_weighted_logconcave`` is one loop of at most
   constraint with no gain in psi, which stops the fit. Otherwise a stalled
   round stops the fit, and a round that reached the Newton cap is followed
   by another.
-Each point the iteration visits costs one ``knot_grad_hess`` call. Its psi
-is the Armijo value, the fit's ``objective`` and what :func:`objective`
-returns, so they are one formula with one rounding; its segment masses give
-the normalizing integral and the F below.
+The kernels evaluate every point with one formula of psi, so the Armijo
+value, the fit's ``objective`` (psi of the round's ``knot_grad_hess``
+call) and what :func:`objective` returns are one formula with one
+rounding; the segment masses give the normalizing integral and the F
+below.
 
 The multiplier of the constraint at a point x is the derivative of psi along
 the hinge direction (x - t)_+ (Duembgen, Huesler & Rufibach 2007),
@@ -74,7 +77,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels as K
-from ._kernels_py import _series, segment_integrals
+from ._kernels_py import _TOL_GRAD, _series, segment_integrals
 from ._readcsv import read_csv
 from .errors import DegenerateSampleError
 
@@ -93,13 +96,11 @@ _TAIL_SERIES_RADIUS = 0.1
 # inside the radius
 _TAIL_COEF = [1.0 / math.factorial(k + 2) for k in range(8)]
 # the active-set solver's caps on outer rounds and on Newton steps per
-# round, the Armijo sufficient-increase constant of its line search, and
-# the bound on the reduced gradient and on each multiplier's violation at
-# which it stops
+# round, and the bound on the reduced gradient and on each multiplier's
+# violation at which it stops
 _MAX_OUTER_ITERS = 200
 _MAX_NEWTON_ITERS = 50
-_ARMIJO_C = 0.25
-_TOL_KKT = 1e-8
+_TOL_KKT = _TOL_GRAD  # the kernel's gradient test and the KKT test agree
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +218,6 @@ class _KnotSet:
         self.kidx = kidx
         t = x[kidx]
         self.dt = t[1:] - t[:-1]
-        self.inv_dt = 1.0 / self.dt
         # Knots are points, so segment j holds the points from knot j up to
         # knot j+1 without a search; the last point closes the last segment.
         counts = kidx[1:] - kidx[:-1]
@@ -343,41 +343,6 @@ def _hinge_tail(e_left, inv_s2, d, z, e_right):
     return out
 
 
-def _max_feasible_step(inv_dt, phi_k, direction):
-    """Largest alpha keeping knot slopes nonincreasing; (inf, None) if free.
-
-    The first knot whose curvature ratio is least blocks; a NaN ratio
-    frees the step, as the argmin of an array holding it would. A few knots
-    take this pass at every Newton step, so it runs on Python floats, with
-    numpy's operations in numpy's order (see ``_kernels_py``).
-    """
-    if phi_k.size < 3:
-        return math.inf, None
-    inv = inv_dt.tolist()
-    c_dir = _curvatures(direction.tolist(), inv)
-    blocking = [j for j, c in enumerate(c_dir) if c < -1e-300]
-    if not blocking:
-        return math.inf, None
-    c_now = _curvatures(phi_k.tolist(), inv)
-    alpha, j_block = math.inf, None
-    for j in blocking:
-        c = c_now[j]
-        # np.maximum(c, 0.0) clamps roundoff-negative slack (and -0.0);
-        # -c_dir[j] > 1e-300 is never zero
-        ratio = (0.0 if c <= 0.0 else c) / -c_dir[j]
-        if ratio != ratio:
-            return math.inf, None
-        if ratio < alpha:
-            alpha, j_block = ratio, j + 1  # +1: constraint j sits at interior knot j+1
-    return alpha, j_block
-
-
-def _curvatures(v, inv_dt):
-    """Slope decrease at each interior knot of the values v, as a list."""
-    s = [(b - a) * h for a, b, h in zip(v, v[1:], inv_dt)]
-    return [left - right for left, right in zip(s, s[1:])]
-
-
 def _knot_integrals(dt, mass, e_k, s):
     """F and Q at each knot, the integrals of e^phi and of (t_j - t) e^phi
     from the first knot up to it, and 1/s^2 per segment (0 where s^2 is 0),
@@ -435,7 +400,9 @@ def fit_weighted_logconcave(sample: WeightedSample,
     ``init`` warm-starts from an earlier fit on the same point grid (its
     knots must be sample points, both end points included); the default is the
     best log-linear density, i.e. the solution with every interior
-    constraint active.
+    constraint active. Each round's Newton solve is one ``newton_solve``
+    call per knot set it visits, and one ``knot_grad_hess`` call
+    evaluates the normalized iterate (see the module docstring).
     """
     grid = sample._grid
     x = grid.points
@@ -455,46 +422,21 @@ def fit_weighted_logconcave(sample: WeightedSample,
     for _round in range(_MAX_OUTER_ITERS):
         ks = grid.knot_set(kidx)
         W = ks.aggregate(w)
-        psi, grad, hd, he, mass = K.knot_grad_hess(ks.dt, phi_k, W)
-        # Newton with Armijo backtracking on this knot set: each trial point
-        # costs one knot_grad_hess call, whose psi is the Armijo value, and
-        # an accepted point's derivatives are the next step's
-        stalled = False
-        for _ in range(_MAX_NEWTON_ITERS):
-            if float(np.abs(grad).max()) <= _TOL_KKT:
+        # Newton with Armijo backtracking on this knot set, in one kernel
+        # call per knot set: a boundary hit returns the knot whose
+        # constraint turns active, which drops out, and the shorter set
+        # runs on with what is left of the round's steps
+        budget = _MAX_NEWTON_ITERS
+        while True:
+            phi_k, mass, stalled, j_block, steps, _ = K.newton_solve(ks.dt, phi_k, W, budget)
+            if j_block is None:
                 break
-            step = K.solve_newton_step(hd, he, grad)
-            slope = float(grad.dot(step))
-            if not math.isfinite(slope) or slope <= 0.0:
-                step = grad.copy()               # ascent fallback; H was unusable
-                slope = float(grad.dot(grad))
-            alpha_bar, j_block = _max_feasible_step(ks.inv_dt, phi_k, step)
-            alpha = min(1.0, alpha_bar)
-            if alpha_bar > 1e-300:  # else blocked at once: activate without moving
-                while alpha > 1e-16:
-                    cand = step * alpha
-                    cand += phi_k
-                    point = K.knot_grad_hess(ks.dt, cand, W)
-                    if point[0] >= psi + _ARMIJO_C * alpha * slope:
-                        break
-                    alpha *= 0.5
-                else:
-                    stalled = True  # Armijo cannot improve: machine precision
-                    break
-                if point[0] <= psi and alpha != alpha_bar:
-                    stalled = True  # accepted without a gain in psi: no progress
-                    break
-                phi_k = cand
-            if alpha == alpha_bar:
-                # boundary hit: interior knot j_block turns into an active
-                # constraint, and the shorter knot set is evaluated afresh
-                kidx = np.delete(kidx, j_block)
-                phi_k = np.delete(phi_k, j_block)
-                ks = None  # freed before its successor is built
-                ks = grid.knot_set(kidx)
-                W = ks.aggregate(w)
-                point = K.knot_grad_hess(ks.dt, phi_k, W)
-            psi, grad, hd, he, mass = point
+            budget -= steps
+            kidx = np.delete(kidx, j_block)
+            phi_k = np.delete(phi_k, j_block)
+            ks = None  # freed before its successor is built
+            ks = grid.knot_set(kidx)
+            W = ks.aggregate(w)
         # Exact normalization: shifting phi by -log(integral) preserves
         # concavity and never lowers psi. The KKT test below runs on the
         # normalized state; if the shift disturbed stationarity beyond the

@@ -273,8 +273,9 @@ def test_an_in_loop_all_known_exit_keeps_the_previous_fit(monkeypatch):
 
 # Every way out of a solver round, pinned per fit: one digest over every
 # fit_weighted_logconcave call of a run_em, in call order (knots, phi,
-# objective, kkt_residual, converged), with the knot_grad_hess and
-# solve_newton_step call counts. The cases:
+# objective, kkt_residual, converged), with the counts of knot_grad_hess
+# points (direct calls plus those newton_solve evaluates) and of Newton
+# steps. The cases:
 # - "stalled": model 1, p = 0.1, n = 1000, child_seed(2197521499, 0), 296
 #   iterations to p_hat 0.1356; 17 of its 1055 rounds end on an exhausted
 #   line search, two fits stop when a released constraint is re-activated
@@ -322,14 +323,19 @@ def test_every_solver_exit_is_pinned_bitwise(name, monkeypatch):
             monkeypatch.setattr(logcon, "_MAX_NEWTON_ITERS", 2)
     digest = hashlib.sha256()
     calls = {"knot_grad_hess": 0, "solve_newton_step": 0}
+    grad_hess, solve = kernels.knot_grad_hess, kernels.newton_solve
 
-    def counted(fn):
-        kernel = getattr(kernels, fn)
+    def counted_grad_hess(*args):
+        calls["knot_grad_hess"] += 1
+        return grad_hess(*args)
 
-        def call(*args):
-            calls[fn] += 1
-            return kernel(*args)
-        monkeypatch.setattr(kernels, fn, call)
+    def counted_solve(*args):
+        # each step solved one Newton system, and each point it evaluated
+        # was one knot_grad_hess call before the loop moved into the kernel
+        out = solve(*args)
+        calls["solve_newton_step"] += out[4]
+        calls["knot_grad_hess"] += out[5]
+        return out
 
     def recorded(*args, **kwargs):
         fit = fit_weighted_logconcave(*args, **kwargs)
@@ -339,8 +345,8 @@ def test_every_solver_exit_is_pinned_bitwise(name, monkeypatch):
         digest.update(repr(bool(fit.converged)).encode())
         return fit
 
-    for fn in calls:
-        counted(fn)
+    monkeypatch.setattr(kernels, "knot_grad_hess", counted_grad_hess)
+    monkeypatch.setattr(kernels, "newton_solve", counted_solve)
     fit_weighted_logconcave = em.fit_weighted_logconcave
     monkeypatch.setattr(em, "fit_weighted_logconcave", recorded)
     em.run_em(values, f0)

@@ -6,13 +6,15 @@ and each other.
 J(a, b) = integral_0^1 exp((1-t) a + t b) dt, so that a segment of width dx
 with endpoint log-values (a, b) contributes dx * J(a, b) to integral(e^phi).
 Both backends are checked through the two kernels that logcon's solver
-calls; J and its partials are read off ``knot_grad_hess`` (see ``_masses``
-and ``_partials``), and the objective is its psi, which logcon's line
-search reads (``_armijo_value``). The knot kernels of both backends, and
+calls, ``knot_grad_hess`` and ``newton_solve``; J and its partials are
+read off ``knot_grad_hess`` (see ``_masses`` and ``_partials``), and the
+objective is its psi, which the line search reads (``_armijo_value``). The knot kernels of both backends, and
 the python views ``integral_grad_terms`` and ``knot_objective`` that read
 them, are checked bit for bit against the formulas of ``_kernels_c.c`` on
-Python floats (``_c_parts`` and ``_c_knot_grad_hess``), and
-``solve_newton_step`` against an LDL^T sweep on numpy scalars. The python
+Python floats (``_c_parts`` and ``_c_knot_grad_hess``), the python
+``solve_newton_step`` against an LDL^T sweep on numpy scalars, and
+``newton_solve`` on both backends against the Newton loop that logcon ran
+before it moved into the kernel (``_ref_newton_solve``). The python
 ``j_values`` and ``segment_integrals``, which evaluate arrays and have no
 compiled twin, are checked bit for bit against an array oracle, which also
 checks the knot kernels to rounding. Fixed seams and hypothesis-drawn knot
@@ -238,15 +240,34 @@ def test_knot_grad_hess_matches_finite_differences(impl, rng):
             assert hoff[i] == pytest.approx(fd_col[i + 1], rel=2e-5, abs=1e-9)
 
 
-def test_solve_newton_step_solves_the_tridiagonal_system(impl, rng):
+def _tridiagonal(hdiag, hoff):
+    return np.diag(hdiag) + np.diag(hoff, 1) + np.diag(hoff, -1)
+
+
+def test_python_newton_step_solves_any_tridiagonal_system(rng):
     n = 12
     hoff = -rng.uniform(0.1, 0.5, n - 1)
     hdiag = -(rng.uniform(1.5, 3.0, n))   # diagonally dominant, negative definite
     grad = rng.normal(0.0, 1.0, n)
-    step = impl.solve_newton_step(hdiag.copy(), hoff.copy(), grad.copy())
-    full = np.diag(hdiag) + np.diag(hoff, 1) + np.diag(hoff, -1)
-    expected = np.linalg.solve(-full, grad)
+    step = kpy.solve_newton_step(hdiag.copy(), hoff.copy(), grad.copy())
+    expected = np.linalg.solve(-_tridiagonal(hdiag, hoff), grad)
     np.testing.assert_allclose(step, expected, rtol=1e-10, atol=1e-12)
+
+
+def test_solve_newton_step_solves_the_tridiagonal_system(impl, rng):
+    # newton_solve's first step, taken whole: near the optimum of a
+    # strongly concave phi the step is small, keeps phi concave and passes
+    # the Armijo test at alpha = 1, so phi moves by the solution of
+    # (-H) d = grad at the start
+    x = np.linspace(-2.0, 2.0, 12)
+    dt = np.diff(x)
+    phi = -0.5 * x * x - 1.0
+    w = 1e-4 * rng.uniform(-1.0, 1.0, 12) - kpy.knot_grad_hess(dt, phi, np.zeros(12))[1]
+    _, grad, hdiag, hoff, _ = kpy.knot_grad_hess(dt, phi, w)
+    out, mass, stalled, block, steps, evals = impl.newton_solve(dt, phi, w, 1)
+    assert (stalled, block, steps, evals) == (False, None, 1, 2)
+    expected = np.linalg.solve(-_tridiagonal(hdiag, hoff), grad)
+    np.testing.assert_allclose(out - phi, expected, rtol=1e-10, atol=1e-12)
 
 
 @PYTHON_ONLY
@@ -397,6 +418,73 @@ def _ref_solve_newton_step(hess_diag, hess_off, grad):
     raise FloatingPointError("tridiagonal Newton system could not be stabilized")
 
 
+def _left_to_right_dot(a, b):
+    acc = 0.0
+    for x, y in zip(a.tolist(), b.tolist()):
+        acc += x * y
+    return acc
+
+
+def _ref_newton_solve(dt, phi, w, max_steps, rebuild=None):
+    """The Newton loop that ``logcon.fit_weighted_logconcave`` ran on one
+    knot set before it moved into ``newton_solve``, on numpy arrays: the
+    scalar oracle's points, the LDL^T sweep on numpy scalars, the step
+    bound of ``test_solver._ref_max_feasible_step``, and the slope summed
+    left to right (it was ``ndarray.dot``). At a boundary hit it returns,
+    as ``newton_solve`` does; given ``rebuild(block, phi) -> (dt, phi,
+    w)``, it drops the knot and runs on in the same loop, as logcon did.
+    Returns ``newton_solve``'s tuple, with the total counts."""
+    with np.errstate(all="ignore"):
+        psi, grad, hd, he, mass = _c_knot_grad_hess(dt, phi, w)
+        steps, evals, stalled, block = 0, 1, False, None
+        for _ in range(max_steps):
+            if float(np.abs(grad).max()) <= 1e-8:
+                break
+            steps += 1
+            step = _ref_solve_newton_step(hd, he, grad)
+            slope = _left_to_right_dot(grad, step)
+            if not math.isfinite(slope) or slope <= 0.0:
+                step = grad.copy()
+                slope = _left_to_right_dot(grad, grad)
+            alpha_bar, j_block = _ref_max_feasible_step(dt, phi, step)
+            alpha = min(1.0, alpha_bar)
+            if alpha_bar > 1e-300:
+                while alpha > 1e-16:
+                    cand = step * alpha
+                    cand += phi
+                    point = _c_knot_grad_hess(dt, cand, w)
+                    evals += 1
+                    if point[0] >= psi + 0.25 * alpha * slope:
+                        break
+                    alpha *= 0.5
+                else:
+                    stalled = True
+                    break
+                if point[0] <= psi and alpha != alpha_bar:
+                    stalled = True
+                    break
+                phi = cand
+                psi, grad, hd, he, mass = point
+            if alpha == alpha_bar:
+                if rebuild is None:
+                    block = j_block
+                    break
+                dt, phi, w = rebuild(j_block, phi)
+                psi, grad, hd, he, mass = _c_knot_grad_hess(dt, phi, w)
+                evals += 1
+        return phi, mass, stalled, block, steps, evals
+
+
+def _solve_bits(solve, *args):
+    """What ``solve`` returns, with arrays as bytes, or the message of the
+    FloatingPointError it raises."""
+    try:
+        phi, mass, *rest = solve(*args)
+    except FloatingPointError as err:
+        return str(err)
+    return (phi.tobytes(), mass.tobytes(), *rest)
+
+
 # Scalar oracle of the knot kernels on both backends: the formulas of
 # _kernels_c.c in its order, on Python floats, with math.exp and math.expm1,
 # which are the C library's exp and expm1.
@@ -524,13 +612,16 @@ def test_grad_hess_and_newton_step_bit_identical_to_oracle(rng, request, knots):
     for r, n in zip(want[1:], near[1:]):
         np.testing.assert_allclose(r, n, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(want[4], dt * _ref_j_values(phi[:-1], phi[1:]), rtol=1e-13)
+    np.testing.assert_array_equal(kpy.solve_newton_step(*want[2:4], want[1]),
+                                  _ref_solve_newton_step(*want[2:4], want[1]))
+    solved = [_solve_bits(_ref_newton_solve, dt, phi, w, budget) for budget in (1, 50)]
     for impl in _both_backends(request):
         got = impl.knot_grad_hess(dt, phi, w)
         assert got[0] == want[0]
         for g, r in zip(got[1:], want[1:]):
             np.testing.assert_array_equal(g, r)
-        np.testing.assert_array_equal(impl.solve_newton_step(*got[2:4], got[1]),
-                                      _ref_solve_newton_step(*want[2:4], want[1]))
+        assert [_solve_bits(impl.newton_solve, dt, phi, w, budget)
+                for budget in (1, 50)] == solved
 
 
 def _hard_systems():
@@ -548,6 +639,36 @@ NAN_SYSTEM = (np.array([-2.0, np.nan, -1.0, -3.0]), np.array([-0.5, 0.0, -0.25])
               np.array([0.3, -1.0, 0.2, 0.5]))
 
 
+# (dt, phi, weights) whose first Newton system the plain LDL^T sweep
+# rejects, as _hard_systems' are rejected: a zero pivot (a knot whose only
+# segment has zero width), a negative one (a segment of negative width), and
+# positive pivots below the normal range, whose solution overflows until
+# delta has grown. The regularized step is taken in each, so its bits reach
+# phi. Then a NaN system, which no delta stabilizes.
+HARD_PROBLEMS = [
+    (np.array([0.0, 1.0, 1.0]), np.array([-1.0, -1.0, -1.2, -1.6]),
+     np.array([0.0, 0.3, 0.4, 0.3])),
+    (np.array([-1e-9, 1.0, 1.0]), np.array([-1.0, -1.0, -1.2, -1.6]),
+     np.array([0.0, 0.3, 0.4, 0.3])),
+    (np.array([1.0]), np.array([-710.0, -710.0]), np.array([1.0, 0.2])),
+]
+NAN_PROBLEM = (np.ones(3), np.array([0.0, np.nan, -1.0, -3.0]), np.full(4, 0.25))
+
+
+def _assert_hard_problems_solve_like_oracle(impl):
+    for dt, phi, w in HARD_PROBLEMS:
+        with np.errstate(all="ignore"):
+            _, grad, hd, he, _ = _c_knot_grad_hess(dt, phi, w)
+            assert _ref_ldl(-hd, -he, grad) is None    # needs delta
+        for budget in (1, 50):
+            want = _solve_bits(_ref_newton_solve, dt, phi, w, budget)
+            assert want[0] != phi.tobytes()             # the step was taken
+            assert _solve_bits(impl.newton_solve, dt, phi, w, budget) == want
+    message = _solve_bits(_ref_newton_solve, *NAN_PROBLEM, 50)
+    assert message == "tridiagonal Newton system could not be stabilized"
+    assert _solve_bits(impl.newton_solve, *NAN_PROBLEM, 50) == message
+
+
 def test_newton_step_regularized_and_failing_systems_match_oracle():
     for hdiag, hoff, grad in _hard_systems():
         assert _ref_ldl(-hdiag, -hoff, grad) is None    # needs delta
@@ -556,6 +677,7 @@ def test_newton_step_regularized_and_failing_systems_match_oracle():
     for solve in (kpy.solve_newton_step, _ref_solve_newton_step):
         with pytest.raises(FloatingPointError):
             solve(*NAN_SYSTEM)
+    _assert_hard_problems_solve_like_oracle(kpy)
 
 
 @pytest.mark.parametrize("diff", [3e-6, 0.02, 0.7])   # G1 series, G2/G3 series, closed
@@ -763,7 +885,7 @@ def _step_problems(draw):
 def test_max_feasible_step_matches_oracle_property(problem):
     dt, phi, step = problem
     want = _ref_max_feasible_step(dt, phi, step)
-    got = logcon._max_feasible_step(1.0 / dt, phi, step)
+    got = kpy._max_feasible_step(dt, phi, step)
     assert got == want
     assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
 
@@ -813,47 +935,143 @@ def test_backends_agree_to_the_bit(rng, compiled_kernels):
     assert got[0] == want[0]
     for py_part, c_part in zip(want[1:], got[1:]):
         np.testing.assert_array_equal(py_part, c_part)
-    np.testing.assert_array_equal(kc.solve_newton_step(*want[2:4], want[1]),
-                                  kpy.solve_newton_step(*want[2:4], want[1]))
-
-
-def _newton_step_bytes(impl, hess_diag, hess_off, grad):
-    try:
-        return impl.solve_newton_step(hess_diag, hess_off, grad).tobytes()
-    except FloatingPointError:
-        return None
+    # the first step solves the Newton system of that point
+    for budget in (1, 50):
+        assert (_solve_bits(kc.newton_solve, np.diff(x), phi, w, budget)
+                == _solve_bits(kpy.newton_solve, np.diff(x), phi, w, budget))
 
 
 # the fixed cases of test_knot_kernels_bit_identical_to_oracle_property
-@example(_flat([0.5, 0.5, 0.0], [0.0] * 4))
-@example(_flat([0.5], [0.0, 1e-5]))
-@example(_flat([0.5], [0.0, 0.0]))
-@example(_flat([0.5] * 48, [0.0] * 48 + [1e-5]))
-@example(_flat([0.5], [0.0, 22.0]))
+@example(_flat([0.5, 0.5, 0.0], [0.0] * 4), 50)
+@example(_flat([0.5], [0.0, 1e-5]), 50)
+@example(_flat([0.5], [0.0, 0.0]), 50)
+@example(_flat([0.5] * 48, [0.0] * 48 + [1e-5]), 50)
+@example(_flat([0.5], [0.0, 22.0]), 50)
 @settings(max_examples=150, deadline=None)
-@given(_knot_problems())
-def test_backends_agree_to_the_bit_property(compiled_kernels, problem):
-    # both knot kernels, at a knot chain and at the Newton system it gives
-    # (zero widths can make that singular, so that the sweep needs delta);
-    # the compiled knot_grad_hess has the scalar oracle's bits, as the
-    # python one has in test_knot_kernels_bit_identical_to_oracle_property
+@given(_knot_problems(), st.integers(0, 50))
+def test_backends_agree_to_the_bit_property(compiled_kernels, problem, budget):
+    # both knot kernels, at a knot chain, and newton_solve from it: one
+    # step, which solves the Newton system of the chain (zero widths can
+    # make that singular, so that the sweep needs delta), and a drawn
+    # budget, for phi, masses, status, blocking knot and both counts; the
+    # compiled knot_grad_hess has the scalar oracle's bits, as the python
+    # one has in test_knot_kernels_bit_identical_to_oracle_property
     dt, phi, w = problem
     _assert_knot_kernels_match_oracle(compiled_kernels, dt, phi, w)
     py, c = (impl.knot_grad_hess(dt, phi, w) for impl in (kpy, compiled_kernels))
     assert py[0] == c[0]
     for py_part, c_part in zip(py[1:], c[1:]):
         assert py_part.tobytes() == c_part.tobytes()
-    system = py[2], py[3], py[1]
-    assert (_newton_step_bytes(kpy, *system)
-            == _newton_step_bytes(compiled_kernels, *system))
+    for steps in (1, budget):
+        assert (_solve_bits(kpy.newton_solve, dt, phi, w, steps)
+                == _solve_bits(compiled_kernels.newton_solve, dt, phi, w, steps))
+
+
+@example(_flat([0.5, 0.5, 0.0], [0.0] * 4), 50)
+@example(_flat([0.5], [0.0, 22.0]), 50)
+@settings(max_examples=40, deadline=None)
+@given(_knot_problems(), st.integers(0, 50))
+def test_newton_solve_is_the_loop_it_replaced_property(problem, budget):
+    # the python newton_solve gives the bits of logcon's former Newton loop
+    # on numpy arrays, whose slope is now summed left to right
+    dt, phi, w = problem
+    assert (_solve_bits(kpy.newton_solve, dt, phi, w, budget)
+            == _solve_bits(_ref_newton_solve, dt, phi, w, budget))
 
 
 def test_compiled_newton_step_on_regularized_and_failing_systems(compiled_kernels):
-    for hdiag, hoff, grad in _hard_systems():
-        np.testing.assert_array_equal(compiled_kernels.solve_newton_step(hdiag, hoff, grad),
-                                      _ref_solve_newton_step(hdiag, hoff, grad))
-    with pytest.raises(FloatingPointError):
-        compiled_kernels.solve_newton_step(*NAN_SYSTEM)
+    _assert_hard_problems_solve_like_oracle(compiled_kernels)
+
+
+# Hand cases of newton_solve: (dt, phi, weights, budget, and what it
+# returns besides phi and the masses: stalled, block, steps, evals).
+NEWTON_CASES = {
+    # collinear knots and a step that would bend them convex: alpha_bar is
+    # 0, so knot 1 (the first of the tied ratios) turns active unmoved
+    "blocked_at_once": ((np.ones(3), np.arange(4.0), np.array([0.5, 0.0, 0.0, 0.5]), 5),
+                        (False, 1, 1, 1)),
+    # a width below 1/DBL_MAX makes its inverse infinite: the curvature
+    # ratio at knot 1 is inf/inf, which frees the step
+    "nan_ratio": ((np.array([1.0, 5e-324, 1.0]), np.array([-2.0, -0.2, -0.3, 1.0]),
+                   np.array([0.8, 0.4, 0.9, 0.4]), 1), (False, None, 1, 4)),
+    # the step of a far tail overflows every trial point: 54 halvings
+    # bring alpha below 1e-16 without meeting the Armijo condition
+    "stalled_search": ((np.array([1.8]), np.array([-20.0, -80.0]),
+                        np.array([6e7, 2e7]), 50), (True, None, 1, 55)),
+    # weights of 1e8 leave psi too coarse for the gradient test: the line
+    # search accepts a point that is no higher, and the step is not taken
+    "no_gain": ((np.array([0.4]), np.zeros(2), np.array([5e7, 6e7]), 50),
+                (True, None, 8, 36)),
+    # no interior knot, so no step bound: Newton runs to the gradient test
+    "two_knots": ((np.ones(1), np.zeros(2), np.array([0.3, 0.7]), 50),
+                  (False, None, 5, 6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEWTON_CASES))
+def test_newton_solve_hand_cases(impl, case):
+    (dt, phi, w, budget), status = NEWTON_CASES[case]
+    want = _solve_bits(_ref_newton_solve, dt, phi, w, budget)
+    assert want[2:] == status
+    assert _solve_bits(impl.newton_solve, dt, phi, w, budget) == want
+    if case == "nan_ratio":
+        with np.errstate(all="ignore"):
+            _, grad, hd, he, _ = _c_knot_grad_hess(dt, phi, w)
+            step = _ref_solve_newton_step(hd, he, grad)
+            slopes = np.diff(step) / dt
+            assert np.nanmin(slopes[:-1] - slopes[1:]) < -1e-300  # a constraint blocks ...
+            assert _ref_max_feasible_step(dt, phi, step) == (math.inf, None)  # ... yet frees
+    if case in ("blocked_at_once", "stalled_search"):
+        assert want[0] == phi.tobytes()     # the one step was not taken
+
+
+def _drop_knot(x, w, kidx):
+    """A ``rebuild`` for ``_ref_newton_solve`` on the points x with weights
+    w, starting from the knots x[kidx]: the knot set that logcon forms
+    after a boundary hit, with the weights aggregated onto it."""
+    def rebuild(block, phi):
+        del kidx[block]
+        return np.diff(x[kidx]), np.delete(phi, block), kpy.aggregate_weights(x, w, kidx)
+    return rebuild
+
+
+def _round_by_kernel(solve, x, w, budget):
+    """logcon's use of ``newton_solve`` in one round from every point as a
+    knot: after each boundary hit, drop the knot, rebuild the knot set and
+    call again with what is left of the budget."""
+    kidx = list(range(x.size))
+    phi = -0.5 * (x - 2.0) ** 2
+    hits = steps_total = evals_total = 0
+    while True:
+        phi, mass, stalled, block, steps, evals = solve(
+            np.diff(x[kidx]), phi, kpy.aggregate_weights(x, w, kidx), budget)
+        steps_total += steps
+        evals_total += evals
+        if block is None:
+            return (kidx, phi.tobytes(), mass.tobytes(), stalled, steps_total,
+                    evals_total), hits
+        hits += 1
+        budget -= steps
+        del kidx[block]
+        phi = np.delete(phi, block)
+
+
+def test_newton_solve_shares_a_round_budget_across_boundary_hits(impl):
+    # six boundary hits, one step apart: every budget from 0 to 12 runs
+    # out before, between or after them, and the calls with what is left
+    # of it give the bits and counts of the former loop, which went on
+    # after each drop within one count of steps
+    x = np.array([0.11, 0.28, 0.51, 0.52, 0.59, 2.0, 2.41, 3.71])
+    w = np.array([9.0, 6.0, 4.0, 5.0, 7.0, 3.0, 1.0, 8.0]) / 43.0
+    hits_seen = set()
+    for budget in range(13):
+        got, hits = _round_by_kernel(impl.newton_solve, x, w, budget)
+        kidx = list(range(x.size))
+        phi, mass, stalled, _, steps, evals = _ref_newton_solve(
+            np.diff(x), -0.5 * (x - 2.0) ** 2, w, budget, rebuild=_drop_knot(x, w, kidx))
+        assert got == (kidx, phi.tobytes(), mass.tobytes(), stalled, steps, evals), budget
+        hits_seen.add(hits)
+    assert hits_seen == set(range(7))
 
 
 def test_compiled_kernels_bit_identical_to_scalar_formulas(rng, compiled_kernels):
@@ -892,6 +1110,9 @@ BAD_CALLS = [
     ("solve_newton_step", (-np.ones(3), np.zeros(3), np.ones(3)), "hess_off"),
     ("solve_newton_step", (-np.ones(3), np.zeros(2), np.ones(2)), "grad"),
     ("solve_newton_step", (-np.ones(1), np.zeros(0), np.ones(1)), "hess_diag"),
+    ("newton_solve", (np.ones(4), np.zeros(5), np.ones(2), 50), "weights"),
+    ("newton_solve", (np.ones(1), np.zeros(5), np.ones(5), 50), "dt"),
+    ("newton_solve", (np.ones(0), np.zeros(1), np.ones(1), 50), "phi"),
 ]
 
 
@@ -926,9 +1147,16 @@ def test_both_backends_word_shape_errors_alike(compiled_kernels, fn, args, name)
 
 def test_compiled_kernels_take_exactly_their_arguments(compiled_kernels):
     with pytest.raises(TypeError):
-        compiled_kernels.solve_newton_step(-np.ones(2), np.zeros(1))
+        compiled_kernels.newton_solve(np.ones(1), np.zeros(2), np.ones(2))
     with pytest.raises(TypeError):
         compiled_kernels.knot_grad_hess(np.ones(1), np.zeros(2), np.ones(2), None)
+    # a budget must be an integer, on either backend
+    messages = []
+    for impl in (kpy, compiled_kernels):
+        with pytest.raises(TypeError) as err:
+            impl.newton_solve(np.ones(1), np.zeros(2), np.ones(2), 1.0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 # the cells of test_golden's pinned EM run

@@ -6,6 +6,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +164,38 @@ def test_importing_the_cli_loads_no_multiprocessing():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy without the dicts mode
+        return ""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                    or "openblas" not in _blas_name().lower(),
+                    reason="OPENBLAS_CORETYPE selects kernels of an x86-64 OpenBLAS")
+def test_summary_table_does_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernels by CPU, or by OPENBLAS_CORETYPE, and its
+    # dot products sum in the kernel's order: the mu columns, which were a
+    # dot product, changed in their last digits with the kernel
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    code = ("from logconmix.simulate import ScenarioSpec, run_scenario, summary_table\n"
+            "print(summary_table([run_scenario(ScenarioSpec(model_id=m, p=0.5, n=200,"
+            " reps=2, seed=7)) for m in range(1, 7)]), end='')")
+    tables = []
+    for coretype in (None, "Prescott"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        tables.append(proc.stdout)
+    assert tables[0].count("\n") == 7
+    assert tables[0] == tables[1]
 
 
 def test_different_seeds_differ():
