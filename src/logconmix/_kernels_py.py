@@ -37,8 +37,9 @@ Stability notes, used identically in both backends:
   keeps worst-case relative error around 1e-12 across the seam.
 - the value itself follows the tighter contract: series (terms through
   eps^3) only for |b - a| < 1e-5, the expm1 form otherwise.
-- one Horner routine, ``_series``, evaluates these three series and
-  ``logcon``'s hinge tail, on floats and on arrays.
+- one Horner routine, ``_series``, evaluates G1's series on arrays and
+  ``logcon``'s hinge tail, on floats and on arrays; ``_grad_hess`` writes
+  its steps out for the three series on floats, in its order.
 
 Two layouts of the same formulas:
 - ``_grad_hess`` works on the R - 1 segments of one knot set, and
@@ -47,8 +48,13 @@ Two layouts of the same formulas:
   (~0.5-1 us) costs about as much as the ~40 flops of a whole segment, so
   it runs one segment at a time on Python floats, and ``newton_solve``
   keeps phi, the gradient, the Hessian and the step as lists from its one
-  argument check to its return. They are line-for-line twins of the C
-  kernels and return their bits:
+  argument check to its return. Within the list cores, ``_grad_hess``
+  carries a knot's gradient and Hessian entries as floats from one segment
+  to the next and writes its three series out as Horner steps, and
+  ``_ldl_tridiag_solve`` runs the forward sweep and the division by each
+  pivot in the factorization's loop: fewer list stores and calls, and for
+  each entry the operations of the C's loops. They are line-for-line twins
+  of the C kernels and return their bits:
   - ``math.exp`` and ``math.expm1`` call the C library's exp and expm1,
     as the C does. Where exp overflows, ``math.exp`` raises OverflowError
     and the C's exp gives inf; the python kernel then takes inf.
@@ -199,39 +205,49 @@ def _grad_hess(dt, p, w):
     Per segment: with ehi = exp(max(a, b)) and gk as in ``j_values``, J =
     ehi g1; the partials wrt the smaller argument are ehi g2 and ehi g3,
     those wrt the larger ehi (g1 - g2) and ehi ((g1 - 2 g2) + g3), and
-    d2J/dadb = ehi (g2 - g3). The gradient starts from the weights and the
-    Hessian diagonal from zeros, and each segment subtracts its terms from
+    d2J/dadb = ehi (g2 - g3). Knot i's gradient starts from its weight and
+    its Hessian entry from zero, and each segment subtracts its terms from
     its two knots, so knot i takes segment i - 1's terms before segment
-    i's. Every operation is that of ``grad_hess`` in _kernels_c.c, in its
-    order.
+    i's: the loop carries the right knot's two entries as floats into the
+    next segment. The three series are ``_series``' Horner steps written
+    out, and the closed forms share their products. Every operation is that
+    of ``grad_hess`` in _kernels_c.c, in its order.
     """
-    grad = list(w)  # the weights, until the segment loop subtracts
-    lin = 0.0
-    for wi, x in zip(w, p):
-        lin += wi * x
-    hd = [0.0] * len(p)
+    grad = []
+    hd = []
     he = []
     mass = []
+    lin = 0.0
     integral = 0.0
-    for i, d in enumerate(dt):
-        a = p[i]
-        b = p[i + 1]
+    g_right = w[0]  # knot i's entries, less segment i - 1's terms
+    h_right = 0.0
+    for d, a, b, wa, wb in zip(dt, p, p[1:], w, w[1:]):
+        lin += wa * a
         try:
             ehi = math.exp(a if a >= b else b)
         except OverflowError:  # libm's exp gives inf
             ehi = math.inf
         eps = -abs(b - a)
         if eps > -_SERIES_RADIUS:
-            g1 = (_series(_G1_COEF, eps) if eps > -_VALUE_SERIES_RADIUS
-                  else math.expm1(eps) / eps)
-            g2 = _series(_G2_COEF, eps)
-            g3 = _series(_G3_COEF, eps)
+            if eps > -_VALUE_SERIES_RADIUS:
+                c0, c1, c2, c3 = _G1_COEF
+                g1 = ((c3 * eps + c2) * eps + c1) * eps + c0
+            else:
+                g1 = math.expm1(eps) / eps
+            c0, c1, c2, c3, c4, c5, c6, c7, c8 = _G2_COEF
+            g2 = ((((((((c8 * eps + c7) * eps + c6) * eps + c5) * eps + c4) * eps
+                     + c3) * eps + c2) * eps + c1) * eps + c0)
+            c0, c1, c2, c3, c4, c5, c6, c7, c8 = _G3_COEF
+            g3 = ((((((((c8 * eps + c7) * eps + c6) * eps + c5) * eps + c4) * eps
+                     + c3) * eps + c2) * eps + c1) * eps + c0)
         else:
             ee = math.exp(eps)
             em = math.expm1(eps)
+            e2 = eps * eps
+            g2_num = eps * ee - em
             g1 = em / eps
-            g2 = (eps * ee - em) / (eps * eps)
-            g3 = (eps * eps * ee - 2.0 * (eps * ee - em)) / (eps * eps * eps)
+            g2 = g2_num / e2
+            g3 = (e2 * ee - 2.0 * g2_num) / (e2 * eps)
         # partials wrt the larger argument (near) and the smaller (far)
         near1 = ehi * (g1 - g2)
         far1 = ehi * g2
@@ -241,16 +257,19 @@ def _grad_hess(dt, p, w):
         mass.append(m)
         integral += m
         if b >= a:
-            grad[i] -= d * far1
-            grad[i + 1] -= d * near1
-            hd[i] -= d * far2
-            hd[i + 1] -= d * near2
+            grad.append(g_right - d * far1)
+            hd.append(h_right - d * far2)
+            g_right = wb - d * near1
+            h_right = 0.0 - d * near2
         else:
-            grad[i] -= d * near1
-            grad[i + 1] -= d * far1
-            hd[i] -= d * near2
-            hd[i + 1] -= d * far2
+            grad.append(g_right - d * near1)
+            hd.append(h_right - d * near2)
+            g_right = wb - d * far1
+            h_right = 0.0 - d * far2
         he.append(-d * (ehi * (g2 - g3)))
+    grad.append(g_right)
+    hd.append(h_right)
+    lin += w[-1] * p[-1]
     return lin - integral + 1.0, grad, hd, he, mass
 
 
@@ -288,26 +307,29 @@ def _ldl_tridiag_solve(hd, he, rhs, delta):
 
     The recurrences are serial, so they run on Python floats: the same IEEE
     double operations, in the same order, as ``ldl_solve`` in _kernels_c.c.
+    The forward sweep and the division by the pivots run in the
+    factorization's loop, as each pivot and subdiagonal entry is formed;
+    each entry of y sees the same operations as in the C's separate loops.
     """
     piv = -hd[0] + delta
     if not 0.0 < piv < math.inf:
         return None
-    dref = [piv]
+    fwd = rhs[0]
+    y = [fwd / piv]
     lsub = []
-    for i in range(len(hd) - 1):
-        aoff = -he[i]
+    for off, hi, ri in zip(he, hd[1:], rhs[1:]):
+        aoff = -off
         lo = aoff / piv
-        piv = -hd[i + 1] + delta - aoff * lo
+        piv = -hi + delta - aoff * lo
         if not 0.0 < piv < math.inf:
             return None
         lsub.append(lo)
-        dref.append(piv)
-    y = list(rhs)
-    for i in range(1, len(y)):
-        y[i] -= lsub[i - 1] * y[i - 1]
-    y = [v / d for v, d in zip(y, dref)]
-    for i in range(len(y) - 2, -1, -1):
-        y[i] -= lsub[i] * y[i + 1]
+        fwd = ri - lo * fwd
+        y.append(fwd / piv)
+    back = y[-1]
+    for i in reversed(range(len(lsub))):
+        back = y[i] - lsub[i] * back
+        y[i] = back
     if not all(map(math.isfinite, y)):
         return None
     return y

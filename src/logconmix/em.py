@@ -59,14 +59,19 @@ point (the masses also serve the normalization), and one
   log-likelihood, and p is the unknown mass already summed for the
   degenerate tests;
 - the M-step's weights: one bincount over the tie groups (only when there
-  are ties), then about 6 passes to normalize them;
-- the fit: per knot set, about 12 passes to find each point's segment (by
-  ``np.repeat`` of the knot indices, without a search) and its interpolation
-  shares, reused while the knots stay; per aggregation onto the knots, one
-  bincount over 2m entries; and per multiplier check (once per outer round,
-  usually once per M-step), about 30 passes with one ``exp``, whose values
-  e^phi are the next E-step's f, after one pass over the knots on Python
-  floats and no kernel call.
+  are ties), then 4 passes to normalize them, the two end floors being
+  scalar tests;
+- the fit: once per fit, 3 passes for the weights' part of every
+  multiplier, sum_{x_i < x} w_i (x - x_i); per knot set, about 12 passes
+  to find each point's segment (by ``np.repeat`` of the knot indices,
+  without a search) and its interpolation shares, reused while the knots
+  stay; per aggregation onto the knots, one bincount over 2m entries; and
+  per multiplier check (once per outer round, usually once per M-step),
+  about 22 passes with one ``exp``, whose values e^phi are the next
+  E-step's f, after one pass over the knots on Python floats and no kernel
+  call. The check gathers its four per-segment values in one ``take``,
+  forms lambda in place and keeps only its least entry and that point.
+  A warm start from the previous M-step's fit reuses its knot indices.
 No pass sorts or binary-searches the points. A pass is one loop of steps:
 step 0, its start, runs a cold M-step and one E-step, and every later step
 is a counted iteration that runs one warm M-step and then one E-step,

@@ -52,22 +52,28 @@ and z = s_j d, the integral is Q_j + d F_j + (e^phi(x) - e^phi_j (1 + z)) / s_j^
 where F_j and Q_j are the integrals of e^phi and (t_j - t) e^phi up to t_j:
 running sums over the knot segments, F of the masses that the last
 ``knot_grad_hess`` call returned and Q of dt_j F_j plus the segment's own
-hinge integral, formed in one pass over the knots on Python floats. So a
-multiplier check calls no kernel and costs one exp per point (a series
-replaces the closed form for small |z|), and that e^phi at the points is
-also what an EM E-step needs.
+hinge integral, formed in one pass over the knots on Python floats. The
+first sum depends on the weights alone, so a fit forms it once for all its
+rounds (``_hinge_prefix``). Each point reads F_j, Q_j, 1/s_j^2 and e^phi_j
+in one gather from one table, lambda is formed in place with +inf at the
+knots, and the check keeps only lambda's least entry and its point, the
+constraint a release would free. So a multiplier check calls no kernel and
+costs one exp per point (a series replaces the closed form for small |z|),
+and that e^phi at the points is also what an EM E-step needs.
 
 Per-point work runs on the sample's ``_Grid``, which holds the sorted
 observations and maps knots to point indices (``knot_indices``): the
 segment of each point comes from the knot indices by ``np.repeat``, the
 latest knot set's per-point data is reused until the knots change, and
 ``_Grid.f_values`` hands over e^phi at the observations from the latest fit
-and reads any other fit with :func:`eval_log_density`, to the same bits.
+and reads any other fit with :func:`eval_log_density`, to the same bits. The
+grid also keeps the latest fit's knot indices, so a warm start from that
+fit, as each EM M-step makes, skips ``knot_indices``. A fit the solver
+builds is checked only where it can fail: that phi is finite.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -163,7 +169,8 @@ class WeightedSample:
             if not np.all(np.isfinite(wts)) or np.any(wts < 0.0):
                 raise ValueError("weights must be finite and non-negative")
         order = np.argsort(pts, kind="stable")
-        return _Grid(pts[order]).sample(wts[order])
+        with np.errstate(over="ignore"):  # a sum that overflows is rescaled
+            return _Grid(pts[order]).sample(wts[order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,10 +216,8 @@ def _knots_phi(knots, phi):
 
 class _KnotSet:
     """Per-point data of one knot set on a grid of points x: each point's
-    segment ``seg``, its offset ``d`` from the segment's left knot, its
-    share ``frac`` of the right knot, and, when first asked for, the
-    ``active`` points (interior non-knots, where the concavity constraint
-    is active)."""
+    segment ``seg``, its offset ``d`` from the segment's left knot and its
+    share ``frac`` of the right knot."""
 
     def __init__(self, x, kidx):
         self.kidx = kidx
@@ -229,12 +234,6 @@ class _KnotSet:
         self._shares = np.concatenate((1.0 - frac, frac))
         self.seg = self._pairs[:x.size]
         self.frac = self._shares[x.size:]
-
-    @functools.cached_property
-    def active(self):
-        mask = np.ones(self.seg.size, dtype=bool)
-        mask[self.kidx] = False
-        return np.flatnonzero(mask)
 
     def aggregate(self, w):
         """Point weights collapsed onto the knots by interpolation shares.
@@ -266,7 +265,8 @@ class _Grid:
     """Sorted observations that several fits share: their distinct values
     ``points``, on which every fit runs, each observation's tie group
     ``group`` (None when there are no ties), the spacings, the latest knot
-    set's per-point data, and the latest fit with its e^phi at the points."""
+    set's per-point data, and the latest fit with its e^phi at the points
+    and its knot indices."""
 
     def __init__(self, observations):
         keep = np.concatenate(([True], np.diff(observations) > 0.0))
@@ -274,7 +274,7 @@ class _Grid:
         self.points = observations if self.group is None else observations[keep]
         self.dx = self.points[1:] - self.points[:-1]
         self._knots = None
-        self._density = (None, None)
+        self._density = (None, None, None)
 
     def sample(self, weights) -> WeightedSample:
         """The weighted sample of the points, one weight per observation:
@@ -284,17 +284,29 @@ class _Grid:
         normalized again: a zero weight at x_1 or x_m would send the
         optimal phi there to -inf, while concavity bounds phi at an
         interior point. Interior weights, zeros included, stay as given,
-        so an EM M-step maximizes the EM surrogate itself."""
+        so an EM M-step maximizes the EM surrogate itself. Finite weights
+        whose merged sum overflows are first scaled by the power of two
+        that brings the largest below 1; that is exact, so the sample is
+        the one that the same weights at a smaller scale give."""
         m = self.points.size
         if m < 2:
             raise DegenerateSampleError(f"need at least 2 distinct points, got {m}")
         w = weights if self.group is None else np.bincount(self.group, weights=weights)
         total = float(w.sum())
+        if not math.isfinite(total):
+            weights = np.ldexp(weights, -np.frexp(np.max(weights))[1])
+            w = weights if self.group is None else np.bincount(self.group, weights=weights)
+            total = float(w.sum())
         if total <= 0.0:
             raise ValueError("total weight must be positive")
         w = w / total
-        w[[0, -1]] = np.maximum(w[[0, -1]], WEIGHT_FLOOR_SCALE / m)
-        return WeightedSample(self.points, w / w.sum(), self)
+        floor = WEIGHT_FLOOR_SCALE / m
+        if w[0] < floor:
+            w[0] = floor
+        if w[-1] < floor:
+            w[-1] = floor
+        w /= w.sum()
+        return WeightedSample(self.points, w, self)
 
     def knot_indices(self, knots) -> np.ndarray:
         """Indices of the ascending ``knots`` among the points, which must
@@ -316,7 +328,7 @@ class _Grid:
         """f = e^phi of ``fit`` at every observation, 0 outside its support:
         the values the latest fit's multiplier check left here, or for any
         other fit ``eval_log_density``'s, the same bits, knot set untouched."""
-        known, values = self._density
+        known, values, _ = self._density
         if known is not fit:
             values = np.exp(eval_log_density(fit, self.points))
         return values if self.group is None else values[self.group]
@@ -327,12 +339,13 @@ def _same_bits(a, b) -> bool:
     return a is b or (a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
-def _hinge_tail(e_left, inv_s2, d, z, e_right):
+def _hinge_tail(e_left, inv_s2, d, z, e_right, out=None):
     """integral_0^d (d - u) e^(phi_j + s u) du, elementwise, from
     e_left = e^phi_j, inv_s2 = 1/s^2, z = s d and e_right = e^(phi_j + z):
     (e_right - e_left (1 + z)) / s^2, or e_left d^2 sum_k z^k / (k+2)! for
-    |z| below the series radius, where the closed form cancels."""
-    out = 1.0 + z
+    |z| below the series radius, where the closed form cancels. Written
+    into ``out`` when given, an array no argument shares."""
+    out = np.add(1.0, z, out=out)
     out *= e_left
     np.subtract(e_right, out, out=out)
     out *= inv_s2
@@ -344,13 +357,14 @@ def _hinge_tail(e_left, inv_s2, d, z, e_right):
 
 
 def _knot_integrals(dt, mass, e_k, s):
-    """F and Q at each knot, the integrals of e^phi and of (t_j - t) e^phi
-    from the first knot up to it, and 1/s^2 per segment (0 where s^2 is 0),
-    as arrays, from lists of the spacings, the segment masses, e^phi at the
-    knots and the slopes. The recurrences are serial, so they run on Python
-    floats: F and Q are cumulative sums, and segment j adds dt_j F_j plus
-    its hinge tail at z = s_j dt_j, in ``_hinge_tail``'s operations and
-    order (see ``_kernels_py`` on floats against numpy)."""
+    """The table of what the multipliers read per knot segment j: rows F_j
+    and Q_j, the integrals of e^phi and of (t_j - t) e^phi from the first
+    knot up to t_j, 1/s_j^2 (0 where s_j^2 is 0) and e^phi_j, from lists
+    of the spacings, the segment masses, e^phi at the knots and the slopes.
+    The recurrences are serial, so they run on Python floats: F and Q are
+    cumulative sums, and segment j adds dt_j F_j plus its hinge tail at z =
+    s_j dt_j, in ``_hinge_tail``'s operations and order (see
+    ``_kernels_py`` on floats against numpy)."""
     F = [0.0, *itertools.accumulate(mass)]
     inv_s2 = []
     terms = []
@@ -365,32 +379,53 @@ def _knot_integrals(dt, mass, e_k, s):
         inv_s2.append(inv)
         terms.append(d * f + tail)
     Q = [0.0, *itertools.accumulate(terms)]
-    return np.array(F), np.array(Q), np.array(inv_s2)
+    return np.array((F[:-1], Q[:-1], inv_s2, e_k[:-1]))
 
 
-def _kkt_state(grid, w, ks, phi_k, mass):
-    """e^phi at every point, and the multipliers at the active points in
-    the closed form of the module docstring; ``mass`` holds the segment
-    masses of ``phi_k``, as ``knot_grad_hess`` returns them."""
+def _hinge_prefix(w, dx):
+    """sum over x_i < x of w_i (x - x_i) at every point x of the grid with
+    spacings ``dx``, accumulated gap by gap: the weights' part of every
+    multiplier, which depends on no knot set, so a fit forms it once."""
+    out = np.empty(w.size)
+    out[0] = 0.0
+    below = w[:-1].cumsum()
+    below *= dx
+    below.cumsum(out=out[1:])
+    return out
+
+
+def _kkt_state(ks, prefix, phi_k, mass):
+    """e^phi at every point, and the least multiplier with its point, in
+    the closed form of the module docstring: lambda is ``prefix`` (from
+    ``_hinge_prefix``) less the integral, formed in place, with +inf at the
+    knots, so its least entry is the least at an active point (+inf when
+    every point is a knot). ``mass`` holds the segment masses of
+    ``phi_k``, as ``knot_grad_hess`` returns them."""
     phi, s, z = ks.phi_at(phi_k)
     exp_phi = np.exp(phi, out=phi)
     e_k = np.exp(phi_k)
-    F, Q, inv_s2 = _knot_integrals(ks.dt.tolist(), mass.tolist(), e_k.tolist(),
-                                   s.tolist())
-    seg = ks.seg
-    inside = F[seg]
-    inside *= ks.d
-    inside += Q[seg]
-    inside += _hinge_tail(e_k[seg], inv_s2[seg], ks.d, z, exp_phi)
-    # lam = sum over x_i < x of w_i (x - x_i), accumulated gap by gap, minus
-    # the integral
-    lam = np.empty(inside.size)
-    lam[0] = 0.0
-    below = w[:-1].cumsum()
-    below *= grid.dx
-    below.cumsum(out=lam[1:])
-    lam -= inside
-    return exp_phi, lam[ks.active]
+    table = _knot_integrals(ks.dt.tolist(), mass.tolist(), e_k.tolist(), s.tolist())
+    lam, Q, inv_s2, e_left = table.take(ks.seg, axis=1)
+    lam *= ks.d
+    lam += Q
+    # the tail takes Q's row, which is spent: one n-array fewer at the peak
+    lam += _hinge_tail(e_left, inv_s2, ks.d, z, exp_phi, out=Q)
+    np.subtract(prefix, lam, out=lam)
+    lam[ks.kidx] = math.inf
+    k = int(lam.argmin())
+    return exp_phi, float(lam[k]), k
+
+
+def _solver_fit(knots, phi, psi, kkt, converged) -> LogConcaveFit:
+    """The fit that the solver ends on. Its knots are grid points at
+    ascending indices, so finite and ascending; only phi, which can
+    overflow, is checked, with ``LogConcaveFit``'s message."""
+    if not np.isfinite(phi).all():
+        raise ValueError("phi values must be finite")
+    fit = object.__new__(LogConcaveFit)
+    fit.__dict__.update(knots=knots, phi=phi, objective=psi, kkt_residual=kkt,
+                        converged=converged)
+    return fit
 
 
 def fit_weighted_logconcave(sample: WeightedSample,
@@ -402,18 +437,23 @@ def fit_weighted_logconcave(sample: WeightedSample,
     best log-linear density, i.e. the solution with every interior
     constraint active. Each round's Newton solve is one ``newton_solve``
     call per knot set it visits, and one ``knot_grad_hess`` call
-    evaluates the normalized iterate (see the module docstring).
+    evaluates the normalized iterate (see the module docstring). A warm
+    start from the latest fit on the grid reuses its knot indices; any
+    other ``init`` is looked up with ``_Grid.knot_indices``.
     """
     grid = sample._grid
     x = grid.points
     w = sample.weights
 
     if init is not None:
-        kidx = grid.knot_indices(init.knots)
+        latest, _, kidx = grid._density
+        if init is not latest:
+            kidx = grid.knot_indices(init.knots)
         phi_k = init.phi.copy()
     else:
         kidx = np.array([0, x.size - 1], dtype=np.intp)
         phi_k = np.full(2, -math.log(x[-1] - x[0]))
+    prefix = _hinge_prefix(w, grid.dx)
 
     converged = False
     psi_prev = -math.inf
@@ -432,8 +472,8 @@ def fit_weighted_logconcave(sample: WeightedSample,
             if j_block is None:
                 break
             budget -= steps
-            kidx = np.delete(kidx, j_block)
-            phi_k = np.delete(phi_k, j_block)
+            kidx = np.concatenate((kidx[:j_block], kidx[j_block + 1:]))
+            phi_k = np.concatenate((phi_k[:j_block], phi_k[j_block + 1:]))
             ks = None  # freed before its successor is built
             ks = grid.knot_set(kidx)
             W = ks.aggregate(w)
@@ -446,8 +486,7 @@ def fit_weighted_logconcave(sample: WeightedSample,
             phi_k = phi_k - math.log(integral)
         psi, grad, _, _, mass = K.knot_grad_hess(ks.dt, phi_k, W)
         ginf = float(np.abs(grad).max())
-        exp_phi, lam = _kkt_state(grid, w, ks, phi_k, mass)
-        lam_min = float(lam.min()) if lam.size else 0.0
+        exp_phi, lam_min, k_rel = _kkt_state(ks, prefix, phi_k, mass)
         kkt = max(ginf, max(0.0, -lam_min))
         if ginf <= _TOL_KKT and lam_min >= -_TOL_KKT:
             converged = True
@@ -455,7 +494,6 @@ def fit_weighted_logconcave(sample: WeightedSample,
         # a release only when another round follows, so that a capped fit
         # returns the knot set that psi and kkt describe
         if ginf <= _TOL_KKT and lam_min < -_TOL_KKT and _round + 1 < _MAX_OUTER_ITERS:
-            k_rel = int(ks.active[lam.argmin()])
             if k_rel == released_last and psi <= psi_prev + 1e-15 * (1.0 + abs(psi_prev)):
                 break  # released, re-activated, no progress: numerically done
             pos = int(kidx.searchsorted(k_rel))
@@ -463,7 +501,7 @@ def fit_weighted_logconcave(sample: WeightedSample,
             kidx = np.concatenate((kidx[:pos], [k_rel], kidx[pos:]))
             phi_k = np.concatenate((phi_k[:pos], [phi_new], phi_k[pos:]))
             # free this knot set's per-point arrays before the next one
-            exp_phi = ks = lam = None
+            exp_phi = ks = None
             released_last = k_rel
             psi_prev = psi
             continue
@@ -471,9 +509,8 @@ def fit_weighted_logconcave(sample: WeightedSample,
             break
         # otherwise the Newton cap was hit mid-solve; keep iterating
 
-    fit = LogConcaveFit(knots=x[kidx], phi=phi_k, objective=psi,
-                        kkt_residual=kkt, converged=converged)
-    grid._density = (fit, exp_phi)
+    fit = _solver_fit(x[kidx], phi_k, psi, kkt, converged)
+    grid._density = (fit, exp_phi, kidx)
     return fit
 
 

@@ -352,3 +352,53 @@ def test_every_solver_exit_is_pinned_bitwise(name, monkeypatch):
     em.run_em(values, f0)
     assert (digest.hexdigest(), calls["knot_grad_hess"],
             calls["solve_newton_step"]) == FIT_DIGESTS[name]
+
+
+# The M-step fits inside EM, per fit in call order: the objective,
+# kkt_residual, converged flag and knot count of every
+# fit_weighted_logconcave call of three catalog runs at n = 1000, the i-th
+# drawn from child_seed(EM_SEED, 100 + i), with whether the fit started
+# cold and whether it took one round or more (its direct knot_grad_hess
+# calls, one per round). The EM digest above sees only each run's last
+# fit; this sees every fit's multiplier check, through its kkt_residual
+# and the releases that its least multiplier decides.
+M_STEP_CELLS = ((2, 0.5), (4, 0.1), (6, 0.9))
+M_STEP_DIGEST = "40757551af321725d89a7bcb4c0712e423b4c43589119086346c451f0ccbd3a7"
+
+
+def test_em_m_step_fits_are_pinned_bitwise(monkeypatch):
+    from logconmix import em, kernels
+    from logconmix.rng import child_seed
+
+    digest = hashlib.sha256()
+    rounds = {"now": 0}
+    seen = set()
+    grad_hess = kernels.knot_grad_hess
+    fit_weighted_logconcave = em.fit_weighted_logconcave
+
+    def counted_grad_hess(*args):
+        rounds["now"] += 1
+        return grad_hess(*args)
+
+    def recorded(sample, init=None):
+        rounds["now"] = 0
+        fit = fit_weighted_logconcave(sample, init=init)
+        for arr in (np.float64(fit.objective), np.float64(fit.kkt_residual),
+                    np.int64(fit.knots.size)):
+            digest.update(_digest(arr).encode())
+        key = (init is None, min(rounds["now"], 2))
+        digest.update(repr((bool(fit.converged),) + key).encode())
+        seen.add(key)
+        return fit
+
+    monkeypatch.setattr(kernels, "knot_grad_hess", counted_grad_hess)
+    monkeypatch.setattr(em, "fit_weighted_logconcave", recorded)
+    for i, (model, p) in enumerate(M_STEP_CELLS):
+        spec = model_catalog()[model]
+        values, _ = sample_mixture(spec.known, spec.unknown, p, 1000,
+                                   child_seed(EM_SEED, 100 + i))
+        em.run_em(values, spec.known)
+    # cold fits, which release knots over several rounds, and warm fits of
+    # one round and of several all took part
+    assert {(True, 2), (False, 1), (False, 2)} <= seen
+    assert digest.hexdigest() == M_STEP_DIGEST

@@ -160,6 +160,40 @@ def test_from_observations_normalizes_weights():
     np.testing.assert_allclose(s2.weights, 1.0 / 3.0, atol=1e-15)
 
 
+def test_weights_whose_sum_overflows_normalize_as_at_a_smaller_scale():
+    # finite weights whose sum overflows: a division by the infinite total
+    # would leave only the two end floors, [0.5, 0, 0, 0, 0.5]; scaling by a
+    # power of two is exact, so they give the bits of any smaller such scale
+    big = 1e308 * np.array([1.0, 1.5, 1.0, 1.25, 1.0])
+    pts = np.arange(5.0)
+    assert np.isfinite(big).all()
+    got = WeightedSample.from_observations(pts, big).weights
+    want = WeightedSample.from_observations(pts, np.ldexp(big, -1000)).weights
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, [4 / 23, 6 / 23, 4 / 23, 5 / 23, 4 / 23], rtol=1e-15)
+    # ties merge before the sum: two tied weights of 1e308 overflow there
+    tied = WeightedSample.from_observations([0.0, 1.0, 1.0, 2.0], [1e308] * 4)
+    assert tied.weights.tolist() == [0.25, 0.5, 0.25]
+    four = WeightedSample.from_observations([0.0, 1.0, 2.0, 3.0], [1e308] * 4)
+    assert four.weights.tolist() == [0.25] * 4
+
+
+def test_a_solver_fit_is_checked_where_it_can_fail():
+    # the solver's knots are grid points, so only phi is checked, with the
+    # public constructor's message; what it builds the constructor accepts
+    fit = fit_weighted_logconcave(WeightedSample.from_observations([0.0, 1.0, 3.0]))
+    public = LogConcaveFit(knots=fit.knots, phi=fit.phi, objective=fit.objective,
+                           kkt_residual=fit.kkt_residual, converged=fit.converged)
+    for name in ("knots", "phi"):
+        got, want = getattr(fit, name), getattr(public, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert (fit.objective, fit.kkt_residual, fit.converged) == \
+        (public.objective, public.kkt_residual, public.converged)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^phi values must be finite$"):
+            logcon._solver_fit(fit.knots, np.array([0.0, bad, -1.0]), 0.0, 0.0, True)
+
+
 def test_consistency_on_gaussian_sample():
     # with n = 2000 equal-weight draws the fitted CDF tracks the truth
     draws = st.norm(0.0, 1.0).rvs(size=2000, random_state=7)

@@ -51,15 +51,30 @@ def _concave_phi(rng, t):
     return phi - math.log(mass)
 
 
+def _active(m, kidx):
+    """The interior non-knots of m points: where a constraint is active."""
+    mask = np.ones(m, dtype=bool)
+    mask[kidx] = False
+    return np.flatnonzero(mask)
+
+
 def _check_multipliers(sample, kidx, phi_k):
+    # the closed form at every active point against the oracle, and the
+    # solver's check finds the least of them to the bit
     x, w = sample.points, sample.weights
     grid = logcon._Grid(x)
     ks = grid.knot_set(kidx)
     mass = kpy.segment_integrals(ks.dt, phi_k[:-1], phi_k[1:])
-    _, lam = logcon._kkt_state(grid, w, ks, phi_k, mass)
-    want = _oracle_multipliers(x, w, kidx, phi_k)[ks.active]
+    active = _active(x.size, kidx)
+    lam = _ref_multipliers(grid, w, ks, phi_k, mass)[1][active]
+    want = _oracle_multipliers(x, w, kidx, phi_k)[active]
     np.testing.assert_allclose(lam, want, rtol=0.0,
                                atol=LAMBDA_RTOL * (x[-1] - x[0]))
+    _, lam_min, k = logcon._kkt_state(ks, logcon._hinge_prefix(w, grid.dx), phi_k, mass)
+    if active.size:
+        assert lam_min == lam.min() and k == active[lam.argmin()]
+    else:
+        assert lam_min == math.inf
 
 
 @pytest.mark.parametrize("spread", [1e-3, 1e-1, 1.0, 1e1, 1e3])
@@ -101,8 +116,9 @@ def test_hinge_tail_is_accurate_on_both_sides_of_the_series_seam():
 
 
 # The array formulation of F, Q and 1/s^2 that ``logcon._knot_integrals``
-# runs on Python floats, and the multiplier pass around it; the float code
-# must give its bits.
+# runs on Python floats, and the multiplier pass around it, with lambda
+# gathered at the active points; ``logcon._kkt_state`` must give the bits
+# of e^phi and of lambda's least entry there, and its first point.
 
 def _ref_knot_integrals(dt, mass, e_k, s):
     s2 = s * s
@@ -113,7 +129,7 @@ def _ref_knot_integrals(dt, mass, e_k, s):
     return F, Q, inv_s2
 
 
-def _ref_kkt_state(grid, w, ks, phi_k, mass):
+def _ref_multipliers(grid, w, ks, phi_k, mass):
     phi, s, z = ks.phi_at(phi_k)
     exp_phi = np.exp(phi, out=phi)
     e_k = np.exp(phi_k)
@@ -123,13 +139,29 @@ def _ref_kkt_state(grid, w, ks, phi_k, mass):
     inside *= ks.d
     inside += Q[seg]
     inside += logcon._hinge_tail(e_k[seg], inv_s2[seg], ks.d, z, exp_phi)
-    lam = np.empty(inside.size)
+    lam = _ref_prefix(w, grid.dx)
+    lam -= inside
+    return exp_phi, lam
+
+
+def _ref_prefix(w, dx):
+    lam = np.empty(w.size)
     lam[0] = 0.0
     below = w[:-1].cumsum()
-    below *= grid.dx
+    below *= dx
     below.cumsum(out=lam[1:])
-    lam -= inside
-    return exp_phi, lam[ks.active]
+    return lam
+
+
+def _ref_kkt_state(grid, w, ks, phi_k, mass):
+    """e^phi, lambda's least entry at the active points and its first
+    point (None when every point is a knot)."""
+    exp_phi, lam = _ref_multipliers(grid, w, ks, phi_k, mass)
+    active = _active(lam.size, ks.kidx)
+    if not active.size:
+        return exp_phi, math.inf, None
+    j = int(lam[active].argmin())
+    return exp_phi, float(lam[active][j]), int(active[j])
 
 
 def _check_kkt_state_bits(sample, kidx, phi_k):
@@ -137,13 +169,17 @@ def _check_kkt_state_bits(sample, kidx, phi_k):
     grid = logcon._Grid(x)
     ks = grid.knot_set(kidx)
     mass = kpy.knot_grad_hess(ks.dt, phi_k, ks.aggregate(w))[4]
-    got = logcon._kkt_state(grid, w, ks, phi_k, mass)
-    want = _ref_kkt_state(grid, w, ks, phi_k, mass)
+    prefix = logcon._hinge_prefix(w, grid.dx)
+    exp_phi, lam_min, k = logcon._kkt_state(ks, prefix, phi_k, mass)
+    want_exp_phi, want_min, want_k = _ref_kkt_state(grid, w, ks, phi_k, mass)
+    assert k == want_k or want_k is None
     e_k = np.exp(phi_k)
     s = (phi_k[1:] - phi_k[:-1]) / ks.dt
-    knot_got = logcon._knot_integrals(ks.dt.tolist(), mass.tolist(), e_k.tolist(), s.tolist())
-    knot_want = _ref_knot_integrals(ks.dt, mass, e_k, s)
-    for g, r in zip(got + knot_got, want + knot_want):
+    table = logcon._knot_integrals(ks.dt.tolist(), mass.tolist(), e_k.tolist(), s.tolist())
+    F, Q, inv_s2 = _ref_knot_integrals(ks.dt, mass, e_k, s)
+    want_table = np.array((F[:-1], Q[:-1], inv_s2, e_k[:-1]))
+    for g, r in ((exp_phi, want_exp_phi), (np.float64(lam_min), np.float64(want_min)),
+                 (table, want_table), (prefix, _ref_prefix(w, grid.dx))):
         if np.all(np.isfinite(r)):
             assert g.tobytes() == r.tobytes()
         else:
@@ -238,7 +274,7 @@ def test_segment_ids_equal_searchsorted_and_interpolation_matches(rng, ties):
             assert np.array_equal(phi, np.interp(x, t, phi_k))
             # a released knot takes the oracle's value bit for bit
             oracle = kpy.interp_to_points(x, kidx, phi_k)
-            assert all(ks.lerp(phi_k, k) == oracle[k] for k in ks.active)
+            assert all(ks.lerp(phi_k, k) == oracle[k] for k in _active(m, kidx))
 
 
 def _mixture(n, seed, ties):
@@ -310,3 +346,38 @@ def test_m_step_f_workspace_and_array_paths_agree(rng):
     warm_a = em.m_step_f(logcon._Grid(x), 0.5 * omega, init=a)
     warm_b = em.m_step_f(x, 0.5 * omega, init=b)
     assert np.array_equal(warm_a.phi, warm_b.phi)
+
+
+def test_a_warm_start_from_the_latest_fit_skips_the_knot_lookup(rng, monkeypatch):
+    # two grids of one sample, each with one cold fit: a warm start from
+    # the grid's latest fit reuses its knot indices, one from an equal copy
+    # (another object) looks them up, and both give the same bits, over
+    # several warm M-steps in turn
+    x = np.sort(_mixture(600, 7, True))
+    omega = rng.uniform(0.0, 1.0, x.size)
+    lookups = []
+    knot_indices = logcon._Grid.knot_indices
+
+    def counted(grid, knots):
+        lookups.append(grid)
+        return knot_indices(grid, knots)
+
+    monkeypatch.setattr(logcon._Grid, "knot_indices", counted)
+    latest_grid, copy_grid = logcon._Grid(x), logcon._Grid(x)
+    latest = em.m_step_f(latest_grid, omega)
+    copied = em.m_step_f(copy_grid, omega)
+    for scale in (0.5, 0.9, 0.3):
+        omega = np.clip(omega * scale + rng.uniform(0.0, 0.2, x.size), 0.0, 1.0)
+        copied = LogConcaveFit(knots=copied.knots.copy(), phi=copied.phi.copy(),
+                               objective=copied.objective,
+                               kkt_residual=copied.kkt_residual,
+                               converged=copied.converged)
+        lookups.clear()
+        latest = em.m_step_f(latest_grid, omega, init=latest)
+        copied = em.m_step_f(copy_grid, omega, init=copied)
+        assert lookups == [copy_grid]
+        assert latest.knots.tobytes() == copied.knots.tobytes()
+        assert latest.phi.tobytes() == copied.phi.tobytes()
+        assert (latest.objective, latest.kkt_residual, latest.converged) == \
+            (copied.objective, copied.kkt_residual, copied.converged)
+        assert latest_grid.f_values(latest).tobytes() == copy_grid.f_values(copied).tobytes()
