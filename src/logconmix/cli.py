@@ -10,17 +10,25 @@ Subcommands:
 Exit codes: 0 success, 2 malformed input or bad parameters, 3 estimation
 failure. All output files use UTF-8 with LF line endings and shortest
 round-trip decimals, so a fixed invocation produces identical bytes.
+
+Every output, a file or stdout, is written row by row as it is formatted,
+never built whole first. A command opens its output only after every step
+that can fail, so a failed command leaves no file. ``tstats`` holds the
+matrix until its t statistics are formed and the ids until they are
+written, but never the output text, and it turns t and p into Python
+floats ``_WRITE_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
 import sys
 from dataclasses import fields
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -53,6 +61,8 @@ _GENE_ID = "gene"
 # a gene id holding one of these is written quoted, its quotes doubled
 # (RFC 4180), as read_csv reads it back
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+# tstats turns this many rows of t and p into Python floats at a time
+_WRITE_ROWS = 4096
 
 
 def parse_f0_spec(text: str) -> KnownComponent:
@@ -114,46 +124,43 @@ def _read_value_csv(path: str) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     return values[:, 0], labels
 
 
-def _write_text(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """The stream an output is written to as it is formatted: the file at
+    ``path``, UTF-8 with LF line endings, or stdout without a path."""
+    if not path:
+        yield sys.stdout
+        return
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+        yield handle
 
 
-def _write_json(path: str, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
-
-
-def _density_grid_rows(grid: np.ndarray, f0: Optional[KnownComponent],
-                       fit, p_hat: Optional[float]) -> str:
-    """Grid CSV: for mixture fits 'x,f0,f_hat,g_hat,posterior'; for bare
-    log-concave fits 'x,f_hat'. Posterior is 0 wherever the fitted mixture
-    density vanishes (outside both supports)."""
+def _write_density_grid(args: argparse.Namespace, f0: Optional[KnownComponent],
+                        fit, p_hat: Optional[float]) -> None:
+    """With --grid-out, write the grid CSV on --grid, by default on 201
+    points across the fitted support: for mixture fits
+    'x,f0,f_hat,g_hat,posterior', for bare log-concave fits 'x,f_hat'.
+    Posterior is 0 wherever the fitted mixture density vanishes (outside
+    both supports)."""
+    if not args.grid_out:
+        return
+    lo, hi, count = args.grid if args.grid is not None else (*fit.support, 201)
+    grid = np.linspace(lo, hi, count)
     f_hat = np.exp(eval_log_density(fit, grid))
-    lines: List[str] = []
     if f0 is None:
-        lines.append("x,f_hat")
-        for x, fh in zip(grid, f_hat):
-            lines.append(f"{float(x)!r},{float(fh)!r}")
+        header, columns = "x,f_hat", (grid, f_hat)
     else:
         f0_vals = np.exp(log_pdf_known(f0, grid))
         g_hat = (1.0 - p_hat) * f0_vals + p_hat * f_hat
         with np.errstate(invalid="ignore", divide="ignore"):
             posterior = np.where(g_hat > 0.0, p_hat * f_hat / np.where(
                 g_hat > 0.0, g_hat, 1.0), 0.0)
-        lines.append("x,f0,f_hat,g_hat,posterior")
-        for x, a, b, c, d in zip(grid, f0_vals, f_hat, g_hat, posterior):
-            lines.append(",".join(repr(float(v)) for v in (x, a, b, c, d)))
-    return "\n".join(lines) + "\n"
-
-
-def _write_density_grid(args: argparse.Namespace, f0: Optional[KnownComponent],
-                        fit, p_hat: Optional[float]) -> None:
-    """With --grid-out, write the grid CSV on --grid, by default on 201
-    points across the fitted support."""
-    if args.grid_out:
-        lo, hi, count = args.grid if args.grid is not None else (*fit.support, 201)
-        _write_text(args.grid_out,
-                    _density_grid_rows(np.linspace(lo, hi, count), f0, fit, p_hat))
+        header = "x,f0,f_hat,g_hat,posterior"
+        columns = (grid, f0_vals, f_hat, g_hat, posterior)
+    with _output(args.grid_out) as out:
+        out.write(header + "\n")
+        for row in zip(*(c.tolist() for c in columns)):
+            out.write(",".join(map(repr, row)) + "\n")
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -171,7 +178,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if labels is not None:
         payload["cla_error"] = classification_error(result.omega, labels)
     if args.out:
-        _write_json(args.out, payload)
+        with _output(args.out) as out:
+            json.dump(payload, out, indent=2)
+            out.write("\n")
     _write_density_grid(args, f0, result.fit, result.p_hat)
     print(f"p_hat = {result.p_hat!r}")
     print(f"identifiability = {result.identifiability.verdict}")
@@ -213,10 +222,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for scenario in scenarios:
         summaries.append(run_scenario(scenario, workers=args.workers))
     table = summary_table(summaries)
-    if args.out:
-        _write_text(args.out, table)
-    else:
-        sys.stdout.write(table)
+    with _output(args.out) as out:
+        out.write(table)
     return 0
 
 
@@ -228,20 +235,19 @@ def _cmd_tstats(args: argparse.Namespace) -> int:
         raise CliInputError(
             f"need at least 2 columns per group: matrix has {n_data} "
             f"data columns, group1 takes {m1}")
-    if genes is None:
-        genes = [str(g) for g in range(1, values.shape[0] + 1)]
     t_values = _pooled_t(values, m1)
+    del values  # free the matrix before the p-values and the output are formed
     p_values = student_t_two_sided_p(t_values, float(n_data - 2))
-    lines = ["gene,t,p_value"]
-    for gene, t, p in zip(genes, t_values.tolist(), p_values.tolist()):
-        if _NEEDS_QUOTES.search(gene):
-            gene = '"' + gene.replace('"', '""') + '"'
-        lines.append(f"{gene},{t!r},{p!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as out:
+        out.write("gene,t,p_value\n")
+        for lo in range(0, t_values.size, _WRITE_ROWS):
+            hi = lo + _WRITE_ROWS
+            ids = genes[lo:hi] if genes is not None else map(str, range(lo + 1, hi + 1))
+            ts, ps = t_values[lo:hi].tolist(), p_values[lo:hi].tolist()
+            for gene, t, p in zip(ids, ts, ps):
+                if _NEEDS_QUOTES.search(gene):
+                    gene = '"' + gene.replace('"', '""') + '"'
+                out.write(f"{gene},{t!r},{p!r}\n")
     return 0
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -473,6 +474,91 @@ def test_tstats_and_fit_output_bytes_are_pinned(tmp_path, capsys):
         "f864da4d6045fd91c6b9c641d8b6e33706ecf29dfb17f619224d089ab19d5993")
     assert hashlib.sha256(mix.read_bytes()).hexdigest() == (
         "6b8912915c5cced3f2ace296029f85111589b678b9ad9e135ca9fd86ed325df3")
+
+
+def test_streamed_outputs_keep_their_bytes_across_write_blocks(tmp_path, capsys,
+                                                              monkeypatch):
+    # tstats formats its rows in blocks of cli._WRITE_ROWS, cut to 16 here:
+    # 53 genes are three whole blocks and a remainder, and the ids that
+    # need quotes sit on either side of the first block edge; the digests
+    # were taken from the writers that built each output whole
+    monkeypatch.setattr(cli, "_WRITE_ROWS", 16)
+    rng = np.random.default_rng(32)
+    x = rng.normal(0.0, 1.0, (53, 6))
+    x[:12, :3] += 2.0
+    genes = [f"g{g}" for g in range(53)]
+    genes[15], genes[16] = 'edge,"15"', '"16",edge'
+    src = tmp_path / "expr.csv"
+    src.write_text("gene," + ",".join(f"s{j}" for j in range(6)) + "\n"
+                   + "".join('"' + g.replace('"', '""') + '",'
+                             + ",".join(repr(float(v)) for v in row) + "\n"
+                             for g, row in zip(genes, x)), encoding="utf-8")
+    tcsv, pvals = tmp_path / "t.csv", tmp_path / "p.csv"
+    mix, grid = tmp_path / "f.json", tmp_path / "g.csv"
+    assert main(["tstats", str(src), "--group1-cols", "3", "--out", str(tcsv)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["tstats", str(src), "--group1-cols", "3"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == tcsv.read_bytes()
+    _, ids, tp = read_csv(tcsv, key="gene")
+    assert ids == genes
+    # without an id column the genes are numbered on across the blocks
+    numbered = tmp_path / "numbered.csv"
+    numbered.write_text("a,b,c,d,e,f\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in x), encoding="utf-8")
+    assert main(["tstats", str(numbered), "--group1-cols", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == [str(g) for g in range(1, 54)]
+    assert [row.rsplit(",", 2)[1:] for row in rows] == [
+        row.rsplit(",", 2)[1:] for row in tcsv.read_text(encoding="utf-8").splitlines()]
+    pvals.write_text("x\n" + "".join(f"{p!r}\n" for p in tp[:, 1].tolist()),
+                     encoding="utf-8")
+    assert main(["fit", str(pvals), "--f0", "uniform:0,1", "--out", str(mix),
+                 "--grid-out", str(grid)]) == 0
+    capsys.readouterr()
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (tcsv, mix, grid)]
+    assert digests == [
+        "3c4f49356665101a382e29bd26c05127e84c22a08f1ecf59f4d30c91c8ba8c2c",
+        "f4b92093bd90c258a8aad4a6ae767ae2c008562cfb0436e852767e9c765abaf0",
+        "daaf57c986050efffae50013a5e5e6f6be3c4b9872c5c10c583c9dd909d9f3be"]
+
+
+def test_a_failed_command_writes_no_file(tmp_path, capsys):
+    # each command fails after its input is read, and its outputs are
+    # opened only after the step that failed
+    matrix = tmp_path / "expr.csv"
+    matrix.write_text("gene,a,b,c,d\ng0,1.0,2.0,0.0,1.0\n", encoding="utf-8")
+    out = tmp_path / "t.csv"
+    assert main(["tstats", str(matrix), "--group1-cols", "3", "--out", str(out)]) == 2
+    assert "at least 2" in capsys.readouterr().err
+    assert not out.exists()
+    values = tmp_path / "x.csv"
+    values.write_text("x\n0.1\n0.2\n0.3\n0.1\n0.2\n", encoding="utf-8")
+    mix, grid = tmp_path / "f.json", tmp_path / "g.csv"
+    assert main(["fit", str(values), "--f0", "uniform:0,1", "--out", str(mix),
+                 "--grid-out", str(grid)]) == 2
+    assert "at least 4 distinct" in capsys.readouterr().err
+    assert not mix.exists() and not grid.exists()
+
+
+def test_tstats_never_holds_its_output_text(tmp_path):
+    # 60000 genes x 4 samples write 2.6 MB of output; a tstats that built
+    # the whole text before writing it traced a 17.9 MB peak, one that
+    # writes as it formats 10.6 MB
+    rng = np.random.default_rng(5)
+    src = tmp_path / "expr.csv"
+    src.write_text("gene,a,b,c,d\n" + "".join(
+        f"g{g}," + ",".join(repr(float(v)) for v in row) + "\n"
+        for g, row in enumerate(rng.normal(0.0, 1.0, (60000, 4)))), encoding="utf-8")
+    out = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        assert main(["tstats", str(src), "--group1-cols", "2", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 2.5 * 2**20
+    assert peak < 14 * 2**20, peak / 2**20
 
 
 def test_unknown_subcommand_exits_2(capsys):
