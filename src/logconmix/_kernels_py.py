@@ -12,9 +12,9 @@ psi of ``_grad_hess`` is the only formula of the objective; the Armijo
 test and ``logcon.objective`` read it.
 ``segment_integrals``, which ``logcon.cdf`` calls on every backend to
 evaluate a finished fit, has no compiled twin; nor have the array views
-``knot_objective``, ``integral_grad_terms``, ``solve_newton_step`` and
-``_max_feasible_step`` and the per-point kernels at the end of the module,
-which stay as test oracles and for the benchmark's tracer.
+``knot_objective``, ``integral_grad_terms`` and ``solve_newton_step``, nor
+the per-point kernels at the end of the module, which stay as test oracles
+and for the benchmark's tracer.
 
 Central object: the exponential-segment integral
 
@@ -339,14 +339,6 @@ def _inverses(dt):
     """1 / dt_j per segment as the C divides: a zero width gives an
     infinity of its sign, where Python would raise."""
     return [1.0 / d if d else math.copysign(math.inf, d) for d in dt]
-
-
-def _max_feasible_step(dt, phi, direction):
-    """The step bound of ``newton_solve`` on arrays: an array view of
-    ``_step_bound`` at 1 / dt, for the tests."""
-    return _step_bound(_inverses(np.asarray(dt, dtype=float).tolist()),
-                       np.asarray(phi, dtype=float).tolist(),
-                       np.asarray(direction, dtype=float).tolist())
 
 
 def _step_bound(inv_dt, p, direction):

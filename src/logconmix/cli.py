@@ -12,11 +12,12 @@ failure. All output files use UTF-8 with LF line endings and shortest
 round-trip decimals, so a fixed invocation produces identical bytes.
 
 Every output, a file or stdout, is written row by row as it is formatted,
-never built whole first. A command opens its output only after every step
-that can fail, so a failed command leaves no file. ``tstats`` holds the
-matrix until its t statistics are formed and the ids until they are
-written, but never the output text, and it turns t and p into Python
-floats ``_WRITE_ROWS`` rows at a time.
+never built whole first, except ``simulate``'s: its table of at most 54
+scenario rows is ``simulate.summary_table``'s one string. A command opens
+its output only after every step that can fail, so a failed command leaves
+no file. ``tstats`` holds the matrix until its t statistics are formed and
+the ids until they are written, but never the output text, and it turns t
+and p into Python floats ``_WRITE_ROWS`` rows at a time.
 """
 
 from __future__ import annotations

@@ -64,14 +64,16 @@ point (the masses also serve the normalization), and one
 - the fit: once per fit, 3 passes for the weights' part of every
   multiplier, sum_{x_i < x} w_i (x - x_i); per knot set, about 12 passes
   to find each point's segment (by ``np.repeat`` of the knot indices,
-  without a search) and its interpolation shares, reused while the knots
-  stay; per aggregation onto the knots, one bincount over 2m entries; and
-  per multiplier check (once per outer round, usually once per M-step),
-  about 22 passes with one ``exp``, whose values e^phi are the next
-  E-step's f, after one pass over the knots on Python floats and no kernel
-  call. The check gathers its four per-segment values in one ``take``,
-  forms lambda in place and keeps only its least entry and that point.
-  A warm start from the previous M-step's fit reuses its knot indices.
+  without a search) and its interpolation shares, built only where a knot
+  drops or is released; per aggregation onto the knots, one bincount over
+  2m entries; and per multiplier check (once per outer round, usually once
+  per M-step), about 22 passes with one ``exp``, whose values e^phi are
+  the next E-step's f, after one pass over the knots on Python floats and
+  no kernel call. The check gathers its four per-segment values in one
+  ``take``, forms lambda in place and keeps only its least entry and that
+  point. The grid keeps the latest fit with its e^phi and its knot set, so
+  a warm start from the previous M-step's fit starts on that knot set
+  without a build.
 No pass sorts or binary-searches the points. A pass is one loop of steps:
 step 0, its start, runs a cold M-step and one E-step, and every later step
 is a counted iteration that runs one warm M-step and then one E-step,

@@ -62,14 +62,15 @@ costs one exp per point (a series replaces the closed form for small |z|),
 and that e^phi at the points is also what an EM E-step needs.
 
 Per-point work runs on the sample's ``_Grid``, which holds the sorted
-observations and maps knots to point indices (``knot_indices``): the
-segment of each point comes from the knot indices by ``np.repeat``, the
-latest knot set's per-point data is reused until the knots change, and
-``_Grid.f_values`` hands over e^phi at the observations from the latest fit
-and reads any other fit with :func:`eval_log_density`, to the same bits. The
-grid also keeps the latest fit's knot indices, so a warm start from that
-fit, as each EM M-step makes, skips ``knot_indices``. A fit the solver
-builds is checked only where it can fail: that phi is finite.
+observations and one solver state: the latest fit, its e^phi at the points
+and its knot set. The segment of each point comes from the knot indices by
+``np.repeat``, and a fit rebuilds its knot set only where a drop or a
+release changes it. A warm start from the latest fit, as each EM M-step
+makes, starts on that fit's knot set; any other start maps its knots to
+points with ``_Grid.knot_set``. ``_Grid.f_values`` hands over the latest
+fit's e^phi and reads any other fit with :func:`eval_log_density`, to the
+same bits. A fit the solver builds is checked only where it can fail: that
+phi is finite.
 """
 
 from __future__ import annotations
@@ -264,17 +265,15 @@ class _KnotSet:
 class _Grid:
     """Sorted observations that several fits share: their distinct values
     ``points``, on which every fit runs, each observation's tie group
-    ``group`` (None when there are no ties), the spacings, the latest knot
-    set's per-point data, and the latest fit with its e^phi at the points
-    and its knot indices."""
+    ``group`` (None when there are no ties), the spacings, and the solver's
+    state: the latest fit with its e^phi at the points and its knot set."""
 
     def __init__(self, observations):
         keep = np.concatenate(([True], np.diff(observations) > 0.0))
         self.group = None if keep.all() else np.cumsum(keep) - 1
         self.points = observations if self.group is None else observations[keep]
         self.dx = self.points[1:] - self.points[:-1]
-        self._knots = None
-        self._density = (None, None, None)
+        self._latest = (None, None, None)
 
     def sample(self, weights) -> WeightedSample:
         """The weighted sample of the points, one weight per observation:
@@ -308,35 +307,24 @@ class _Grid:
         w /= w.sum()
         return WeightedSample(self.points, w, self)
 
-    def knot_indices(self, knots) -> np.ndarray:
-        """Indices of the ascending ``knots`` among the points, which must
-        hold them all, both end points included."""
+    def knot_set(self, knots) -> _KnotSet:
+        """The knot set of the ascending ``knots``, which must be points,
+        both end points included."""
         x = self.points
         kidx = x.searchsorted(knots)
         if (kidx[0] != 0 or kidx[-1] != x.size - 1
                 or np.count_nonzero(x[kidx] != knots)):
             raise ValueError("knots must be sample points, both end points included")
-        return kidx
-
-    def knot_set(self, kidx) -> _KnotSet:
-        if self._knots is None or not _same_bits(self._knots.kidx, kidx):
-            self._knots = None  # freed before its successor is built
-            self._knots = _KnotSet(self.points, kidx)
-        return self._knots
+        return _KnotSet(x, kidx)
 
     def f_values(self, fit) -> np.ndarray:
         """f = e^phi of ``fit`` at every observation, 0 outside its support:
         the values the latest fit's multiplier check left here, or for any
-        other fit ``eval_log_density``'s, the same bits, knot set untouched."""
-        known, values, _ = self._density
+        other fit ``eval_log_density``'s, the same bits, state untouched."""
+        known, values, _ = self._latest
         if known is not fit:
             values = np.exp(eval_log_density(fit, self.points))
         return values if self.group is None else values[self.group]
-
-
-def _same_bits(a, b) -> bool:
-    """Whether arrays of one dtype hold the same bits."""
-    return a is b or (a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
 def _hinge_tail(e_left, inv_s2, d, z, e_right, out=None):
@@ -438,29 +426,32 @@ def fit_weighted_logconcave(sample: WeightedSample,
     constraint active. Each round's Newton solve is one ``newton_solve``
     call per knot set it visits, and one ``knot_grad_hess`` call
     evaluates the normalized iterate (see the module docstring). A warm
-    start from the latest fit on the grid reuses its knot indices; any
-    other ``init`` is looked up with ``_Grid.knot_indices``.
+    start from the grid's latest fit starts on that fit's knot set; any
+    other ``init`` is looked up with ``_Grid.knot_set``. The grid's state
+    is cleared on entry and holds this fit, its e^phi and its knot set on
+    return.
     """
     grid = sample._grid
     x = grid.points
     w = sample.weights
 
-    if init is not None:
-        latest, _, kidx = grid._density
-        if init is not latest:
-            kidx = grid.knot_indices(init.knots)
-        phi_k = init.phi.copy()
-    else:
-        kidx = np.array([0, x.size - 1], dtype=np.intp)
+    latest, _, ks = grid._latest
+    grid._latest = (None, None, None)  # a fit that raises leaves none
+    if init is None:
+        ks = None  # freed before its successor is built
+        ks = _KnotSet(x, np.array([0, x.size - 1], dtype=np.intp))
         phi_k = np.full(2, -math.log(x[-1] - x[0]))
+    else:
+        if init is not latest:
+            ks = None
+            ks = grid.knot_set(init.knots)
+        phi_k = init.phi.copy()
     prefix = _hinge_prefix(w, grid.dx)
 
     converged = False
     psi_prev = -math.inf
     released_last = -1
-    exp_phi = None  # e^phi at the points, while it matches (kidx, phi_k)
     for _round in range(_MAX_OUTER_ITERS):
-        ks = grid.knot_set(kidx)
         W = ks.aggregate(w)
         # Newton with Armijo backtracking on this knot set, in one kernel
         # call per knot set: a boundary hit returns the knot whose
@@ -472,10 +463,11 @@ def fit_weighted_logconcave(sample: WeightedSample,
             if j_block is None:
                 break
             budget -= steps
+            kidx = ks.kidx
             kidx = np.concatenate((kidx[:j_block], kidx[j_block + 1:]))
             phi_k = np.concatenate((phi_k[:j_block], phi_k[j_block + 1:]))
             ks = None  # freed before its successor is built
-            ks = grid.knot_set(kidx)
+            ks = _KnotSet(x, kidx)
             W = ks.aggregate(w)
         # Exact normalization: shifting phi by -log(integral) preserves
         # concavity and never lowers psi. The KKT test below runs on the
@@ -496,12 +488,14 @@ def fit_weighted_logconcave(sample: WeightedSample,
         if ginf <= _TOL_KKT and lam_min < -_TOL_KKT and _round + 1 < _MAX_OUTER_ITERS:
             if k_rel == released_last and psi <= psi_prev + 1e-15 * (1.0 + abs(psi_prev)):
                 break  # released, re-activated, no progress: numerically done
+            kidx = ks.kidx
             pos = int(kidx.searchsorted(k_rel))
             phi_new = ks.lerp(phi_k, k_rel)
             kidx = np.concatenate((kidx[:pos], [k_rel], kidx[pos:]))
             phi_k = np.concatenate((phi_k[:pos], [phi_new], phi_k[pos:]))
             # free this knot set's per-point arrays before the next one
             exp_phi = ks = None
+            ks = _KnotSet(x, kidx)
             released_last = k_rel
             psi_prev = psi
             continue
@@ -509,8 +503,8 @@ def fit_weighted_logconcave(sample: WeightedSample,
             break
         # otherwise the Newton cap was hit mid-solve; keep iterating
 
-    fit = _solver_fit(x[kidx], phi_k, psi, kkt, converged)
-    grid._density = (fit, exp_phi, kidx)
+    fit = _solver_fit(x[ks.kidx], phi_k, psi, kkt, converged)
+    grid._latest = (fit, exp_phi, ks)
     return fit
 
 
@@ -561,8 +555,7 @@ def objective(sample: WeightedSample, knots, phi) -> float:
     value is defined either way), the fitting routine enforces it.
     """
     knots, phi = _knots_phi(knots, phi)
-    grid = sample._grid
-    ks = grid.knot_set(grid.knot_indices(knots))
+    ks = sample._grid.knot_set(knots)
     return K.knot_grad_hess(ks.dt, phi, ks.aggregate(sample.weights))[0]
 
 

@@ -40,7 +40,7 @@ from logconmix.rng import child_seed
 from logconmix.simulate import model_catalog
 
 from conftest import independent_objective
-from test_solver import _ref_max_feasible_step
+from test_solver import _max_feasible_step, _ref_max_feasible_step
 
 # 40-digit quadrature of the defining integral (mpmath, dps=40), rounded to
 # 20 significant digits. The (0.3, 0.3 + 1e-9) pair exercises the
@@ -885,7 +885,7 @@ def _step_problems(draw):
 def test_max_feasible_step_matches_oracle_property(problem):
     dt, phi, step = problem
     want = _ref_max_feasible_step(dt, phi, step)
-    got = kpy._max_feasible_step(dt, phi, step)
+    got = _max_feasible_step(dt, phi, step)
     assert got == want
     assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
 

@@ -397,7 +397,7 @@ def test_fit_document_that_is_not_an_object_is_named(tmp_path, doc):
                               "beyond_the_right_end"])
 @pytest.mark.parametrize("use", ["warm_start", "objective"])
 def test_one_knot_lookup_serves_warm_starts_and_objective(use, knots):
-    # both map knots to sample points through _Grid.knot_indices, with its
+    # both map knots to sample points through _Grid.knot_set, with its
     # one message
     sample = WeightedSample.from_observations([0.0, 1.0, 2.0, 3.0])
     fit = LogConcaveFit(knots=np.array(knots), phi=np.full(3, -1.0), objective=0.0,

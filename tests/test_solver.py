@@ -1,15 +1,15 @@
 """The active-set solver's step bound, its reuse of the grid, and EM's
 count of the iterations it runs.
 
-The step bound of ``newton_solve``, through its array view
-``_kernels_py._max_feasible_step``, is checked bit for bit against the
-earlier formulation, kept here as the oracle. A fit on a grid that already served
-fits must give the bits of the same fit on a fresh grid. Every iteration
-that ``run_em`` counts runs one M-step and the E-step after it, the
-clamped iterations of the second pilot pass included; the clamp ends when
-the likelihood settles, on a sample with ties and on one without. Every
-trace entry is a log-likelihood that an E-step returned. On heavy tails,
-a Newton step that does not raise psi ends its round.
+The step bound of ``newton_solve``, through ``_max_feasible_step``, an
+array view of ``_kernels_py._step_bound``, is checked bit for bit against
+the earlier formulation, kept here as the oracle. A fit on a grid that
+already served fits must give the bits of the same fit on a fresh grid.
+Every iteration that ``run_em`` counts runs one M-step and the E-step
+after it, the clamped iterations of the second pilot pass included; the
+clamp ends when the likelihood settles, on a sample with ties and on one
+without. Every trace entry is a log-likelihood that an E-step returned. On
+heavy tails, a Newton step that does not raise psi ends its round.
 """
 
 from __future__ import annotations
@@ -48,9 +48,17 @@ def _ref_max_feasible_step(dt, phi_k, direction):
     return alpha, j + 1  # +1: constraint j sits at interior knot j+1
 
 
+def _max_feasible_step(dt, phi, direction):
+    """The step bound of ``newton_solve`` on arrays: ``_step_bound`` at
+    1 / dt as the kernel divides."""
+    return kpy._step_bound(kpy._inverses(np.asarray(dt, dtype=float).tolist()),
+                           np.asarray(phi, dtype=float).tolist(),
+                           np.asarray(direction, dtype=float).tolist())
+
+
 def _check_step(dt, phi_k, direction):
     want = _ref_max_feasible_step(dt, phi_k, direction)
-    got = kpy._max_feasible_step(dt, phi_k, direction.copy())
+    got = _max_feasible_step(dt, phi_k, direction.copy())
     assert got == want
     return got
 

@@ -63,7 +63,7 @@ def _check_multipliers(sample, kidx, phi_k):
     # solver's check finds the least of them to the bit
     x, w = sample.points, sample.weights
     grid = logcon._Grid(x)
-    ks = grid.knot_set(kidx)
+    ks = grid.knot_set(x[kidx])
     mass = kpy.segment_integrals(ks.dt, phi_k[:-1], phi_k[1:])
     active = _active(x.size, kidx)
     lam = _ref_multipliers(grid, w, ks, phi_k, mass)[1][active]
@@ -167,7 +167,7 @@ def _ref_kkt_state(grid, w, ks, phi_k, mass):
 def _check_kkt_state_bits(sample, kidx, phi_k):
     x, w = sample.points, sample.weights
     grid = logcon._Grid(x)
-    ks = grid.knot_set(kidx)
+    ks = grid.knot_set(x[kidx])
     mass = kpy.knot_grad_hess(ks.dt, phi_k, ks.aggregate(w))[4]
     prefix = logcon._hinge_prefix(w, grid.dx)
     exp_phi, lam_min, k = logcon._kkt_state(ks, prefix, phi_k, mass)
@@ -323,8 +323,8 @@ def test_e_step_density_equals_eval_log_density(rng, ties):
     assert np.array_equal(grid.f_values(other), want)
     # and so is a fit of another sample, whose knots are not grid points and
     # whose support is narrower: the points outside it read 0, and the read
-    # leaves the solver's knot set cached
-    cached = grid._knots
+    # leaves the solver's state as it was
+    state = grid._latest
     inner = x[(x > np.quantile(x, 0.2)) & (x < np.quantile(x, 0.8))] + 1e-3
     foreign = fit_weighted_logconcave(WeightedSample.from_observations(inner))
     assert not np.isin(foreign.knots, grid.points).any()
@@ -332,7 +332,7 @@ def test_e_step_density_equals_eval_log_density(rng, ties):
     assert np.array_equal(got, np.exp(eval_log_density(foreign, x)))
     outside = (x < foreign.knots[0]) | (x > foreign.knots[-1])
     assert outside.any() and np.all(got[outside] == 0.0) and np.all(got[~outside] > 0.0)
-    assert grid._knots is cached
+    assert grid._latest is state
 
 
 def test_m_step_f_workspace_and_array_paths_agree(rng):
@@ -350,19 +350,19 @@ def test_m_step_f_workspace_and_array_paths_agree(rng):
 
 def test_a_warm_start_from_the_latest_fit_skips_the_knot_lookup(rng, monkeypatch):
     # two grids of one sample, each with one cold fit: a warm start from
-    # the grid's latest fit reuses its knot indices, one from an equal copy
-    # (another object) looks them up, and both give the same bits, over
-    # several warm M-steps in turn
+    # the grid's latest fit starts on its knot set, one from an equal copy
+    # (another object) looks the knots up, and both give the same bits,
+    # over several warm M-steps in turn
     x = np.sort(_mixture(600, 7, True))
     omega = rng.uniform(0.0, 1.0, x.size)
     lookups = []
-    knot_indices = logcon._Grid.knot_indices
+    knot_set = logcon._Grid.knot_set
 
     def counted(grid, knots):
         lookups.append(grid)
-        return knot_indices(grid, knots)
+        return knot_set(grid, knots)
 
-    monkeypatch.setattr(logcon._Grid, "knot_indices", counted)
+    monkeypatch.setattr(logcon._Grid, "knot_set", counted)
     latest_grid, copy_grid = logcon._Grid(x), logcon._Grid(x)
     latest = em.m_step_f(latest_grid, omega)
     copied = em.m_step_f(copy_grid, omega)
@@ -381,3 +381,73 @@ def test_a_warm_start_from_the_latest_fit_skips_the_knot_lookup(rng, monkeypatch
         assert (latest.objective, latest.kkt_residual, latest.converged) == \
             (copied.objective, copied.kkt_residual, copied.converged)
         assert latest_grid.f_values(latest).tobytes() == copy_grid.f_values(copied).tobytes()
+
+
+def _fit_bits(fit):
+    return (fit.knots.tobytes(), fit.phi.tobytes(), fit.objective,
+            fit.kkt_residual, fit.converged)
+
+
+def test_the_solver_state_survives_reads(rng, monkeypatch):
+    # objective on other knots and f_values of a foreign fit read the grid
+    # without touching its state: the next warm M-step from the latest fit
+    # builds no knot set before its first Newton solve, and gives the bits
+    # of the same step on a grid that saw no reads
+    x = np.sort(_mixture(500, 11, True))
+    omega, omega2 = rng.uniform(0.0, 1.0, (2, x.size))
+    quiet = logcon._Grid(x)
+    want = em.m_step_f(quiet, omega2, init=em.m_step_f(quiet, omega))
+
+    grid = logcon._Grid(x)
+    latest = em.m_step_f(grid, omega)
+    m = grid.points.size
+    other = grid.points[[0, m // 3, m - 1]]
+    logcon.objective(grid.sample(rng.uniform(0.0, 1.0, x.size)), other,
+                     np.array([-2.0, -1.0, -2.5]))
+    inner = x[(x > np.quantile(x, 0.3)) & (x < np.quantile(x, 0.7))] + 1e-3
+    grid.f_values(fit_weighted_logconcave(WeightedSample.from_observations(inner)))
+
+    events = []
+    init, newton_solve = logcon._KnotSet.__init__, logcon.K.newton_solve
+
+    def built(ks, *args):
+        events.append("build")
+        init(ks, *args)
+
+    def solved(*args):
+        events.append("newton")
+        return newton_solve(*args)
+
+    monkeypatch.setattr(logcon._KnotSet, "__init__", built)
+    monkeypatch.setattr(logcon.K, "newton_solve", solved)
+    got = em.m_step_f(grid, omega2, init=latest)
+    assert events and events[0] == "newton"
+    assert _fit_bits(got) == _fit_bits(want)
+    assert grid.f_values(got).tobytes() == quiet.f_values(want).tobytes()
+
+
+def test_a_warm_start_after_a_raised_fit_equals_one_on_a_fresh_grid(rng, monkeypatch):
+    # a fit that raises leaves no solver state: a warm start from the
+    # earlier fit then gives the bits of the same start on a fresh grid
+    x = np.sort(_mixture(500, 13, False))
+    omega, omega2 = rng.uniform(0.0, 1.0, (2, x.size))
+    grid = logcon._Grid(x)
+    earlier = em.m_step_f(grid, omega)
+    newton_solve = logcon.K.newton_solve
+    raised = []
+
+    def raise_once(*args):
+        if not raised:
+            raised.append(True)
+            raise FloatingPointError("overflow")
+        return newton_solve(*args)
+
+    monkeypatch.setattr(logcon.K, "newton_solve", raise_once)
+    with pytest.raises(FloatingPointError):
+        em.m_step_f(grid, 0.5 * omega, init=earlier)
+    assert raised
+    got = em.m_step_f(grid, omega2, init=earlier)
+    fresh = logcon._Grid(x)
+    want = em.m_step_f(fresh, omega2, init=earlier)
+    assert _fit_bits(got) == _fit_bits(want)
+    assert grid.f_values(got).tobytes() == fresh.f_values(want).tobytes()
