@@ -232,15 +232,15 @@ def _silverman_bandwidth(x: np.ndarray) -> float:
     by the power of two that brings its largest |value| into [0.5, 1) and
     scaled back. The scaling is exact, as in ``cli._pooled_t``, so the sd
     can neither underflow to 0 nor overflow at extreme scales, and the
-    bandwidth of 2^k x is 2^k times that of x."""
+    bandwidth of 2^k x is 2^k times that of x. ``run_em`` passes at least
+    4 distinct finite points, and the scaling keeps the largest apart from
+    the rest, so the spread is positive."""
     e = int(np.frexp(max(float(x.max()), -float(x.min())))[1])
     y = np.ldexp(x, -e)
     sd = float(np.std(y, ddof=1))
     q1, q3 = np.percentile(y, [25, 75])
     iqr = float(q3 - q1)
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-    if spread <= 0.0:
-        spread = max(float(np.ptp(y)), 1.0)
     return math.ldexp(0.9 * spread * x.size ** (-0.2), e)
 
 

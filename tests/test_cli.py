@@ -59,7 +59,7 @@ def test_fit_labeled_happy_path(tmp_path, labeled_csv, capsys):
     assert 0.0 <= doc["p_hat"] <= 1.0
     assert doc["converged"] is True
     assert "cla_error" in doc
-    assert doc["identifiability"]["verdict"] == "ConditionHolds"
+    assert doc["identifiability"]["verdict"] == "Inconclusive"
     assert len(doc["omega"]) == 400
 
     lines = grid.read_text(encoding="utf-8").strip().split("\n")

@@ -6,14 +6,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from logconmix.em import run_em
 from logconmix.families import (Exponential, Normal, StudentT, Tabulated,
-                                Uniform)
+                                Uniform, sample_mixture)
 from logconmix.identifiability import (CONDITION_FAILS, CONDITION_HOLDS,
                                        IDENTIFIABLE, INCONCLUSIVE,
                                        IdentifiabilityClause,
                                        IdentifiabilityReport,
                                        check_identifiability, report_to_dict)
 from logconmix.logcon import LogConcaveFit
+from logconmix.simulate import model_catalog
 
 
 def _fit(knots, phi):
@@ -50,20 +52,20 @@ def test_exponential_right_slope_shallower_than_rate_fails():
     report = check_identifiability(Exponential(1.0), fit)
     assert report.verdict == CONDITION_FAILS
     # the unbounded f0 support must not contribute a spurious HOLDS clause
-    support = {c.name: c for c in report.clauses}["support_containment"]
-    assert support.verdict == INCONCLUSIVE
+    assert "support_containment" not in [c.name for c in report.clauses]
 
 
 def test_exponential_without_fit_is_inconclusive():
     assert check_identifiability(Exponential(2.0)).verdict == INCONCLUSIVE
 
 
-def test_normal_with_compact_fit_holds():
+def test_normal_with_compact_fit_reports_no_clause():
+    # every compactly supported fit meets the Gaussian tail condition, so a
+    # clause on it could never fail and says nothing about this fit
     fit = _fit([-1.0, 0.0, 1.0], [-1.0, -0.5, -1.5])
     report = check_identifiability(Normal(0.0, 2.0), fit)
-    assert report.verdict == CONDITION_HOLDS
-    clause = {c.name: c for c in report.clauses}["gaussian_tail_domination"]
-    assert clause.verdict == CONDITION_HOLDS
+    assert report.clauses == ()
+    assert report.verdict == INCONCLUSIVE
 
 
 def test_normal_without_fit_is_inconclusive():
@@ -94,6 +96,25 @@ def test_tabulated_bounded_support_uses_containment():
     assert check_identifiability(tab, inside).verdict == CONDITION_HOLDS
     outside = _fit([0.5, 2.5], [0.0, 0.0])
     assert check_identifiability(tab, outside).verdict == CONDITION_FAILS
+
+
+@pytest.mark.parametrize("family, names", [
+    (Normal, []),
+    (Exponential, ["right_tail_slope"]),
+    (Uniform, ["support_containment"]),
+    (StudentT, ["sublinear_log_tail"]),
+])
+def test_run_em_reports_only_clauses_a_fit_can_change(family, names):
+    # one run_em per known family of the catalog, plus a Student-t null: a
+    # Normal null gets no clause, an unbounded null no support clause
+    if family is StudentT:
+        known, unknown = StudentT(5.0), Normal(4.0, 1.0)
+    else:
+        spec = next(s for s in model_catalog().values() if type(s.known) is family)
+        known, unknown = spec.known, spec.unknown
+    values, _ = sample_mixture(known, unknown, 0.3, 300, 11)
+    result = run_em(values, known)
+    assert [c.name for c in result.identifiability.clauses] == names
 
 
 def test_report_verdict_takes_most_conclusive_clause():
