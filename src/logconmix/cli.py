@@ -214,11 +214,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     idx += 1
     else:
         reps = args.reps if args.reps is not None else 50
-        try:
-            scenarios = [ScenarioSpec(model_id=args.model, p=args.p,
-                                      n=args.n, reps=reps, seed=args.seed)]
-        except ValueError as exc:
-            raise CliInputError(str(exc))
+        scenarios = [ScenarioSpec(model_id=args.model, p=args.p,
+                                  n=args.n, reps=reps, seed=args.seed)]
     summaries: List[ScenarioSummary] = []
     for scenario in scenarios:
         summaries.append(run_scenario(scenario, workers=args.workers))

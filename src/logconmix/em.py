@@ -35,7 +35,11 @@ points are binned onto a grid of step b/64, convolved by FFT with the
 kernel cut at 8b, and the grid is interpolated back to the points. Its
 relative error against the exact O(n^2) kernel sum is below 1e-4. The grid
 is capped at 2^20 cells, so on very long-tailed data the step grows past
-b/64 and the error with it. Pilot values above 0.9 are rounded up to 1 so
+b/64 and the error with it. The pilot works on the sample scaled once by
+the power of two that brings its largest |value| into [0.5, 1), and scales
+the density back once, so it does not depend on the data's units; a
+bandwidth too small to grid at that scale raises
+:class:`DegenerateSampleError`. Pilot values above 0.9 are rounded up to 1 so
 that clearly-null points contribute nothing to the initial f. The EM pass
 runs twice: first with r = 1 (maximal separation), then re-seeded with
 r = 1 - p_hat from the first pass; the second pass holds p clamped at its
@@ -228,20 +232,16 @@ def m_step_f(points: Sequence[float], omega: np.ndarray,
 
 
 def _silverman_bandwidth(x: np.ndarray) -> float:
-    """Silverman's 0.9 min(sd, IQR/1.34) n^(-1/5), taken on ``x`` scaled
-    by the power of two that brings its largest |value| into [0.5, 1) and
-    scaled back. The scaling is exact, as in ``cli._pooled_t``, so the sd
-    can neither underflow to 0 nor overflow at extreme scales, and the
-    bandwidth of 2^k x is 2^k times that of x. ``run_em`` passes at least
-    4 distinct finite points, and the scaling keeps the largest apart from
-    the rest, so the spread is positive."""
-    e = int(np.frexp(max(float(x.max()), -float(x.min())))[1])
-    y = np.ldexp(x, -e)
-    sd = float(np.std(y, ddof=1))
-    q1, q3 = np.percentile(y, [25, 75])
+    """Silverman's 0.9 min(sd, IQR/1.34) n^(-1/5) of ``x`` as given.
+    :func:`_gaussian_kde_at_points` passes the sample on its one scale, with
+    at least 4 distinct finite points of which the largest |value| lies in
+    [0.5, 1), so the sd neither underflows nor overflows and the spread is
+    positive."""
+    sd = float(np.std(x, ddof=1))
+    q1, q3 = np.percentile(x, [25, 75])
     iqr = float(q3 - q1)
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-    return math.ldexp(0.9 * spread * x.size ** (-0.2), e)
+    return 0.9 * spread * x.size ** (-0.2)
 
 
 def _gaussian_kde_at_points(x: np.ndarray) -> np.ndarray:
@@ -249,20 +249,38 @@ def _gaussian_kde_at_points(x: np.ndarray) -> np.ndarray:
 
     Linearly binned Gaussian KDE with FFT convolution, O(n + M log M) for M
     grid cells; see the module docstring for the grid and its accuracy.
+    The sample is scaled once, by the power of two 2^-e that brings its
+    largest |value| into [0.5, 1), as in ``cli._pooled_t``; the bandwidth,
+    the grid and the kernel sum are formed on that scale, and the density
+    is scaled back once by 2^-e. Scaling by a power of two is exact where
+    no value turns subnormal, so the estimate at 2^k x is 2^-k times the
+    one at x, and a span or a spread that would overflow or underflow at
+    the data's own scale does not. A bandwidth whose grid step h/64 is
+    below the smallest normal double on that scale raises
+    :class:`DegenerateSampleError`: the points then cluster at subnormal
+    spacing, far tighter than their largest |value|.
     """
+    e = int(np.frexp(max(float(x.max()), -float(x.min())))[1])
+    x = np.ldexp(x, -e)
     h = _silverman_bandwidth(x)
     lo = float(np.min(x))
     span = float(np.max(x)) - lo
     step = h / _KDE_STEPS_PER_BANDWIDTH
+    if step < np.finfo(float).tiny:
+        raise DegenerateSampleError(f"pilot bandwidth {math.ldexp(h, e):g} is too small "
+                                    f"to grid at the data's scale 2^{e}")
     cells = max(2, int(math.ceil(span / step)) + 1)
     if cells > _KDE_MAX_CELLS:
         cells = _KDE_MAX_CELLS
         step = span / (cells - 1)
     # linear binning: each point splits its unit mass between the two grid
-    # nodes around it, in proportion to its distance from the other one
-    pos = (x - lo) / step
-    left = np.minimum(pos.astype(np.intp), cells - 2)
-    frac = pos - left
+    # nodes around it, in proportion to its distance from the other one.
+    # The scaled copy becomes the positions, and the density is scaled back
+    # into ``out``, in place, so the scaling adds no array to the peak.
+    x -= lo
+    x /= step
+    left = np.minimum(x.astype(np.intp), cells - 2)
+    frac = x - left
     counts = (np.bincount(left, weights=1.0 - frac, minlength=cells)
               + np.bincount(left + 1, weights=frac, minlength=cells))
     reach = int(math.ceil(_KDE_CUT_BANDWIDTHS * h / step))
@@ -276,7 +294,7 @@ def _gaussian_kde_at_points(x: np.ndarray) -> np.ndarray:
     grid = np.fft.irfft(np.fft.rfft(counts, size) * np.fft.rfft(kernel),
                         size)[:cells]
     out = grid[left] * (1.0 - frac) + grid[left + 1] * frac
-    return out / (x.size * h * _SQRT_2PI)
+    return np.ldexp(out / (x.size * h * _SQRT_2PI), -e, out=out)
 
 
 def _pilot_omega(f0_values: np.ndarray, kde_values: np.ndarray,

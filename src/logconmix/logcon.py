@@ -115,13 +115,13 @@ class WeightedSample:
     """Strictly ascending points with positive weights summing to one, and
     the grid that fits of them run on.
 
-    Build with :meth:`from_observations`, which sorts the observations and
-    hands them to a grid; its ``sample`` merges tied points (adding their
-    weights), normalizes, lifts the two end weights to the floor 1e-10/m
-    when below it (a zero end weight would send phi there to -inf) and
-    renormalizes. Interior weights keep their values, zeros included. A
-    sample built directly is checked, with every weight strictly positive,
-    and gets a grid of its own.
+    Build with :meth:`from_observations`, which checks the observations
+    and their weights, sorts them and hands them to a grid; its ``sample``
+    merges tied points (adding their weights), normalizes, lifts the two
+    end weights to the floor 1e-10/m when below it (a zero end weight would
+    send phi there to -inf) and renormalizes. Interior weights keep their
+    values, zeros included. A sample built directly is checked, with every
+    weight strictly positive, and gets a grid of its own.
     """
 
     points: np.ndarray
@@ -156,6 +156,16 @@ class WeightedSample:
 
     @classmethod
     def from_observations(cls, points, weights=None) -> "WeightedSample":
+        """The sample of ``points`` with ``weights`` (default: equal). This
+        is the one entry point for weights from outside the solver, so their
+        checks are made here: finite points, at least 2 distinct
+        (:class:`DegenerateSampleError`), one finite non-negative weight per
+        point and a positive total. Weights whose sum reaches 2^1023 are
+        first scaled by the power of two that brings the largest below 1,
+        so that the tie merge, summing in another order, cannot overflow.
+        The scaling is exact for every weight above 2^-1021 of the total, so
+        the sample is the one that the same weights at a smaller scale give.
+        """
         pts = np.asarray(points, dtype=float).ravel()
         if pts.size == 0:
             raise DegenerateSampleError("empty sample")
@@ -170,8 +180,17 @@ class WeightedSample:
             if not np.all(np.isfinite(wts)) or np.any(wts < 0.0):
                 raise ValueError("weights must be finite and non-negative")
         order = np.argsort(pts, kind="stable")
-        with np.errstate(over="ignore"):  # a sum that overflows is rescaled
-            return _Grid(pts[order]).sample(wts[order])
+        grid = _Grid(pts[order])
+        if grid.points.size < 2:
+            raise DegenerateSampleError(
+                f"need at least 2 distinct points, got {grid.points.size}")
+        with np.errstate(over="ignore"):
+            total = float(wts.sum())
+        if not total < 2.0 ** 1023:  # else no merge order of the ties overflows
+            wts = np.ldexp(wts, -np.frexp(np.max(wts))[1])
+        if total <= 0.0:
+            raise ValueError("total weight must be positive")
+        return grid.sample(wts[order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,22 +302,14 @@ class _Grid:
         normalized again: a zero weight at x_1 or x_m would send the
         optimal phi there to -inf, while concavity bounds phi at an
         interior point. Interior weights, zeros included, stay as given,
-        so an EM M-step maximizes the EM surrogate itself. Finite weights
-        whose merged sum overflows are first scaled by the power of two
-        that brings the largest below 1; that is exact, so the sample is
-        the one that the same weights at a smaller scale give."""
+        so an EM M-step maximizes the EM surrogate itself. Nothing is
+        checked here: outside weights are checked where they arrive, in
+        :meth:`WeightedSample.from_observations`, and an M-step's, in
+        [0, 1], by ``em.m_step_f``'s collapse test, on a grid of at least
+        4 points, which ``em.run_em`` checks."""
         m = self.points.size
-        if m < 2:
-            raise DegenerateSampleError(f"need at least 2 distinct points, got {m}")
         w = weights if self.group is None else np.bincount(self.group, weights=weights)
-        total = float(w.sum())
-        if not math.isfinite(total):
-            weights = np.ldexp(weights, -np.frexp(np.max(weights))[1])
-            w = weights if self.group is None else np.bincount(self.group, weights=weights)
-            total = float(w.sum())
-        if total <= 0.0:
-            raise ValueError("total weight must be positive")
-        w = w / total
+        w = w / w.sum()
         floor = WEIGHT_FLOOR_SCALE / m
         if w[0] < floor:
             w[0] = floor

@@ -13,6 +13,7 @@ worker count.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from io import StringIO
@@ -92,9 +93,12 @@ class ScenarioSummary:
     failures: int
 
 
-def _run_replication(args: Tuple[int, float, int, int, int, EmConfig]
-                     ) -> Tuple[int, float, float, float]:
-    """One replication: returns (ok, p_hat, mu_hat, cla_error).
+def _run_replication(spec: ScenarioSpec, config: EmConfig,
+                     rep: int) -> Tuple[int, float, float, float]:
+    """Replication ``rep`` of the frozen scenario ``spec`` under ``config``:
+    returns (ok, p_hat, mu_hat, cla_error). ``run_scenario`` binds the
+    scenario and the configuration with ``functools.partial``, which
+    pickles this function by reference for the worker processes.
 
     A replication fails (ok = 0) when estimation raises one of the errors
     that the CLI reports as bad input or a failed fit (a package error, a
@@ -102,19 +106,17 @@ def _run_replication(args: Tuple[int, float, int, int, int, EmConfig]
     through a degenerate boundary; failed replications carry NaNs. Any
     other exception is a bug and propagates.
     """
-    model_id, p, n, seed, rep, config = args
-    spec = model_catalog()[model_id]
-    values, labels = sample_mixture(spec.known, spec.unknown, p, n,
-                                    child_seed(seed, rep))
+    model = model_catalog()[spec.model_id]
+    values, labels = sample_mixture(model.known, model.unknown, spec.p, spec.n,
+                                    child_seed(spec.seed, rep))
     try:
-        result = run_em(values, spec.known, config)
-        if not result.converged or result.degenerate is not None:
-            return (0, float("nan"), float("nan"), float("nan"))
-        mu_hat = estimate_mu(values, result.omega)
-        cla = classification_error(result.omega, labels)
+        result = run_em(values, model.known, config)
+        if result.converged and result.degenerate is None:
+            return (1, result.p_hat, estimate_mu(values, result.omega),
+                    classification_error(result.omega, labels))
     except (LogconmixError, ValueError, FloatingPointError):
-        return (0, float("nan"), float("nan"), float("nan"))
-    return (1, result.p_hat, mu_hat, cla)
+        pass
+    return (0, float("nan"), float("nan"), float("nan"))
 
 
 def _usable_cpus() -> int:
@@ -138,17 +140,16 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1,
     workers = require_int("workers", workers)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    cfg = config if config is not None else EmConfig()
-    tasks = [(spec.model_id, spec.p, spec.n, spec.seed, rep, cfg)
-             for rep in range(spec.reps)]
+    replicate = functools.partial(
+        _run_replication, spec, config if config is not None else EmConfig())
     workers = min(workers, spec.reps, _usable_cpus())
     if workers == 1:
-        rows = [_run_replication(t) for t in tasks]
+        rows = [replicate(rep) for rep in range(spec.reps)]
     else:
         # imported here, so that importing the package loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_replication, tasks))
+            rows = list(pool.map(replicate, range(spec.reps)))
 
     ok = np.array([r[0] for r in rows], dtype=bool)
     failures = int(np.sum(~ok))

@@ -1005,15 +1005,38 @@ NEWTON_CASES = {
     # no interior knot, so no step bound: Newton runs to the gradient test
     "two_knots": ((np.ones(1), np.zeros(2), np.array([0.3, 0.7]), 50),
                   (False, None, 5, 6)),
+    # phi near 706 gives masses near 1e308, whose sums overflow: the Newton
+    # slope g.d is inf, so the step falls back to the gradient, which knot
+    # 1 blocks at once
+    "ascent_fallback": ((np.array([30.59302801026119, 99.6823233792533,
+                                   10.898173317158996, 56.405071391206285]),
+                         np.array([706.0036979770663, 703.4579901421538,
+                                   705.0047324644067, 703.4874971021299,
+                                   706.5772521625153]),
+                         np.array([0.036474570207464814, 0.030055539304757774,
+                                   0.063281253629402, 0.32468820371484686,
+                                   0.5455004331435285]), 3),
+                        (False, 1, 1, 1)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NEWTON_CASES))
-def test_newton_solve_hand_cases(impl, case):
+def test_newton_solve_hand_cases(impl, case, monkeypatch):
     (dt, phi, w, budget), status = NEWTON_CASES[case]
     want = _solve_bits(_ref_newton_solve, dt, phi, w, budget)
     assert want[2:] == status
     assert _solve_bits(impl.newton_solve, dt, phi, w, budget) == want
+    if case == "ascent_fallback" and impl is kpy:
+        # the one step was bounded along the start's gradient: the fallback ran
+        directions, bound = [], kpy._step_bound
+
+        def record(inv_dt, p, direction):
+            directions.append(direction)
+            return bound(inv_dt, p, direction)
+
+        monkeypatch.setattr(kpy, "_step_bound", record)
+        kpy.newton_solve(dt, phi, w, budget)
+        assert directions == [kpy._grad_hess(dt.tolist(), phi.tolist(), w.tolist())[1]]
     if case == "nan_ratio":
         with np.errstate(all="ignore"):
             _, grad, hd, he, _ = _c_knot_grad_hess(dt, phi, w)

@@ -160,6 +160,15 @@ def test_from_observations_normalizes_weights():
     np.testing.assert_allclose(s2.weights, 1.0 / 3.0, atol=1e-15)
 
 
+def test_from_observations_checks_what_only_outside_weights_can_trip():
+    # the M-step's grid path takes weights already checked, so these
+    # checks live in from_observations alone
+    with pytest.raises(ValueError, match="total weight must be positive"):
+        WeightedSample.from_observations([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+    with pytest.raises(DegenerateSampleError, match="got 1"):
+        WeightedSample.from_observations([2.0, 2.0], [0.0, 0.0])
+
+
 def test_weights_whose_sum_overflows_normalize_as_at_a_smaller_scale():
     # finite weights whose sum overflows: a division by the infinite total
     # would leave only the two end floors, [0.5, 0, 0, 0, 0.5]; scaling by a
@@ -176,6 +185,18 @@ def test_weights_whose_sum_overflows_normalize_as_at_a_smaller_scale():
     assert tied.weights.tolist() == [0.25, 0.5, 0.25]
     four = WeightedSample.from_observations([0.0, 1.0, 2.0, 3.0], [1e308] * 4)
     assert four.weights.tolist() == [0.25] * 4
+
+
+def test_weights_whose_tie_merge_could_overflow_are_scaled_first():
+    # the sum of MAX, u, u taken in order rounds to MAX, but the merged ties
+    # 2u are half an ulp of MAX, and MAX + 2u rounds up to infinity
+    top = np.finfo(float).max
+    big = np.array([top, math.ldexp(1.0, 969), math.ldexp(1.0, 969)])
+    assert math.isfinite(float(big.sum()))
+    got = WeightedSample.from_observations([0.0, 1.0, 1.0], big).weights
+    want = WeightedSample.from_observations([0.0, 1.0, 1.0], np.ldexp(big, -1000)).weights
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, [1.0 - 5e-11, 5e-11], rtol=1e-9)
 
 
 def test_a_solver_fit_is_checked_where_it_can_fail():

@@ -1,6 +1,6 @@
 """The density-ratio pilot's binned kernel estimate against the exact O(n^2)
-kernel sum, its bandwidth's equivariance at every scale, and the input-order
-invariance of the sort-once `run_em`."""
+kernel sum, its equivariance at every scale, its error on a bandwidth too
+small to grid, and the input-order invariance of the sort-once `run_em`."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from logconmix import em
+from logconmix import cli, em
 from logconmix.em import run_em
+from logconmix.errors import DegenerateSampleError
 from logconmix.families import Exponential, Normal, sample_mixture
 from logconmix.rng import child_seed
 from logconmix.simulate import model_catalog
@@ -78,13 +79,50 @@ def _model1_sample():
     return sample_mixture(spec.known, spec.unknown, 0.3, 1000, child_seed(5, 0))[0]
 
 
-@pytest.mark.parametrize("k", [-1000, -664, 0, 500, 1000])
+@pytest.mark.parametrize("k", [0, 500])
 def test_silverman_bandwidth_scales_exactly_by_powers_of_two(k):
-    # at 2^-664 np.std underflows to 0, and at 2^1000 it overflows; the
-    # bandwidth of data scaled by 2^k is still 2^k times the bandwidth
+    # Silverman's rule takes its input as given; where its sd neither
+    # underflows nor overflows, the bandwidth of 2^k x is still 2^k times
+    # that of x, so exact_kde, at the data's own scale, has the pilot's h
     x = _model1_sample()
     assert em._silverman_bandwidth(np.ldexp(x, k)) == math.ldexp(
         em._silverman_bandwidth(x), k)
+
+
+@pytest.mark.parametrize("k", [-1000, -664, 0, 500, 1000, 1019])
+def test_pilot_scales_exactly_by_powers_of_two(k):
+    # at 2^-664 np.std underflows to 0, and at 2^1000 it overflows; the
+    # pilot density of data scaled by 2^k is still 2^-k times the density
+    x = np.sort(_model1_sample())
+    got = em._gaussian_kde_at_points(np.ldexp(x, k))
+    assert got.tobytes() == np.ldexp(em._gaussian_kde_at_points(x), -k).tobytes()
+
+
+def test_pilot_is_finite_where_the_span_overflows():
+    # the span of U(-1, 1) * 1e308 overflows at the data's own scale
+    x = np.sort(np.random.default_rng(0).uniform(-1.0, 1.0, 300) * 1e308)
+    got = em._gaussian_kde_at_points(x)
+    assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+
+
+def _subnormal_cluster():
+    """1000 points k * 5e-324 and three in [0.5, 1]: the Silverman bandwidth
+    is subnormal, and so is any grid step h/64."""
+    return np.concatenate((np.arange(1000) * 5e-324, [0.5, 0.75, 1.0]))
+
+
+def test_a_bandwidth_too_small_to_grid_is_a_degenerate_sample():
+    with pytest.raises(DegenerateSampleError, match="pilot bandwidth"):
+        run_em(_subnormal_cluster(), Normal(0.0, 1.0))
+
+
+def test_fit_exits_2_on_a_bandwidth_too_small_to_grid(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    path.write_text("x\n" + "".join(f"{v!r}\n" for v in _subnormal_cluster().tolist()),
+                    encoding="utf-8")
+    assert cli.main(["fit", str(path), "--f0", "normal:0,1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pilot bandwidth") and "Traceback" not in err
 
 
 def test_run_em_does_not_collapse_on_data_of_spread_1e_200():
