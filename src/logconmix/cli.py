@@ -171,9 +171,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     # field's default
     given = {f.name: getattr(args, f.name) for f in fields(EmConfig)}
     config = EmConfig(**{k: v for k, v in given.items() if v is not None})
-    if args.p_init is not None and config.init != "flat":
-        # the pilot start never reads p_init, so the flag would change nothing
-        raise CliInputError("--p-init applies only with --init flat")
     result = run_em(values, f0, config)
     payload = em_result_to_dict(result)
     if labels is not None:
@@ -202,6 +199,12 @@ def _cmd_logcx(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.full_profile:
+        given = [f"--{name}" for name in ("model", "p", "n")
+                 if getattr(args, name) is not None]
+        if given:
+            raise CliInputError(
+                f"{', '.join(given)} cannot be given with --full-profile, "
+                "which runs its own grid of models, p and n")
         reps = args.reps if args.reps is not None else 200
         scenarios = []
         idx = 0
@@ -214,8 +217,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     idx += 1
     else:
         reps = args.reps if args.reps is not None else 50
-        scenarios = [ScenarioSpec(model_id=args.model, p=args.p,
-                                  n=args.n, reps=reps, seed=args.seed)]
+        scenarios = [ScenarioSpec(
+            model_id=1 if args.model is None else args.model,
+            p=0.5 if args.p is None else args.p,
+            n=500 if args.n is None else args.n, reps=reps, seed=args.seed)]
     summaries: List[ScenarioSummary] = []
     for scenario in scenarios:
         summaries.append(run_scenario(scenario, workers=args.workers))
@@ -306,7 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(density-ratio) or 'flat' (1 - p_init "
                             f"everywhere); default {EmConfig.init!r}")
     p_fit.add_argument("--p-init", type=float,
-                       help=f"with --init flat only; default {EmConfig.p_init}")
+                       help="with --init flat only; default "
+                            f"{EmConfig(init='flat').p_init}")
     p_fit.add_argument("--max-iters", type=int, help=f"default {EmConfig.max_iters}")
     p_fit.add_argument("--tol-loglik", type=float,
                        help=f"default {EmConfig.tol_loglik}")
@@ -328,9 +334,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "bias_p,mse_p,bias_mu,mse_mu,mean_cla_error,failures). "
                     "Identical flags give identical output bytes, for any "
                     "--workers value.")
-    p_sim.add_argument("--model", type=int, default=1, help="model id 1-6")
-    p_sim.add_argument("--p", type=float, default=0.5)
-    p_sim.add_argument("--n", type=int, default=500)
+    p_sim.add_argument("--model", type=int, help="model id 1-6")
+    p_sim.add_argument("--p", type=float)
+    p_sim.add_argument("--n", type=int)
     p_sim.add_argument("--reps", type=int, default=None,
                        help="replications (default 50; 200 with "
                             "--full-profile)")

@@ -48,7 +48,9 @@ most 50 iterations, before the pair moves jointly (see ``_em_pass``), and
 the result carries the second pass's trace and the combined iteration
 count. ``init='flat'`` instead uses the classical single-pass start
 omega0 = 1 - p_init everywhere, which makes f^(0) the unweighted
-log-concave MLE of the full sample.
+log-concave MLE of the full sample. ``p_init`` is this start's alone:
+``EmConfig`` sets it to 0.5 for the flat start unless given, and refuses
+it with the pilot start, which would ignore it.
 
 Cost per iteration. ``run_em`` sorts the sample once and builds one logcon
 grid from it: the distinct points, on which every M-step fits, and each
@@ -130,16 +132,24 @@ _KDE_MAX_CELLS = 1 << 20  # bounds the pilot's memory on long-tailed data
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Tuning knobs for :func:`run_em`."""
+    """Tuning knobs for :func:`run_em`. ``p_init`` is the flat start's p,
+    0.5 unless given; the pilot start reads no p, so it takes none."""
 
-    p_init: float = 0.5
+    p_init: Optional[float] = None
     max_iters: int = 500
     tol_loglik: float = 1e-8
     init: str = "pilot"
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.p_init < 1.0):
-            raise ValueError(f"p_init must lie in (0, 1), got {self.p_init}")
+        if self.init not in ("pilot", "flat"):
+            raise ValueError(f"init must be 'pilot' or 'flat', got {self.init!r}")
+        if self.init == "flat" and self.p_init is None:
+            object.__setattr__(self, "p_init", 0.5)
+        if self.p_init is not None:
+            if self.init != "flat":
+                raise ValueError("p_init applies only with init='flat'")
+            if not (0.0 < self.p_init < 1.0):
+                raise ValueError(f"p_init must lie in (0, 1), got {self.p_init}")
         max_iters = require_int("max_iters", self.max_iters)
         if max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -148,8 +158,6 @@ class EmConfig:
             # an infinite tolerance stops EM after its first iterations and
             # still reports convergence
             raise ValueError(f"tol_loglik must be positive and finite, got {self.tol_loglik}")
-        if self.init not in ("pilot", "flat"):
-            raise ValueError(f"init must be 'pilot' or 'flat', got {self.init!r}")
 
 
 @dataclass(frozen=True)

@@ -112,16 +112,17 @@ _TOL_KKT = _TOL_GRAD  # the kernel's gradient test and the KKT test agree
 
 @dataclass(frozen=True, eq=False)
 class WeightedSample:
-    """Strictly ascending points with positive weights summing to one, and
-    the grid that fits of them run on.
+    """Strictly ascending points with positive end weights summing to one,
+    and the grid that fits of them run on.
 
-    Build with :meth:`from_observations`, which checks the observations
-    and their weights, sorts them and hands them to a grid; its ``sample``
-    merges tied points (adding their weights), normalizes, lifts the two
-    end weights to the floor 1e-10/m when below it (a zero end weight would
-    send phi there to -inf) and renormalizes. Interior weights keep their
-    values, zeros included. A sample built directly is checked, with every
-    weight strictly positive, and gets a grid of its own.
+    :meth:`from_observations` checks the observations and their weights,
+    sorts them and hands them to a grid; its ``sample`` merges tied points
+    (adding their weights), normalizes, lifts the two end weights to the
+    floor 1e-10/m when below it (a zero end weight would send phi there to
+    -inf) and renormalizes. Interior weights keep their values, zeros
+    included. A sample built directly, ``WeightedSample(points, weights)``,
+    is the sample that ``from_observations`` builds from the same points and
+    weights, under the same rules.
     """
 
     points: np.ndarray
@@ -131,24 +132,10 @@ class WeightedSample:
     def __post_init__(self):
         if self._grid is not None:
             return  # from _Grid.sample, which holds the invariants
-        pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
-        if pts.ndim != 1 or wts.ndim != 1 or pts.size != wts.size:
-            raise ValueError("points and weights must be 1-D arrays of equal length")
-        if pts.size < 2:
-            raise DegenerateSampleError(
-                f"need at least 2 distinct points, got {pts.size}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-        if not np.all(np.diff(pts) > 0.0):
-            raise ValueError("points must be strictly ascending (merge ties first)")
-        if not np.all(wts > 0.0):
-            raise ValueError("all weights must be strictly positive")
-        if abs(float(wts.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {wts.sum()!r}")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-        object.__setattr__(self, "_grid", _Grid(pts))
+        built = WeightedSample.from_observations(self.points, self.weights)
+        object.__setattr__(self, "points", built.points)
+        object.__setattr__(self, "weights", built.weights)
+        object.__setattr__(self, "_grid", built._grid)
 
     @property
     def size(self) -> int:
@@ -157,8 +144,9 @@ class WeightedSample:
     @classmethod
     def from_observations(cls, points, weights=None) -> "WeightedSample":
         """The sample of ``points`` with ``weights`` (default: equal). This
-        is the one entry point for weights from outside the solver, so their
-        checks are made here: finite points, at least 2 distinct
+        is the one entry point for weights from outside the solver, which
+        the constructor without a grid also takes, so their checks are made
+        here alone: finite points, at least 2 distinct
         (:class:`DegenerateSampleError`), one finite non-negative weight per
         point and a positive total. Weights whose sum reaches 2^1023 are
         first scaled by the power of two that brings the largest below 1,
@@ -303,7 +291,8 @@ class _Grid:
         optimal phi there to -inf, while concavity bounds phi at an
         interior point. Interior weights, zeros included, stay as given,
         so an EM M-step maximizes the EM surrogate itself. Nothing is
-        checked here: outside weights are checked where they arrive, in
+        checked here, nor by the sample, which is built with this grid:
+        outside weights are checked where they arrive, in
         :meth:`WeightedSample.from_observations`, and an M-step's, in
         [0, 1], by ``em.m_step_f``'s collapse test, on a grid of at least
         4 points, which ``em.run_em`` checks."""

@@ -28,8 +28,8 @@ from logconmix.logcon import (LogConcaveFit, WeightedSample,
 from logconmix.rng import child_seed
 from logconmix.simulate import ScenarioSpec, model_catalog, run_scenario
 
-from conftest import (independent_integral, random_small_sample,
-                      reference_concave_mle)
+from conftest import (assert_certified, independent_integral,
+                      random_small_sample, reference_concave_mle)
 
 
 def test_solver_matches_reference_maximizer_on_small_samples():
@@ -56,7 +56,9 @@ def test_solver_matches_reference_maximizer_on_small_samples():
 def test_every_fit_is_normalized_and_concave():
     # 200 fits over assorted sample shapes: the fitted density integrates to
     # one within 1e-6 (independent expm1 quadrature, not the solver's own
-    # integral) and the knot slopes never increase by more than 1e-9.
+    # integral), the knot slopes never increase by more than 1e-9, and the
+    # optimality certificate holds to 1e-7 of the span, with F(x_m) within
+    # 1e-12 of 1.
     t0 = time.monotonic()
     rng = np.random.default_rng(1002)
     for i in range(200):
@@ -69,12 +71,13 @@ def test_every_fit_is_normalized_and_concave():
         else:
             pts = rng.uniform(-2.0, 2.0, n) * float(rng.uniform(0.5, 5.0))
         w = rng.uniform(0.05, 1.0, n)
-        fit = fit_weighted_logconcave(
-            WeightedSample.from_observations(pts, w / w.sum()))
+        sample = WeightedSample.from_observations(pts, w / w.sum())
+        fit = fit_weighted_logconcave(sample)
         assert abs(independent_integral(fit.knots, fit.phi) - 1.0) <= 1e-6
         slopes = np.diff(fit.phi) / np.diff(fit.knots)
         if slopes.size > 1:
             assert np.max(np.diff(slopes)) <= 1e-9
+        assert_certified(sample, fit)
     assert time.monotonic() - t0 < 60.0
 
 

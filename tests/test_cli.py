@@ -124,7 +124,7 @@ def test_fit_p_init_without_flat_start_exits_2(unlabeled_csv, capsys, init):
     # run without it
     code = main(["fit", unlabeled_csv, "--f0", "normal:0,2", "--p-init", "0.2"] + init)
     assert code == 2
-    assert "--p-init applies only with --init flat" in capsys.readouterr().err
+    assert "error: p_init applies only with init='flat'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, config", [
@@ -273,8 +273,27 @@ def test_simulate_bad_p_exits_2(capsys):
 @pytest.mark.parametrize("extra", [[], ["--full-profile"]], ids=["one", "full-profile"])
 def test_simulate_negative_seed_exits_2_naming_the_seed(capsys, extra):
     # the error used to read "expected non-negative integer", naming nothing
-    assert main(["simulate", "--n", "100", "--reps", "1", "--seed", "-1"] + extra) == 2
+    assert main(["simulate", "--reps", "1", "--seed", "-1"] + extra) == 2
     assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--model", "3"], "--model"),
+    (["--p", "0.2", "--n", "100"], "--p, --n"),
+    (["--n", "100", "--model", "2", "--p", "0.5"], "--model, --p, --n"),
+])
+def test_simulate_full_profile_refuses_one_scenario_flags(monkeypatch, capsys,
+                                                          flags, named):
+    # unchecked, the grid ran with its own models, p and n and the flags
+    # changed nothing
+    def no_scenario(*args, **kwargs):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", no_scenario)
+    assert main(["simulate", "--full-profile", "--reps", "1"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert f"error: {named} cannot be given with --full-profile" in err
 
 
 def test_tstats_pooled_t_oracle(tmp_path):

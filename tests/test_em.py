@@ -180,6 +180,15 @@ def test_run_em_flat_init_still_monotone():
                                          abs=1e-12)
 
 
+def test_run_em_refuses_p_init_with_the_pilot_start():
+    # unchecked, the pilot start ignored p_init and returned the bits of a
+    # run without it
+    f0 = Normal(0.0, 2.0)
+    values, _ = sample_mixture(f0, Normal(3.0, 1.0), 0.5, 300, 11)
+    with pytest.raises(ValueError, match="p_init applies only with init='flat'"):
+        run_em(values, f0, EmConfig(p_init=0.2))
+
+
 def test_run_em_all_known_exit():
     # a vanishing initial unknown mass collapses immediately: everything is
     # attributed to f0 and the result is flagged
@@ -245,16 +254,21 @@ def test_em_result_serializes_to_json():
 
 
 def test_em_config_validation():
-    with pytest.raises(ValueError):
-        EmConfig(p_init=0.0)
-    with pytest.raises(ValueError):
-        EmConfig(p_init=1.0)
+    with pytest.raises(ValueError, match="p_init must lie in"):
+        EmConfig(init="flat", p_init=0.0)
+    with pytest.raises(ValueError, match="p_init must lie in"):
+        EmConfig(init="flat", p_init=1.0)
     with pytest.raises(ValueError):
         EmConfig(max_iters=0)
     with pytest.raises(ValueError):
         EmConfig(tol_loglik=-1e-9)
     with pytest.raises(ValueError):
         EmConfig(init="random")
+    # p_init is the flat start's alone: the pilot start would ignore it
+    with pytest.raises(ValueError, match="p_init applies only with init='flat'"):
+        EmConfig(p_init=0.3)
+    assert EmConfig(init="flat").p_init == 0.5
+    assert EmConfig().p_init is None
 
 
 @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0])

@@ -302,11 +302,21 @@ def test_weighted_sample_validation():
     with pytest.raises(ValueError):
         WeightedSample(np.array([0.0, 1.0]), np.array([0.5, -0.5]))
     with pytest.raises(ValueError):
-        WeightedSample(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        WeightedSample(np.array([0.0, 1.0]), np.array([0.5, math.nan]))
     with pytest.raises(ValueError):
         WeightedSample(np.array([0.0, 1.0]), np.array([0.5, 0.5, 0.5]))
-    with pytest.raises(ValueError):
-        WeightedSample(np.array([0.0, 1.0]), np.array([0.7, 0.7]))  # sum != 1
+    with pytest.raises(DegenerateSampleError):
+        WeightedSample(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
+    # a sample built directly is the one from_observations builds from the
+    # same points and weights, bit for bit, under its rules alone
+    for pts, w in (([1.0, 0.0, 2.0], [0.2, 0.5, 0.3]),  # unsorted
+                   ([0.0, 1.0, 1.0, 2.0], [0.1, 0.2, 0.3, 0.4]),  # tied
+                   ([0.0, 1.0, 2.0], [0.0, 0.6, 0.4]),  # a zero end weight
+                   ([0.0, 1.0, 2.0], [0.7, 0.7, 0.7])):  # sum != 1
+        direct = WeightedSample(np.array(pts), np.array(w))
+        built = WeightedSample.from_observations(np.array(pts), np.array(w))
+        assert direct.points.tobytes() == built.points.tobytes()
+        assert direct.weights.tobytes() == built.weights.tobytes()
     with pytest.raises(DegenerateSampleError):
         fit_weighted_logconcave(
             WeightedSample.from_observations(np.array([1.0])))
